@@ -8,13 +8,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import kernels
 from .commands import RuleSet, default_rules_path, load_rules_file
 from .errors import CorpusError, PeelerError
 from .events import Detector
@@ -346,14 +344,12 @@ class BenchReport:
     events: int
     full_events_per_second: float
     stages: List[StageTiming]
-    kernel_timings: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
 
 def cmd_bench(
     trace_path: str,
     rules_path: Optional[str] = None,
     model_path: Optional[str] = None,
-    kernels_bench: bool = False,
 ) -> BenchReport:
     """Immediate-mode replay throughput, overall and per detector stage."""
     manifest, events = load_trace(trace_path)
@@ -379,40 +375,7 @@ def cmd_bench(
     else:
         full = stages[-1].events_per_second
 
-    report = BenchReport(events=len(events), full_events_per_second=full, stages=stages)
-    if kernels_bench:
-        report.kernel_timings = _bench_kernels()
-    return report
-
-
-def _bench_kernels() -> Dict[str, Dict[str, float]]:
-    """Time each hot kernel on the JIT path vs the plain-numpy path."""
-    rng = np.random.default_rng(0)
-    X = rng.normal(size=(400, 8))
-    y = np.where(rng.random(400) > 0.5, 1.0, -1.0)
-    yi = (y > 0).astype(np.int64)
-    gram = kernels.rbf_gram_py(X, X, 0.125)
-    W = rng.normal(size=(2, 9))
-    Xb = np.hstack([X, np.ones((400, 1))])
-
-    variants = {
-        "rbf_gram": (lambda f: f(X, X, 0.125), kernels.rbf_gram, kernels.rbf_gram_py),
-        "mlr_loss_grad": (lambda f: f(W, Xb, yi, 1e-3), kernels.mlr_loss_grad, kernels.mlr_loss_grad_py),
-        "smo_solve": (lambda f: f(gram, y, 10.0, 1e-3, 200), kernels.smo_solve, kernels.smo_solve_py),
-    }
-    out: Dict[str, Dict[str, float]] = {}
-    for name, (call, jit_fn, py_fn) in variants.items():
-        call(jit_fn)  # warm the JIT cache before timing
-        timings = {}
-        for label, fn in ((kernels.BACKEND, jit_fn), ("numpy", py_fn)):
-            best = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                call(fn)
-                best = min(best, time.perf_counter() - t0)
-            timings[label] = best
-        out[name] = timings
-    return out
+    return BenchReport(events=len(events), full_events_per_second=full, stages=stages)
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -480,7 +443,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--trace", required=True)
     p.add_argument("--rules")
     p.add_argument("--model")
-    p.add_argument("--kernels", action="store_true", help="also micro-bench numeric kernels")
     p.add_argument("--json-report", metavar="PATH")
     return parser
 
@@ -645,20 +607,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    report = cmd_bench(args.trace, args.rules, args.model, kernels_bench=args.kernels)
+    report = cmd_bench(args.trace, args.rules, args.model)
     print(f"events   : {report.events}")
     print(f"full     : {report.full_events_per_second:,.0f} events/s")
     for stage in report.stages:
         print(f"{stage.name:13s}: {stage.events_per_second:,.0f} events/s")
-    for name, timings in report.kernel_timings.items():
-        parts = ", ".join(f"{k}={v * 1000:.2f}ms" for k, v in timings.items())
-        print(f"kernel {name:14s}: {parts}")
     if args.json_report:
         payload = {
             "events": report.events,
             "full_events_per_second": report.full_events_per_second,
             "stages": {s.name: s.events_per_second for s in report.stages},
-            "kernels": report.kernel_timings,
         }
         with open(args.json_report, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2)

@@ -1,30 +1,28 @@
 """Numeric hot kernels: RBF Gram matrices, softmax-regression loss/gradient,
 and the sequential pairwise dual optimizer for the SVM.
 
-Each kernel is written once as a plain numpy function; when numba is
-available the same function body is JIT-compiled. Set PEELER_DISABLE_NUMBA=1
-(or NUMBA_DISABLE_JIT=1, or run without numba installed) to stay on the
-pure-numpy fallback. Both backends run the same code; axis reductions may
-round differently in the last bit. `peeler bench --kernels` times them side
-by side.
+The kernels are plain numpy. The loss/gradient and the dual optimizer are
+vectorized but reproduce the per-row and per-element loops kept as
+references in the tests bit for bit: scalar sums accumulate in the loops'
+sequential order (np.cumsum, not the pairwise np.sum), and the working pair
+is taken with argmax/argmin, which return the first index on a tie just as
+the loops' strict comparisons did. Any change in the last bit could flip a
+line-search step and so change a trained model.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _numba_requested() -> bool:
-    for var in ("PEELER_DISABLE_NUMBA", "NUMBA_DISABLE_JIT"):
-        if os.environ.get(var, "").strip() not in ("", "0"):
-            return False
-    return True
+def _sequential_sum(start, terms: np.ndarray):
+    """start + terms[0] + terms[1] + ..., added left to right."""
+    return np.cumsum(np.concatenate(([start], terms)))[-1]
 
 
-def rbf_gram_py(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """K[i, j] = exp(-gamma * ||A[i] - B[j]||^2)."""
+    # one row at a time: an (n, m, d) broadcast is slower and holds n*m*d floats
     out = np.empty((A.shape[0], B.shape[0]))
     for i in range(A.shape[0]):
         d = B - A[i]
@@ -32,7 +30,7 @@ def rbf_gram_py(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def mlr_loss_grad_py(W, Xb, y, l2):
+def mlr_loss_grad(W, Xb, y, l2):
     """L2-regularized mean cross-entropy of softmax regression.
 
     W: (k, d+1) weights with bias in the last column; Xb: (n, d+1)
@@ -41,28 +39,19 @@ def mlr_loss_grad_py(W, Xb, y, l2):
     """
     n = Xb.shape[0]
     scores = Xb @ W.T
-    loss = 0.0
-    P = np.empty_like(scores)
-    for i in range(n):
-        zi = scores[i]
-        m = zi.max()
-        e = np.exp(zi - m)
-        s = e.sum()
-        P[i] = e / s
-        loss -= np.log(P[i, y[i]])
-    loss /= n
-    for i in range(n):
-        P[i, y[i]] -= 1.0
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    P = e / e.sum(axis=1, keepdims=True)
+    rows = np.arange(n)
+    loss = _sequential_sum(0.0, -np.log(P[rows, y])) / n
+    P[rows, y] -= 1.0
     G = (P.T @ Xb) / n
-    k, d1 = W.shape
-    for c in range(k):
-        for j in range(d1 - 1):
-            loss += 0.5 * l2 * W[c, j] * W[c, j]
-            G[c, j] += l2 * W[c, j]
+    Wr = W[:, :-1]
+    loss = _sequential_sum(loss, (0.5 * l2 * Wr * Wr).ravel())
+    G[:, :-1] += l2 * Wr
     return loss, G
 
 
-def smo_solve_py(gram, y, c, tol, max_passes):
+def smo_solve(gram, y, c, tol, max_passes):
     """Maximal-violating-pair ascent on the box-constrained SVM dual.
 
     gram: (n, n) kernel matrix; y: (n,) labels in {-1, +1}. Works in the
@@ -75,36 +64,25 @@ def smo_solve_py(gram, y, c, tol, max_passes):
     n = y.shape[0]
     beta = np.zeros(n)
     G = y.astype(np.float64).copy()  # dW/dbeta_k = y_k - sum_l beta_l K_kl
+    upper = np.where(y > 0.0, c, 0.0)
+    lower = np.where(y > 0.0, 0.0, -c)
+    can_rise = upper - 1e-12
+    can_fall = lower + 1e-12
     max_iter = max_passes * n
     it = 0
     converged = False
     while it < max_iter:
         it += 1
-        gi = -1
-        gmax = -1e300
-        gj = -1
-        gmin = 1e300
-        for k in range(n):
-            if y[k] > 0.0:
-                upper = c
-                lower = 0.0
-            else:
-                upper = 0.0
-                lower = -c
-            bk = beta[k]
-            gk = G[k]
-            if bk < upper - 1e-12 and gk > gmax:
-                gmax = gk
-                gi = k
-            if bk > lower + 1e-12 and gk < gmin:
-                gmin = gk
-                gj = k
-        if gi < 0 or gj < 0 or gmax - gmin <= tol:
+        G_up = np.where(beta < can_rise, G, -np.inf)
+        gi = int(np.argmax(G_up))
+        gmax = G_up[gi]
+        G_dn = np.where(beta > can_fall, G, np.inf)
+        gj = int(np.argmin(G_dn))
+        gmin = G_dn[gj]
+        if gmax <= -1e300 or gmin >= 1e300 or gmax - gmin <= tol:
             converged = True
             break
-        upper_i = c if y[gi] > 0.0 else 0.0
-        lower_j = 0.0 if y[gj] > 0.0 else -c
-        room = min(upper_i - beta[gi], beta[gj] - lower_j)
+        room = min(upper[gi] - beta[gi], beta[gj] - lower[gj])
         denom = gram[gi, gi] + gram[gj, gj] - 2.0 * gram[gi, gj]
         if denom > 1e-12:
             lam = (gmax - gmin) / denom
@@ -116,34 +94,13 @@ def smo_solve_py(gram, y, c, tol, max_passes):
         beta[gj] -= lam
         G -= lam * (gram[gi] - gram[gj])
     # bias: mean gradient over non-bound vectors, else the KKT midpoint
-    nb_sum = 0.0
-    nb_cnt = 0
-    for k in range(n):
-        if y[k] > 0.0:
-            upper = c
-            lower = 0.0
-        else:
-            upper = 0.0
-            lower = -c
-        if lower + 1e-9 < beta[k] < upper - 1e-9:
-            nb_sum += G[k]
-            nb_cnt += 1
+    free = (lower + 1e-9 < beta) & (beta < upper - 1e-9)
+    nb_cnt = int(np.count_nonzero(free))
     if nb_cnt > 0:
-        b = nb_sum / nb_cnt
+        b = _sequential_sum(0.0, G[free]) / nb_cnt
     else:
-        ub = -1e300
-        lb = 1e300
-        for k in range(n):
-            if y[k] > 0.0:
-                upper = c
-                lower = 0.0
-            else:
-                upper = 0.0
-                lower = -c
-            if beta[k] < upper - 1e-12 and G[k] > ub:
-                ub = G[k]
-            if beta[k] > lower + 1e-12 and G[k] < lb:
-                lb = G[k]
+        ub = np.max(G[beta < can_rise], initial=-1e300)
+        lb = np.min(G[beta > can_fall], initial=1e300)
         if ub > -1e299 and lb < 1e299:
             b = 0.5 * (ub + lb)
         elif ub > -1e299:
@@ -155,22 +112,3 @@ def smo_solve_py(gram, y, c, tol, max_passes):
     alpha = beta * y
     passes = (it + n - 1) // n if n > 0 else 0
     return alpha, b, passes, converged
-
-
-NUMBA_ENABLED = False
-if _numba_requested():
-    try:
-        from numba import njit
-
-        rbf_gram = njit(cache=True)(rbf_gram_py)
-        mlr_loss_grad = njit(cache=True)(mlr_loss_grad_py)
-        smo_solve = njit(cache=True)(smo_solve_py)
-        NUMBA_ENABLED = True
-    except ImportError:
-        pass
-if not NUMBA_ENABLED:
-    rbf_gram = rbf_gram_py
-    mlr_loss_grad = mlr_loss_grad_py
-    smo_solve = smo_solve_py
-
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"

@@ -96,11 +96,15 @@ class Engine:
         """Feed one event (timestamp-ordered); returns alerts it produced."""
         out: List[Alert] = []
         ts = e.timestamp
-        while ts >= self._win_end:
+        if ts >= self._win_end:
             self._emit(self.flush_window(), out)
-            self._win_index += 1
-            self._win_start = self._win_end
-            self._win_end += self.config.window_len
+            # the windows skipped over are empty and never classified, so
+            # jump straight to the one holding ts, whatever the gap
+            length = self.config.window_len
+            skipped = (ts - self._win_end) // length
+            self._win_index += skipped + 1
+            self._win_start = self._win_end + skipped * length
+            self._win_end = self._win_start + length
         self.events_processed += 1
         self._win_events.append(e)
         prov = e.provider

@@ -3,7 +3,9 @@
 The pattern-matching oracle re-derives per-file event lists with its own
 bookkeeping and matches letter sequences with re.fullmatch on every prefix;
 it shares no code with the streaming matcher. Numeric references use
-straightforward two-pass formulas.
+straightforward two-pass formulas. The softmax loss/gradient and the SVM dual
+solver references are the original per-row and per-element loops that the
+vectorized kernels must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 import re
 from typing import Dict, List, Tuple
+
+import numpy as np
 
 from peeler.events import Event, EventType, Provider
 from peeler.fileio import PatternKind
@@ -127,8 +131,6 @@ def ref_pearson(xs, ys) -> float:
 
 def central_difference_gradient(fn, w, h=1e-5):
     """Central finite-difference gradient of a scalar function of a vector."""
-    import numpy as np
-
     w = np.asarray(w, dtype=float)
     g = np.zeros_like(w)
     flat = w.ravel()
@@ -156,3 +158,130 @@ def svm_dual_objective(alphas, y, gram) -> float:
             if alphas[j] != 0.0:
                 quad += alphas[i] * alphas[j] * y[i] * y[j] * gram[i][j]
     return total - 0.5 * quad
+
+
+def ref_mlr_loss_grad(W, Xb, y, l2):
+    """Row-loop reference for kernels.mlr_loss_grad.
+
+    L2-regularized mean cross-entropy of softmax regression.
+    W: (k, d+1) weights with bias in the last column; Xb: (n, d+1)
+    bias-augmented inputs; y: (n,) int class indexes. The bias column is not
+    regularized. Returns (loss, gradient).
+    """
+    n = Xb.shape[0]
+    scores = Xb @ W.T
+    loss = 0.0
+    P = np.empty_like(scores)
+    for i in range(n):
+        zi = scores[i]
+        m = zi.max()
+        e = np.exp(zi - m)
+        s = e.sum()
+        P[i] = e / s
+        loss -= np.log(P[i, y[i]])
+    loss /= n
+    for i in range(n):
+        P[i, y[i]] -= 1.0
+    G = (P.T @ Xb) / n
+    k, d1 = W.shape
+    for c in range(k):
+        for j in range(d1 - 1):
+            loss += 0.5 * l2 * W[c, j] * W[c, j]
+            G[c, j] += l2 * W[c, j]
+    return loss, G
+
+
+def ref_smo_solve(gram, y, c, tol, max_passes):
+    """Element-loop reference for kernels.smo_solve.
+
+    Maximal-violating-pair ascent on the box-constrained SVM dual.
+    gram: (n, n) kernel matrix; y: (n,) labels in {-1, +1}. Works in the
+    transformed variables beta_k = y_k * alpha_k under the single constraint
+    sum(beta) = 0: each round moves the steepest feasible ascent pair by the
+    analytic step, clipped to the box. Stops when the KKT gap
+    max_up(G) - min_down(G) drops below tol; pair updates are capped at
+    max_passes * n. Returns (alpha, b, passes, converged).
+    """
+    n = y.shape[0]
+    beta = np.zeros(n)
+    G = y.astype(np.float64).copy()  # dW/dbeta_k = y_k - sum_l beta_l K_kl
+    max_iter = max_passes * n
+    it = 0
+    converged = False
+    while it < max_iter:
+        it += 1
+        gi = -1
+        gmax = -1e300
+        gj = -1
+        gmin = 1e300
+        for k in range(n):
+            if y[k] > 0.0:
+                upper = c
+                lower = 0.0
+            else:
+                upper = 0.0
+                lower = -c
+            bk = beta[k]
+            gk = G[k]
+            if bk < upper - 1e-12 and gk > gmax:
+                gmax = gk
+                gi = k
+            if bk > lower + 1e-12 and gk < gmin:
+                gmin = gk
+                gj = k
+        if gi < 0 or gj < 0 or gmax - gmin <= tol:
+            converged = True
+            break
+        upper_i = c if y[gi] > 0.0 else 0.0
+        lower_j = 0.0 if y[gj] > 0.0 else -c
+        room = min(upper_i - beta[gi], beta[gj] - lower_j)
+        denom = gram[gi, gi] + gram[gj, gj] - 2.0 * gram[gi, gj]
+        if denom > 1e-12:
+            lam = (gmax - gmin) / denom
+            if lam > room:
+                lam = room
+        else:
+            lam = room
+        beta[gi] += lam
+        beta[gj] -= lam
+        G -= lam * (gram[gi] - gram[gj])
+    # bias: mean gradient over non-bound vectors, else the KKT midpoint
+    nb_sum = 0.0
+    nb_cnt = 0
+    for k in range(n):
+        if y[k] > 0.0:
+            upper = c
+            lower = 0.0
+        else:
+            upper = 0.0
+            lower = -c
+        if lower + 1e-9 < beta[k] < upper - 1e-9:
+            nb_sum += G[k]
+            nb_cnt += 1
+    if nb_cnt > 0:
+        b = nb_sum / nb_cnt
+    else:
+        ub = -1e300
+        lb = 1e300
+        for k in range(n):
+            if y[k] > 0.0:
+                upper = c
+                lower = 0.0
+            else:
+                upper = 0.0
+                lower = -c
+            if beta[k] < upper - 1e-12 and G[k] > ub:
+                ub = G[k]
+            if beta[k] > lower + 1e-12 and G[k] < lb:
+                lb = G[k]
+        if ub > -1e299 and lb < 1e299:
+            b = 0.5 * (ub + lb)
+        elif ub > -1e299:
+            b = ub
+        elif lb < 1e299:
+            b = lb
+        else:
+            b = 0.0
+    alpha = beta * y
+    passes = (it + n - 1) // n if n > 0 else 0
+    return alpha, b, passes, converged

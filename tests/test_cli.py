@@ -1,11 +1,13 @@
 """CLI subcommands, exit codes, and the evaluation harness."""
 
+import io
 import json
 import os
 
 import numpy as np
 import pytest
 
+from peeler import kernels
 from peeler.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -13,14 +15,16 @@ from peeler.cli import (
     TraceProfile,
     cmd_bench,
     evaluate_profiles,
+    load_corpus_profiles,
     main,
     train_from_profiles,
 )
 from peeler.commands import default_rules_path, load_rules_file
-from peeler.ml import FusedClassifier, MlrModel, Scaler, SvmModel, load_model_file
-from peeler.synth import SynthConfig, synth_corpus
+from peeler.ml import FusedClassifier, MlrModel, Scaler, SvmModel, load_model_file, save_model
+from peeler.synth import SynthConfig, default_corpus_spec, synth_corpus
 from peeler.trace_io import TraceLabel, TraceManifest, load_trace, save_trace
 from peeler.fileio import PatternKind
+from oracles import ref_mlr_loss_grad, ref_smo_solve
 
 
 @pytest.fixture(scope="module")
@@ -233,13 +237,23 @@ def test_bench_empty_trace_is_defined(tmp_path):
     assert report.full_events_per_second == 0.0
 
 
-def test_bench_kernels_compares_backends(tmp_path, capsys):
-    out = str(tmp_path / "k.pt")
-    main(["synth", "--archetype", "benign-desktop", "--seed", "2", "--out", out,
-          "--duration-ms", "10000"])
-    assert main(["bench", "--trace", out, "--kernels"]) == EXIT_OK
-    printed = capsys.readouterr().out
-    assert "kernel rbf_gram" in printed and "numpy=" in printed
+def test_training_and_eval_identical_with_loop_reference_kernels(tmp_path, monkeypatch):
+    synth_corpus(default_corpus_spec(4, 4, 12), str(tmp_path), master_seed=5)
+    profiles = load_corpus_profiles(str(tmp_path), 5_000_000,
+                                    load_rules_file(default_rules_path()))
+
+    def outputs():
+        buf = io.BytesIO()
+        save_model(train_from_profiles(profiles), buf)
+        summary = evaluate_profiles(profiles, repeats=2, seed=3, train_frac=0.5)
+        return buf.getvalue(), summary.rows
+
+    shipped = outputs()
+    monkeypatch.setattr(kernels, "mlr_loss_grad", ref_mlr_loss_grad)
+    monkeypatch.setattr(kernels, "smo_solve", ref_smo_solve)
+    reference = outputs()
+    assert reference[0] == shipped[0]
+    assert reference[1] == shipped[1]
 
 
 def test_default_corpus_cli(tmp_path, capsys):

@@ -1,10 +1,16 @@
-"""Numeric kernels: correctness, backend parity, and stability checks."""
+"""Numeric kernels: correctness, equality with the loop references, and
+stability checks."""
 
 import numpy as np
 import pytest
 
 from peeler import kernels as K
-from oracles import central_difference_gradient, svm_dual_objective
+from oracles import (
+    central_difference_gradient,
+    ref_mlr_loss_grad,
+    ref_smo_solve,
+    svm_dual_objective,
+)
 
 
 def _gram_direct(A, B, gamma):
@@ -14,28 +20,6 @@ def _gram_direct(A, B, gamma):
             d = A[i] - B[j]
             out[i, j] = np.exp(-gamma * float(d @ d))
     return out
-
-
-def test_backend_is_reported():
-    assert K.BACKEND in ("numba", "numpy")
-    assert K.NUMBA_ENABLED == (K.BACKEND == "numba")
-
-
-def test_disable_flag_selects_numpy_backend():
-    import os
-    import subprocess
-    import sys
-
-    code = (
-        "from peeler import kernels; import numpy as np; "
-        "assert kernels.BACKEND == 'numpy'; "
-        "a, b, p, c = kernels.smo_solve(np.eye(4), np.array([1.,-1.,1.,-1.]), 1.0, 1e-3, 10); "
-        "print(kernels.BACKEND, a.sum())"
-    )
-    env = dict(os.environ, PEELER_DISABLE_NUMBA="1")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("numpy ")
 
 
 def test_rbf_gram_matches_direct_formula():
@@ -63,28 +47,90 @@ def test_rbf_gram_psd_on_random_samples():
         assert np.linalg.eigvalsh(g).min() >= -1e-8
 
 
-def test_backends_agree_on_shared_inputs():
-    # the JIT path and the plain-python path run the same function body
+def _assert_mlr_matches_reference(W, Xb, y, l2):
+    loss, grad = K.mlr_loss_grad(W, Xb, y, l2)
+    ref_loss, ref_grad = ref_mlr_loss_grad(W, Xb, y, l2)
+    assert loss == ref_loss
+    assert np.array_equal(grad, ref_grad)
+
+
+def _assert_smo_matches_reference(gram, y, c, tol, max_passes):
+    alpha, b, passes, converged = K.smo_solve(gram, y, c, tol, max_passes)
+    ref_alpha, ref_b, ref_passes, ref_converged = ref_smo_solve(gram, y, c, tol, max_passes)
+    assert np.array_equal(alpha, ref_alpha)
+    assert b == ref_b
+    assert passes == ref_passes
+    assert converged == ref_converged
+    return alpha, b, passes, converged
+
+
+def test_mlr_loss_grad_equals_row_loop_reference():
     rng = np.random.default_rng(4)
-    A = rng.normal(size=(15, 8))
-    B = rng.normal(size=(11, 8))
-    assert np.allclose(K.rbf_gram(A, B, 0.2), K.rbf_gram_py(A, B, 0.2), rtol=1e-13, atol=1e-15)
+    for trial in range(60):
+        n = int(rng.integers(1, 300))
+        d = int(rng.integers(1, 12))
+        k = 3 if trial % 5 == 0 else 2
+        W = rng.normal(size=(k, d + 1)) * rng.uniform(0.01, 10.0)
+        Xb = np.hstack([rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0), np.ones((n, 1))])
+        y = rng.integers(0, k, size=n)
+        _assert_mlr_matches_reference(W, Xb, y, float(rng.choice([0.0, 1e-3, 0.5])))
 
-    W = rng.normal(size=(2, 9))
-    Xb = np.hstack([rng.normal(size=(30, 8)), np.ones((30, 1))])
-    y = rng.integers(0, 2, size=30)
-    l1, g1 = K.mlr_loss_grad(W, Xb, y, 1e-3)
-    l2, g2 = K.mlr_loss_grad_py(W, Xb, y, 1e-3)
-    assert l1 == pytest.approx(l2, rel=1e-13)
-    assert np.allclose(g1, g2, rtol=1e-12, atol=1e-15)
 
-    X = rng.normal(size=(40, 5))
-    yy = np.where(rng.random(40) > 0.5, 1.0, -1.0)
-    gram = K.rbf_gram_py(X, X, 0.2)
-    r1 = K.smo_solve(gram, yy, 10.0, 1e-3, 200)
-    r2 = K.smo_solve_py(gram, yy, 10.0, 1e-3, 200)
-    assert np.array_equal(r1[0], r2[0])
-    assert r1[1:] == r2[1:]
+def test_smo_equals_element_loop_reference():
+    rng = np.random.default_rng(9)
+    for trial in range(40):
+        n = int(rng.integers(2, 120))
+        X = rng.normal(size=(n, int(rng.integers(1, 9))))
+        yy = np.where(rng.random(n) > 0.5, 1.0, -1.0)
+        gram = K.rbf_gram(X, X, float(rng.uniform(0.05, 1.0)))
+        c = float(rng.choice([0.5, 10.0]))
+        max_passes = int(rng.integers(1, 200))
+        _assert_smo_matches_reference(gram, yy, c, 1e-3, max_passes)
+
+
+def test_smo_tied_gradients_pick_first_index_like_reference():
+    # integer points repeat, so many gradients tie exactly at every round
+    rng = np.random.default_rng(10)
+    for trial in range(20):
+        n = int(rng.integers(6, 60))
+        X = rng.integers(0, 3, size=(n, 2)).astype(float)
+        yy = np.where(rng.random(n) > 0.5, 1.0, -1.0)
+        _assert_smo_matches_reference(K.rbf_gram(X, X, 0.5), yy, 1.0, 1e-3, 50)
+    # at entry every gradient equals its label: all +1 tie and all -1 tie
+    yy = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    _assert_smo_matches_reference(np.eye(6), yy, 10.0, 1e-3, 20)
+
+
+def test_smo_all_alphas_at_bound_like_reference():
+    # conflicting duplicates: each pair pushes both alphas to C, no free vector
+    X = np.repeat(np.array([[1.0, 2.0], [3.0, -1.0], [0.0, 0.5]]), 2, axis=0)
+    yy = np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0])
+    gram = K.rbf_gram(X, X, 0.5)
+    for c in (0.1, 1.0, 10.0):
+        alpha, _, _, converged = _assert_smo_matches_reference(gram, yy, c, 1e-3, 50)
+        assert converged
+        assert np.array_equal(alpha, np.full(6, c))
+
+
+def test_smo_gap_within_tol_at_entry_like_reference():
+    # the entry gap max(G) - min(G) over y is 2; at or above it nothing moves
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(12, 3))
+    yy = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+    gram = K.rbf_gram(X, X, 0.3)
+    for tol in (2.0, 2.5):
+        alpha, _, passes, converged = _assert_smo_matches_reference(gram, yy, 10.0, tol, 10)
+        assert converged and passes == 1
+        assert not alpha.any()
+    for args in ((10.0, 1e-3, 0), (10.0, 1e-3, 1)):  # no budget / one-pass budget
+        _assert_smo_matches_reference(gram, yy, *args)
+
+
+def test_smo_one_class_and_empty_like_reference():
+    yy = np.ones(5)
+    _assert_smo_matches_reference(np.eye(5), yy, 1.0, 1e-3, 10)
+    _assert_smo_matches_reference(np.eye(5), -yy, 1.0, 1e-3, 10)
+    _assert_smo_matches_reference(np.zeros((0, 0)), np.zeros(0), 1.0, 1e-3, 10)
 
 
 def test_smo_is_deterministic():

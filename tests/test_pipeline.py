@@ -1,5 +1,8 @@
 """Engine orchestration: routing, windows, quarantine, reports."""
 
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
@@ -131,6 +134,57 @@ def test_window_index_advances_across_gaps():
     engine.process_event(ev_read(1, 100, 0xA, 0xB))
     engine.process_event(ev_read(1, 7_500_000, 0xA, 0xB))
     assert engine._win_index == 7
+
+
+def test_huge_timestamp_gap_is_one_jump():
+    engine = Engine(EngineConfig(window_len=1_000_000))
+    engine.process_event(ev_read(1, 100, 0xA, 0xB))
+    engine.process_event(ev_read(1, 2_500_000, 0xA, 0xB))
+    far = 2_500_000 + 2**62
+    start = time.perf_counter()
+    engine.process_event(ev_read(1, far, 0xA, 0xB))
+    engine.finish()
+    assert time.perf_counter() - start < 0.5
+    assert engine._win_index == far // 1_000_000
+    assert engine._win_start <= far < engine._win_end
+    assert engine._win_end - engine._win_start == 1_000_000
+
+
+class _SteppingEngine(Engine):
+    """Reference engine: crosses a gap by closing each window in turn."""
+
+    def process_event(self, e):
+        out = []
+        while e.timestamp >= self._win_end:
+            self._emit(self.flush_window(), out)
+            self._win_index += 1
+            self._win_start = self._win_end
+            self._win_end += self.config.window_len
+        return out + super().process_event(e)
+
+
+def test_window_jump_matches_step_loop():
+    model = _tiny_model()
+    cfg = SynthConfig(seed=77, archetype="locker",
+                      spawn_profile=DEFAULT_LOCKER_PROFILE, duration=60_000_000)
+    _, events = synth_trace(cfg)
+    # each seventh of the trace starts 2.75 windows later than the one before
+    shifted = []
+    for i, e in enumerate(events):
+        shift = (i * 7 // len(events)) * 13_750_000
+        shifted.append(dataclasses.replace(e, timestamp=e.timestamp + shift))
+    runs = []
+    for cls in (Engine, _SteppingEngine):
+        engine = cls(EngineConfig(), model=model)
+        fired, windows = [], []
+        for e in shifted:
+            fired.append(engine.process_event(e))
+            windows.append((engine._win_index, engine._win_start, engine._win_end))
+        fired.append(engine.finish())
+        runs.append((fired, windows, engine.alerts))
+    assert runs[0] == runs[1]
+    assert shifted[-1].timestamp - events[-1].timestamp == 6 * 13_750_000
+    assert any(a.detector is Detector.ML_CLASSIFIER for a in runs[0][2])
 
 
 def test_empty_window_skipped_without_model():
