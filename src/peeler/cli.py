@@ -86,13 +86,15 @@ def profile_trace(path: str, window_len: int, rules: RuleSet) -> TraceProfile:
     engine = Engine(EngineConfig(window_len=window_len, quarantine=False), rules=rules)
     rule_ts = None
     pattern_ts = None
-    for e in events:
-        for alert in engine.process_event(e):
-            if alert.detector is Detector.COMMAND_RULE and rule_ts is None:
-                rule_ts = alert.event_timestamp
-            elif alert.detector is Detector.FILE_IO_PATTERN and pattern_ts is None:
-                pattern_ts = alert.event_timestamp
-    windows = [w for w in window_partition(events, window_len) if w.events]
+    windows = []
+    for w in window_partition(events, window_len):
+        for e in w.events:
+            for alert in engine.process_event(e):
+                if alert.detector is Detector.COMMAND_RULE and rule_ts is None:
+                    rule_ts = alert.event_timestamp
+                elif alert.detector is Detector.FILE_IO_PATTERN and pattern_ts is None:
+                    pattern_ts = alert.event_timestamp
+        windows.append(w)
     feats = [window_features(w) for w in windows]
     return TraceProfile(
         path=path,

@@ -1,6 +1,9 @@
-"""Detection engine: routes events to the per-event detectors, accumulates
-tumbling windows for the classifier, and collects alerts.
+"""Detection engine: routes events to the per-event detectors, classifies
+closed windows, and collects alerts.
 
+The engine holds no window state: run_trace cuts the stream with
+trace_io.window_partition, the same windowing that eval uses, feeds each
+window's events to process_event and then hands the window to flush_window.
 Command rules and the file I/O matcher see every event as it arrives and can
 alert mid-window; the ML stage fires only when a window closes. A pid that
 has alerted is quarantined (further alerts suppressed) when quarantine is
@@ -12,14 +15,14 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from .commands import CommandMatcher, RuleSet, default_rules_path, load_rules_file
 from .events import Alert, Detector, Event, EventType, Provider
-from .features import extract_mlr_features, extract_svm_features, build_process_tree
+from .features import window_features
 from .fileio import FileIoMatcher, MatcherConfig
 from .ml import FusedClassifier, fuse, load_model_file
-from .trace_io import TraceManifest, Window
+from .trace_io import TraceManifest, Window, window_partition
 
 
 @dataclass
@@ -76,10 +79,6 @@ class Engine:
         self.alerts: List[Alert] = []
         self.events_processed = 0
         self.quarantined = set()
-        self._win_start = 0
-        self._win_end = config.window_len
-        self._win_index = 0
-        self._win_events: List[Event] = []
 
     def _emit(self, alert: Optional[Alert], out: List[Alert]) -> None:
         if alert is None:
@@ -93,20 +92,9 @@ class Engine:
         out.append(alert)
 
     def process_event(self, e: Event) -> List[Alert]:
-        """Feed one event (timestamp-ordered); returns alerts it produced."""
+        """Feed one event to the per-event detectors; returns their alerts."""
         out: List[Alert] = []
-        ts = e.timestamp
-        if ts >= self._win_end:
-            self._emit(self.flush_window(), out)
-            # the windows skipped over are empty and never classified, so
-            # jump straight to the one holding ts, whatever the gap
-            length = self.config.window_len
-            skipped = (ts - self._win_end) // length
-            self._win_index += skipped + 1
-            self._win_start = self._win_end + skipped * length
-            self._win_end = self._win_start + length
         self.events_processed += 1
-        self._win_events.append(e)
         prov = e.provider
         if prov is Provider.FILE:
             if self.matcher is not None:
@@ -118,25 +106,21 @@ class Engine:
                 self._emit(self.commands.match(e), out)
         return out
 
-    def flush_window(self) -> Optional[Alert]:
-        """Close the current window; classify it when the ML stage is on.
+    def flush_window(self, window: Window) -> List[Alert]:
+        """Classify one closed window when the ML stage is on; returns its alerts.
 
-        Empty windows are skipped. The alert is attributed to the pid
-        contributing the most window events (system/explorer excluded),
-        with the top contenders recorded in the trigger text.
+        The alert is attributed to the pid contributing the most window
+        events (system/explorer excluded), with the top contenders recorded
+        in the trigger text.
         """
-        events = self._win_events
-        if not events:
-            return None
-        self._win_events = []
-        if self.model is None:
-            return None
-        window = Window(self._win_index, self._win_start, self._win_end, events)
-        mlr = extract_mlr_features(build_process_tree(window))
-        svm = extract_svm_features(window)
+        out: List[Alert] = []
+        events = window.events
+        if self.model is None or not events:
+            return out
+        mlr, svm = window_features(window)
         score, verdict = fuse(self.model, mlr, svm)
         if verdict != "ransomware":
-            return None
+            return out
         pid_counts = Counter(e.pid for e in events)
         exempt_images = ("system", "explorer.exe")
         pid_images = self.matcher.pid_images if self.matcher is not None else {}
@@ -147,31 +131,27 @@ class Engine:
         ]
         ranked.sort(key=lambda t: (-t[0], t[1]))
         top = [p for _, p in ranked[:3]]
-        pid = top[0] if top else (events[0].pid if events else 0)
-        return Alert(
+        alert = Alert(
             detector=Detector.ML_CLASSIFIER,
-            pid=pid,
+            pid=top[0] if top else events[0].pid,
             trigger=f"score={score:.4f} top_pids={top}",
-            event_timestamp=self._win_end,
-            emitted_timestamp=self._win_end,
+            event_timestamp=window.end,
+            emitted_timestamp=window.end,
         )
-
-    def finish(self) -> List[Alert]:
-        """End of stream: flush the trailing partial window."""
-        out: List[Alert] = []
-        self._emit(self.flush_window(), out)
+        self._emit(alert, out)
         return out
 
 
-def run_trace(engine: Engine, manifest: TraceManifest, events: List[Event]) -> DetectionReport:
+def run_trace(engine: Engine, manifest: TraceManifest, events: Iterable[Event]) -> DetectionReport:
     """Immediate-mode run of one trace through a fresh engine."""
     if engine.events_processed:
         raise ValueError("engine has already consumed a stream")
     start = time.perf_counter()
     process = engine.process_event
-    for e in events:
-        process(e)
-    engine.finish()
+    for window in window_partition(events, engine.config.window_len):
+        for e in window.events:
+            process(e)
+        engine.flush_window(window)
     elapsed = time.perf_counter() - start
     alerts = engine.alerts
     counts = Counter(a.detector for a in alerts)
@@ -191,7 +171,7 @@ def run_trace(engine: Engine, manifest: TraceManifest, events: List[Event]) -> D
 def detect_trace(
     config: EngineConfig,
     manifest: TraceManifest,
-    events: List[Event],
+    events: Iterable[Event],
     rules: Optional[RuleSet] = None,
     model: Optional[FusedClassifier] = None,
 ) -> DetectionReport:

@@ -1,4 +1,5 @@
-"""Trace file reading/writing, timed replay, and window partitioning.
+"""Trace file reading/writing, timed replay, and the one window partitioning
+that detection and evaluation share.
 
 Wire format (bit-exact, UTF-8, \\n line endings):
 
@@ -10,7 +11,13 @@ One JSON object per event line with keys ts, pid, tid, prov, etype plus the
 provider-specific attribute keys (session_id, parent_id, image, cmdline,
 file_key, file_object, io_size, file_name, image_size); absent keys are
 omitted. file_key/file_object are written as 0x-prefixed hex strings and
-accepted as hex strings or plain integers on ingestion.
+accepted as hex strings or plain integers on ingestion. Decoding is strict
+by JSON type: integer fields take only JSON integers (not booleans or
+floats) in [0, 2^64), and string fields only strings.
+
+window_partition cuts a stream lazily into tumbling windows aligned at t=0
+and yields only the non-empty ones; the engine (pipeline.run_trace) and the
+eval profiles (cli.profile_trace) both consume it.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import BinaryIO, Callable, Iterable, List, Tuple
+from typing import BinaryIO, Callable, Iterable, Iterator, List, Tuple
 
 from .errors import ParseError, SchemaError
 from .events import (
@@ -94,10 +101,33 @@ def _key_out(value: int) -> str:
     return "0x%x" % value
 
 
-def _key_in(value) -> int:
-    if isinstance(value, str):
-        return int(value, 16)
-    return int(value)
+_U64 = 1 << 64
+
+
+def _u64(value, name: str, lineno: int) -> int:
+    """Check one JSON value is an unsigned 64-bit integer (not a bool or float)."""
+    if type(value) is int and 0 <= value < _U64:
+        return value
+    got = "out of range" if type(value) is int else type(value).__name__
+    raise ParseError(lineno, f"{name} must be an integer in [0, 2^64), got {got}")
+
+
+def _str(value, name: str, lineno: int) -> str:
+    if type(value) is str:
+        return value
+    raise ParseError(lineno, f"{name} must be a string, got {type(value).__name__}")
+
+
+def _key_in(value, name: str, lineno: int) -> int:
+    """A file key: a hex string or a plain integer, unsigned 64-bit."""
+    if type(value) is str:
+        try:
+            value = int(value, 16)
+        except ValueError:
+            raise ParseError(lineno, f"{name} is not a hex number") from None
+        if 0 <= value < _U64:  # the common case, checked inline: decode is hot
+            return value
+    return _u64(value, name, lineno)
 
 
 def _attrs_to_fields(attrs) -> List[Tuple[str, object]]:
@@ -144,48 +174,66 @@ def _parse_attrs(provider: Provider, etype: EventType, obj: dict, lineno: int):
     try:
         if cls is FileRwAttrs:
             return FileRwAttrs(
-                file_key=_key_in(obj["file_key"]),
-                file_object=_key_in(obj["file_object"]),
-                io_size=int(obj["io_size"]),
+                file_key=_key_in(obj["file_key"], "file_key", lineno),
+                file_object=_key_in(obj["file_object"], "file_object", lineno),
+                io_size=_u64(obj["io_size"], "io_size", lineno),
             )
         if cls is FileNameAttrs:
-            return FileNameAttrs(file_object=_key_in(obj["file_object"]), file_name=obj["file_name"])
+            return FileNameAttrs(
+                file_object=_key_in(obj["file_object"], "file_object", lineno),
+                file_name=_str(obj["file_name"], "file_name", lineno),
+            )
         if cls is FileRenDelAttrs:
-            return FileRenDelAttrs(file_key=_key_in(obj["file_key"]), file_object=_key_in(obj["file_object"]))
+            return FileRenDelAttrs(
+                file_key=_key_in(obj["file_key"], "file_key", lineno),
+                file_object=_key_in(obj["file_object"], "file_object", lineno),
+            )
         if cls is ProcessAttrs:
             return ProcessAttrs(
-                session_id=int(obj["session_id"]),
-                parent_id=int(obj["parent_id"]),
-                image_file_name=obj["image"],
-                command_line=obj["cmdline"],
+                session_id=_u64(obj["session_id"], "session_id", lineno),
+                parent_id=_u64(obj["parent_id"], "parent_id", lineno),
+                image_file_name=_str(obj["image"], "image", lineno),
+                command_line=_str(obj["cmdline"], "cmdline", lineno),
             )
         if cls is ThreadAttrs:
-            return ThreadAttrs(parent_id=int(obj["parent_id"]))
-        return ImageAttrs(image_size=int(obj["image_size"]), file_name=obj["file_name"])
+            return ThreadAttrs(parent_id=_u64(obj["parent_id"], "parent_id", lineno))
+        return ImageAttrs(
+            image_size=_u64(obj["image_size"], "image_size", lineno),
+            file_name=_str(obj["file_name"], "file_name", lineno),
+        )
     except KeyError as exc:
         raise ParseError(lineno, f"missing attribute key {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(lineno, f"bad attribute value: {exc}") from None
+
+
+def _json_loads(text: str, lineno: int, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(lineno, f"{what}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth
+        raise ParseError(lineno, f"{what}: {exc}") from None
 
 
 def line_to_event(line: str, lineno: int = 0) -> Event:
     """Parse one wire line back into an Event."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(lineno, f"invalid JSON: {exc.msg}") from None
-    if not isinstance(obj, dict):
+    obj = _json_loads(line, lineno, "invalid JSON")
+    if type(obj) is not dict:
         raise ParseError(lineno, "event line is not an object")
     try:
         provider = _PROVIDER_BY_NAME[obj["prov"]]
         etype = _ETYPE_BY_NAME[obj["etype"]]
-        pid = int(obj["pid"])
-        tid = int(obj["tid"])
-        ts = int(obj["ts"])
+        pid = obj["pid"]
+        tid = obj["tid"]
+        ts = obj["ts"]
     except KeyError as exc:
         raise ParseError(lineno, f"missing or unknown key/value {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ParseError(lineno, f"bad field value: {exc}") from None
+    except TypeError:  # a list or object where prov/etype belongs
+        raise ParseError(lineno, "prov and etype must be strings") from None
+    # one inline test for the three fields every event has; _u64 names the culprit
+    if not (type(pid) is int and type(tid) is int and type(ts) is int
+            and 0 <= pid < _U64 and 0 <= tid < _U64 and 0 <= ts < _U64):
+        for name in ("pid", "tid", "ts"):
+            _u64(obj[name], name, lineno)
     attrs = _parse_attrs(provider, etype, obj, lineno)
     return Event(pid=pid, tid=tid, provider=provider, etype=etype, timestamp=ts, attrs=attrs)
 
@@ -203,19 +251,17 @@ def _manifest_to_json(m: TraceManifest) -> str:
 
 
 def _manifest_from_json(text: str, lineno: int) -> TraceManifest:
+    d = _json_loads(text, lineno, "invalid manifest JSON")
+    if type(d) is not dict:
+        raise ParseError(lineno, "manifest is not an object")
     try:
-        d = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(lineno, f"invalid manifest JSON: {exc.msg}") from None
-    try:
-        label = TraceLabel(d["label"])
         return TraceManifest(
-            label=label,
-            family=str(d["family"]),
-            seed=int(d["seed"]),
-            event_count=int(d["event_count"]),
-            duration=int(d["duration"]),
-            attack_onset=int(d.get("attack_onset", 0)),
+            label=TraceLabel(_str(d["label"], "label", lineno)),
+            family=_str(d["family"], "family", lineno),
+            seed=_u64(d["seed"], "seed", lineno),
+            event_count=_u64(d["event_count"], "event_count", lineno),
+            duration=_u64(d["duration"], "duration", lineno),
+            attack_onset=_u64(d.get("attack_onset", 0), "attack_onset", lineno),
         )
     except KeyError as exc:
         raise ParseError(lineno, f"manifest missing key {exc.args[0]!r}") from None
@@ -233,11 +279,15 @@ def write_trace(manifest: TraceManifest, events: List[Event], sink: BinaryIO) ->
 def read_trace(source: BinaryIO) -> Tuple[TraceManifest, List[Event]]:
     """Read and validate a whole trace.
 
-    Raises ParseError for malformed lines and SchemaError for invariant
-    violations (bad event, non-monotonic timestamps, count/duration
+    Raises ParseError for malformed lines (invalid UTF-8 or JSON, a missing
+    key, a value of the wrong JSON type or out of range) and SchemaError for
+    invariant violations (bad event, non-monotonic timestamps, count/duration
     mismatch). Both abort the read.
     """
-    text = source.read().decode("utf-8")
+    try:
+        text = source.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(exc.object.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -316,20 +366,35 @@ def replay(
     return ReplayStats(events=count, elapsed_seconds=elapsed, events_per_second=rate)
 
 
-def window_partition(events: List[Event], window_len: int) -> List[Window]:
+def window_partition(events: Iterable[Event], window_len: int) -> Iterator[Window]:
     """Split a timestamp-ordered stream into tumbling windows from t=0.
 
-    Windows are half-open [start, start+window_len), contiguous and
-    exhaustive up to the last event (interior empty windows are included;
-    the trailing partial window is a normal window).
+    Lazily yields the non-empty windows in order. Windows are half-open
+    [start, start+window_len) with index start // window_len, so a gap in
+    the timestamps skips indices and costs nothing whatever its length.
+    Raises ValueError on a non-positive window_len (at the call) and
+    SchemaError on a timestamp below its predecessor's or below 0.
     """
     if window_len <= 0:
         raise ValueError("window_len must be > 0")
-    if not events:
-        return []
-    last_ts = events[-1].timestamp
-    n = last_ts // window_len + 1
-    windows = [Window(index=i, start=i * window_len, end=(i + 1) * window_len) for i in range(n)]
+    return _windows(events, window_len)
+
+
+def _windows(events: Iterable[Event], window_len: int) -> Iterator[Window]:
+    window = None
+    end = prev = 0
     for e in events:
-        windows[e.timestamp // window_len].events.append(e)
-    return windows
+        ts = e.timestamp
+        if ts < prev:
+            raise SchemaError(f"timestamp {ts} after {prev}: non-monotonic timestamp")
+        prev = ts
+        if ts >= end:
+            if window is not None:
+                yield window
+            index = ts // window_len
+            end = (index + 1) * window_len
+            window = Window(index, end - window_len, end, [])
+            add = window.events.append
+        add(e)
+    if window is not None:
+        yield window

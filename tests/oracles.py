@@ -5,7 +5,8 @@ bookkeeping and matches letter sequences with re.fullmatch on every prefix;
 it shares no code with the streaming matcher. Numeric references use
 straightforward two-pass formulas. The softmax loss/gradient and the SVM dual
 solver references are the original per-row and per-element loops that the
-vectorized kernels must reproduce bit for bit.
+vectorized kernels must reproduce bit for bit. The window reference builds
+every window up to the last event, empty ones included, by direct indexing.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from peeler.events import Event, EventType, Provider
 from peeler.fileio import PatternKind
+from peeler.trace_io import Window
 
 ACCEPTOR_REGEXES = [
     (PatternKind.MEM_TO_FILE_POST_OVERWRITE, re.compile(r"C(?:R+W+R*)+NDC"), False),
@@ -114,6 +116,18 @@ def brute_force_alerts(events: List[Event]) -> List[Tuple[int, PatternKind]]:
                     fired.append((i, kind))
                 break
     return fired
+
+
+def ref_window_partition(events: List[Event], window_len: int) -> List[Window]:
+    """Tumbling windows [i*window_len, (i+1)*window_len) from t=0 up to the
+    last event, contiguous and exhaustive: interior empty windows included."""
+    if not events:
+        return []
+    n = events[-1].timestamp // window_len + 1
+    windows = [Window(index=i, start=i * window_len, end=(i + 1) * window_len) for i in range(n)]
+    for e in events:
+        windows[e.timestamp // window_len].events.append(e)
+    return windows
 
 
 def ref_pearson(xs, ys) -> float:

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +18,13 @@ from peeler.cli import (
     evaluate_profiles,
     load_corpus_profiles,
     main,
+    ml_first_alert_ts,
     train_from_profiles,
 )
 from peeler.commands import default_rules_path, load_rules_file
+from peeler.events import Detector
 from peeler.ml import FusedClassifier, MlrModel, Scaler, SvmModel, load_model_file, save_model
+from peeler.pipeline import Engine, EngineConfig, run_trace
 from peeler.synth import SynthConfig, default_corpus_spec, synth_corpus
 from peeler.trace_io import TraceLabel, TraceManifest, load_trace, save_trace
 from peeler.fileio import PatternKind
@@ -78,7 +82,7 @@ def test_synth_detect_round(tmp_path, capsys):
     assert main(["detect", "--trace", out, "--json-report", report_path]) == EXIT_OK
     captured = capsys.readouterr().out
     assert "verdict  : ransomware" in captured
-    payload = json.loads(open(report_path).read())
+    payload = json.loads(Path(report_path).read_text())
     assert payload["verdict"] == "ransomware"
     assert payload["alerts"][0]["detector"] == "FileIoPattern"
 
@@ -88,7 +92,7 @@ def test_synth_cli_is_deterministic(tmp_path):
     for out in (a, b):
         assert main(["synth", "--archetype", "locker", "--seed", "3", "--out", out,
                      "--duration-ms", "30000"]) == EXIT_OK
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_train_then_eval_with_fixed_model(small_corpus, tmp_path, capsys):
@@ -103,9 +107,9 @@ def test_train_then_eval_with_fixed_model(small_corpus, tmp_path, capsys):
     assert main(["eval", "--corpus", small_corpus, "--model", model_path,
                  "--repeats", "1", "--seed", "11",
                  "--json-report", json_path, "--latency-table", latency_path]) == EXIT_OK
-    payload = json.loads(open(json_path).read())
+    payload = json.loads(Path(json_path).read_text())
     assert set(payload) >= {"accuracy", "tpr", "fpr", "counts"}
-    lines = open(latency_path).read().strip().split("\n")
+    lines = Path(latency_path).read_text().strip().split("\n")
     assert lines[0].startswith("repeat | trace")
     assert len(lines) == 1 + payload["counts"]["tp"] + payload["counts"]["fp"] + \
         payload["counts"]["tn"] + payload["counts"]["fn"]
@@ -261,4 +265,74 @@ def test_default_corpus_cli(tmp_path, capsys):
     d = str(tmp_path / "dc")
     assert main(["synth", "--default-corpus", d, "--seed", "1"]) == EXIT_OK
     assert os.path.exists(os.path.join(d, "index.txt"))
-    assert len(open(os.path.join(d, "index.txt")).read().strip().split("\n")) == 200
+    assert len(Path(d, "index.txt").read_text().strip().split("\n")) == 200
+
+
+_VALID_TRACE = (
+    b'PEELER-TRACE v1 {"label":"crypto","family":"Cerber","seed":7,"event_count":3,'
+    b'"duration":1500,"attack_onset":0}\n'
+    b'{"ts":1000,"pid":10,"tid":100,"prov":"Process","etype":"Start","session_id":1,'
+    b'"parent_id":4,"image":"mal.exe","cmdline":"mal.exe /go"}\n'
+    b'{"ts":1200,"pid":10,"tid":100,"prov":"File","etype":"FileCreate","file_object":"0xb10",'
+    b'"file_name":"c:/users/u/documents/a.docx"}\n'
+    b'{"ts":1500,"pid":10,"tid":100,"prov":"File","etype":"Read","file_key":"0xffffb203afd146f0",'
+    b'"file_object":"0xb10","io_size":4096}\n'
+)
+_READ_LINE = _VALID_TRACE.split(b"\n")[3]
+
+# (what the trace has in place of the valid text) -> each must be a data error
+HOSTILE_EDITS = {
+    "cmdline_int": (b'"cmdline":"mal.exe /go"', b'"cmdline":5'),
+    "image_list": (b'"image":"mal.exe"', b'"image":["x"]'),
+    "manifest_list": (_VALID_TRACE.split(b"\n")[0][len(b"PEELER-TRACE v1 "):], b"[1]"),
+    "deep_nesting": (_READ_LINE, b"[" * 100_000 + b"]" * 100_000),
+    "invalid_utf8": (b"mal.exe /go", b"mal\xff.exe"),
+    "ts_float": (b'"ts":1000', b'"ts":1.9'),
+    "ts_bool": (b'"ts":1000', b'"ts":true'),
+    "ts_too_many_digits": (b'"ts":1000', b'"ts":' + b"1" * 5000),
+    "file_key_negative_hex": (b'"file_key":"0xffffb203afd146f0"', b'"file_key":"-0x5"'),
+    "file_key_over_64_bits": (b'"file_key":"0xffffb203afd146f0"', b'"file_key":"0x1ffffffffffffffff"'),
+    "file_key_int_over_64_bits": (b'"file_key":"0xffffb203afd146f0"',
+                                  b'"file_key":%d' % 0x1FFFFFFFFFFFFFFFF),
+    "pid_over_64_bits": (b'"pid":10,"tid":100,"prov":"File","etype":"Read"',
+                         b'"pid":18446744073709551616,"tid":100,"prov":"File","etype":"Read"'),
+    "io_size_negative": (b'"io_size":4096', b'"io_size":-4'),
+    "io_size_nan": (b'"io_size":4096', b'"io_size":NaN'),
+    "file_name_int": (b'"file_name":"c:/users/u/documents/a.docx"', b'"file_name":7'),
+    "session_id_float": (b'"session_id":1', b'"session_id":1.0'),
+    "prov_list": (b'"prov":"File","etype":"Read"', b'"prov":["File"],"etype":"Read"'),
+    "event_count_string": (b'"event_count":3', b'"event_count":"3"'),
+    "family_int": (b'"family":"Cerber"', b'"family":3'),
+    "seed_bool": (b'"seed":7', b'"seed":false'),
+}
+
+
+def test_valid_trace_template_detects(tmp_path, capsys):
+    path = tmp_path / "valid.pt"
+    path.write_bytes(_VALID_TRACE)
+    assert main(["detect", "--trace", str(path)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_EDITS))
+def test_hostile_trace_is_data_error(name, tmp_path, capsys):
+    old, new = HOSTILE_EDITS[name]
+    assert _VALID_TRACE.count(old) == 1
+    path = tmp_path / "hostile.pt"
+    path.write_bytes(_VALID_TRACE.replace(old, new))
+    assert main(["detect", "--trace", str(path)]) == EXIT_DATA
+    assert "error:" in capsys.readouterr().err
+
+
+def test_detect_and_eval_agree_on_ml_first_alert(small_corpus):
+    rules = load_rules_file(default_rules_path())
+    profiles = load_corpus_profiles(small_corpus, 5_000_000, rules)
+    model = train_from_profiles(profiles)
+    flagged = 0
+    for p in profiles:
+        manifest, events = load_trace(p.path)
+        engine = Engine(EngineConfig(quarantine=False), rules=rules, model=model)
+        report = run_trace(engine, manifest, events)
+        ml = [a.event_timestamp for a in report.alerts if a.detector is Detector.ML_CLASSIFIER]
+        assert ml_first_alert_ts(p, model) == (ml[0] if ml else None), p.path
+        flagged += bool(ml)
+    assert 0 < flagged < len(profiles)

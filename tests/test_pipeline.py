@@ -6,6 +6,9 @@ import time
 import numpy as np
 import pytest
 
+from peeler.cli import profile_trace
+from peeler.commands import default_rules_path, load_rules_file
+from peeler.errors import SchemaError
 from peeler.events import Detector
 from peeler.features import window_features
 from peeler.fileio import PatternKind
@@ -17,9 +20,10 @@ from peeler.synth import (
     synth_trace,
     synth_trace_detailed,
 )
-from peeler.trace_io import TraceLabel, TraceManifest, window_partition
+from peeler.trace_io import TraceLabel, TraceManifest, Window, save_trace, window_partition
 from figures import cerber_post_overwrite
 from helpers import ev_proc_start, ev_read
+from oracles import ref_window_partition
 
 
 def _manifest(events, label=TraceLabel.BENIGN, family="t", onset=0):
@@ -130,67 +134,94 @@ def test_engine_refuses_second_stream():
 
 
 def test_window_index_advances_across_gaps():
-    engine = Engine(EngineConfig(window_len=1_000_000))
-    engine.process_event(ev_read(1, 100, 0xA, 0xB))
-    engine.process_event(ev_read(1, 7_500_000, 0xA, 0xB))
-    assert engine._win_index == 7
+    events = [ev_read(1, 100, 0xA, 0xB), ev_read(1, 7_500_000, 0xA, 0xB)]
+    windows = list(window_partition(events, 1_000_000))
+    assert [(w.index, w.start, w.end) for w in windows] == [
+        (0, 0, 1_000_000), (7, 7_000_000, 8_000_000)]
 
 
-def test_huge_timestamp_gap_is_one_jump():
-    engine = Engine(EngineConfig(window_len=1_000_000))
-    engine.process_event(ev_read(1, 100, 0xA, 0xB))
-    engine.process_event(ev_read(1, 2_500_000, 0xA, 0xB))
+class _RecordingEngine(Engine):
+    """Engine that records the bounds and size of every window it classifies,
+    and how many alerts had been emitted when it did."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.windows = []
+
+    def flush_window(self, window):
+        self.windows.append((window.index, window.start, window.end, len(window.events),
+                             len(self.alerts)))
+        return super().flush_window(window)
+
+
+def test_huge_timestamp_gap_is_one_jump(tmp_path):
     far = 2_500_000 + 2**62
+    events = [ev_read(1, 100, 0xA, 0xB), ev_read(1, 2_500_000, 0xA, 0xB), ev_read(1, far, 0xA, 0xB)]
+    far_index = far // 1_000_000
+    expected = [(0, 0, 1_000_000), (2, 2_000_000, 3_000_000),
+                (far_index, far_index * 1_000_000, (far_index + 1) * 1_000_000)]
+    assert expected[2][1] <= far < expected[2][2]
+
+    engine = _RecordingEngine(EngineConfig(window_len=1_000_000))
     start = time.perf_counter()
-    engine.process_event(ev_read(1, far, 0xA, 0xB))
-    engine.finish()
+    run_trace(engine, _manifest(events), events)
     assert time.perf_counter() - start < 0.5
-    assert engine._win_index == far // 1_000_000
-    assert engine._win_start <= far < engine._win_end
-    assert engine._win_end - engine._win_start == 1_000_000
+    assert engine.windows == [w + (1, 0) for w in expected]
+
+    path = str(tmp_path / "gap.pt")
+    save_trace(path, _manifest(events), events)
+    rules = load_rules_file(default_rules_path())
+    start = time.perf_counter()
+    profile = profile_trace(path, 1_000_000, rules)
+    assert time.perf_counter() - start < 0.5
+    assert profile.window_ends.tolist() == [end for _, _, end in expected]
+    assert profile.window_counts.tolist() == [1, 1, 1]
 
 
-class _SteppingEngine(Engine):
-    """Reference engine: crosses a gap by closing each window in turn."""
-
-    def process_event(self, e):
-        out = []
-        while e.timestamp >= self._win_end:
-            self._emit(self.flush_window(), out)
-            self._win_index += 1
-            self._win_start = self._win_end
-            self._win_end += self.config.window_len
-        return out + super().process_event(e)
+def _reference_run(engine, events):
+    """Test driver: walk every window of the reference partition, empty ones
+    included, and classify each non-empty one."""
+    for w in ref_window_partition(events, engine.config.window_len):
+        for e in w.events:
+            engine.process_event(e)
+        if w.events:
+            engine.flush_window(w)
+    return engine.alerts
 
 
 def test_window_jump_matches_step_loop():
     model = _tiny_model()
-    cfg = SynthConfig(seed=77, archetype="locker",
-                      spawn_profile=DEFAULT_LOCKER_PROFILE, duration=60_000_000)
-    _, events = synth_trace(cfg)
+    cfg = SynthConfig(seed=77, archetype="locker", spawn_profile=DEFAULT_LOCKER_PROFILE,
+                      duration=60_000_000, command_injection=True)
+    manifest, events = synth_trace(cfg)
     # each seventh of the trace starts 2.75 windows later than the one before
     shifted = []
     for i, e in enumerate(events):
         shift = (i * 7 // len(events)) * 13_750_000
         shifted.append(dataclasses.replace(e, timestamp=e.timestamp + shift))
-    runs = []
-    for cls in (Engine, _SteppingEngine):
-        engine = cls(EngineConfig(), model=model)
-        fired, windows = [], []
-        for e in shifted:
-            fired.append(engine.process_event(e))
-            windows.append((engine._win_index, engine._win_start, engine._win_end))
-        fired.append(engine.finish())
-        runs.append((fired, windows, engine.alerts))
-    assert runs[0] == runs[1]
     assert shifted[-1].timestamp - events[-1].timestamp == 6 * 13_750_000
-    assert any(a.detector is Detector.ML_CLASSIFIER for a in runs[0][2])
+
+    engine = _RecordingEngine(EngineConfig(), model=model)
+    report = run_trace(engine, manifest, shifted)
+    reference = _RecordingEngine(EngineConfig(), model=model)
+    assert report.alerts == _reference_run(reference, shifted)
+    assert engine.windows == reference.windows
+    assert {a.detector for a in report.alerts} == {Detector.ML_CLASSIFIER, Detector.COMMAND_RULE}
 
 
 def test_empty_window_skipped_without_model():
     engine = Engine(EngineConfig())
-    assert engine.flush_window() is None
-    assert engine.finish() == []
+    assert engine.flush_window(Window(0, 0, 5_000_000, [ev_read(1, 10, 0xA, 0xB)])) == []
+    events = [ev_read(1, ts, 0xA, 0xB) for ts in (0, 12_000_000, 12_000_001, 40_000_000)]
+    windows = list(window_partition(events, 5_000_000))
+    assert [w.index for w in windows] == [0, 2, 8]
+    assert all(w.events for w in windows)
+
+
+def test_run_trace_rejects_out_of_order_timestamps():
+    events = [ev_read(1, 10, 0xA, 0xB), ev_read(1, 6_000_000, 0xA, 0xB), ev_read(1, 3, 0xA, 0xB)]
+    with pytest.raises(SchemaError, match="non-monotonic timestamp"):
+        detect_trace(EngineConfig(), _manifest(events), events)
 
 
 def _tiny_model(seed=30):

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+from pathlib import Path
 
 import pytest
 
@@ -183,7 +184,7 @@ def test_corpus_same_master_seed_byte_identical(tmp_path):
         entries = synth_corpus(configs, str(d), master_seed=4)
         h = hashlib.sha256()
         for entry in entries:
-            h.update(open(entry.path, "rb").read())
+            h.update(Path(entry.path).read_bytes())
         return h.hexdigest()
 
     assert digest(tmp_path / "a") == digest(tmp_path / "b")

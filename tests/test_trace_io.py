@@ -1,12 +1,16 @@
 """Trace format round-trips, replay ordering, and window partitioning."""
 
+import dataclasses
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
 
+from peeler.commands import default_rules_path, load_rules_file
 from peeler.errors import ParseError, SchemaError
+from peeler.pipeline import Engine, EngineConfig, run_trace
 from peeler.trace_io import (
     ReplayStats,
     TraceLabel,
@@ -20,6 +24,7 @@ from peeler.trace_io import (
     write_trace,
 )
 from helpers import ev_proc_start, ev_read, ev_write, random_events
+from oracles import ref_window_partition
 
 
 def _manifest(events, label=TraceLabel.BENIGN, family="test", seed=1):
@@ -188,14 +193,14 @@ def test_replay_rejects_unknown_mode():
 
 def test_window_boundary_is_half_open():
     events = [ev_read(1, 0, 0xA, 0xB), ev_read(1, 4_900_000, 0xA, 0xB), ev_read(1, 5_000_000, 0xA, 0xB)]
-    windows = window_partition(events, 5_000_000)
+    windows = list(window_partition(events, 5_000_000))
     assert len(windows) == 2
     assert [len(w.events) for w in windows] == [2, 1]
     assert windows[1].start == 5_000_000 and windows[1].end == 10_000_000
 
 
 def test_window_partition_empty_input():
-    assert window_partition([], 5_000_000) == []
+    assert list(window_partition([], 5_000_000)) == []
 
 
 def test_window_partition_rejects_zero_length():
@@ -203,16 +208,74 @@ def test_window_partition_rejects_zero_length():
         window_partition([], 0)
 
 
+@pytest.mark.parametrize("stamps", [(10, 3), (0, 7_000_000, 6_999_999), (-1,)])
+def test_window_partition_rejects_out_of_order_timestamps(stamps):
+    events = [ev_read(1, ts, 0xA, 0xB) for ts in stamps]
+    with pytest.raises(SchemaError, match="non-monotonic timestamp"):
+        list(window_partition(events, 5_000_000))
+
+
 def test_window_partition_is_disjoint_contiguous_exhaustive():
     rng = np.random.default_rng(5)
     for _ in range(10):
         events = random_events(rng, int(rng.integers(1, 400)))
         wlen = int(rng.integers(1_000, 2_000_000))
-        windows = window_partition(events, wlen)
+        # push later events up to 20 windows further out at a few points
+        gap = 0
+        for i, e in enumerate(events):
+            if rng.random() < 0.02:
+                gap += int(rng.integers(1, 20 * wlen))
+            events[i] = dataclasses.replace(e, timestamp=e.timestamp + gap)
+        windows = list(window_partition(events, wlen))
+        assert windows == [w for w in ref_window_partition(events, wlen) if w.events]
         rejoined = [e for w in windows for e in w.events]
         assert rejoined == events
-        for i, w in enumerate(windows):
-            assert w.index == i
-            assert w.start == i * wlen and w.end == (i + 1) * wlen
+        for w in windows:
+            assert w.events
+            assert w.index == w.start // wlen and w.end == w.start + wlen
             assert all(w.start <= e.timestamp < w.end for e in w.events)
-        assert windows[-1].start <= events[-1].timestamp < windows[-1].end
+        assert [w.index for w in windows] == sorted({w.index for w in windows})
+
+
+_SWAP_VALUES = (True, None, 1.5, -1, 2**64, "x", "0x5", [1], {"a": 1})
+
+
+def _mutate_line(line: bytes, rng) -> bytes:
+    """One random mutation: swap a value's JSON type, drop a key, truncate
+    the line, or flip a byte."""
+    kind = int(rng.integers(4))
+    if kind == 2:
+        return line[: int(rng.integers(len(line)))]
+    if kind == 3:
+        i = int(rng.integers(len(line)))
+        return line[:i] + bytes([line[i] ^ int(rng.integers(1, 256))]) + line[i + 1 :]
+    prefix, _, body = line.rpartition(b" ") if line.startswith(b"PEELER") else (b"", b"", line)
+    obj = json.loads(body)
+    key = sorted(obj)[int(rng.integers(len(obj)))]
+    if kind == 0:
+        obj[key] = _SWAP_VALUES[int(rng.integers(len(_SWAP_VALUES)))]
+    else:
+        del obj[key]
+    body = json.dumps(obj, separators=(",", ":")).encode()
+    return prefix + b" " + body if prefix else body
+
+
+def test_mutated_lines_raise_only_parse_or_schema_errors():
+    rng = np.random.default_rng(97)
+    events = random_events(rng, 30)
+    buf = io.BytesIO()
+    write_trace(_manifest(events), events, buf)
+    lines = buf.getvalue().split(b"\n")[:-1]
+    rules = load_rules_file(default_rules_path())
+    rejected = 0
+    for _ in range(300):
+        mutated = list(lines)
+        i = int(rng.integers(len(lines)))
+        mutated[i] = _mutate_line(lines[i], rng)
+        try:
+            manifest, decoded = read_trace(io.BytesIO(b"\n".join(mutated) + b"\n"))
+        except (ParseError, SchemaError):
+            rejected += 1
+            continue
+        run_trace(Engine(EngineConfig(), rules=rules), manifest, decoded)
+    assert 150 <= rejected < 300
