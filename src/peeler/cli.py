@@ -1,4 +1,4 @@
-"""Command-line front end: synth, detect, train, eval, bench.
+"""Command-line front end: synth, detect, train, eval.
 
 Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 internal error.
 """
@@ -60,8 +60,9 @@ MIN_ATTACK_WINDOW_EVENTS = 10
 class TraceProfile:
     """Everything eval needs about one trace, computed once.
 
-    Rule and pattern detections are split-independent, so they are replayed
-    a single time; only the ML stage depends on the trained model.
+    Rule and pattern detections are split-independent, so each trace runs
+    through the engine a single time; only the ML stage depends on the
+    trained model.
     """
 
     path: str
@@ -138,6 +139,31 @@ def train_from_profiles(profiles: Sequence[TraceProfile], threshold: float = 0.5
         mlr=train_mlr(np.vstack(X_mlr), ym),
         svm=train_svm(np.vstack(X_svm), ym),
         threshold=threshold,
+    )
+
+
+def _split_classes(profiles: Sequence[TraceProfile]) -> Tuple[List[TraceProfile], ...]:
+    """The ransomware and the benign profiles, in corpus order; both must exist."""
+    ransomware = [p for p in profiles if p.is_ransomware]
+    benign = [p for p in profiles if not p.is_ransomware]
+    if not ransomware or not benign:
+        raise CorpusError("corpus must contain both ransomware and benign traces")
+    return ransomware, benign
+
+
+def _draw_training_split(
+    n_ransomware: int, n_benign: int, train_frac: float, rng: np.random.Generator
+) -> Tuple[List[int], List[int]]:
+    """Indices of each class's training traces, in draw order.
+
+    Each class gives round(train_frac * n) traces, at least one, drawn
+    without replacement: ransomware first, then benign.
+    """
+    n_r = max(1, int(round(train_frac * n_ransomware)))
+    n_b = max(1, int(round(train_frac * n_benign)))
+    return (
+        rng.choice(n_ransomware, size=n_r, replace=False).tolist(),
+        rng.choice(n_benign, size=n_b, replace=False).tolist(),
     )
 
 
@@ -240,10 +266,7 @@ def evaluate_profiles(
     threshold: float = 0.5,
 ) -> EvalSummary:
     """Repeated stratified train/test splits; metrics from pooled counts."""
-    ransomware = [p for p in profiles if p.is_ransomware]
-    benign = [p for p in profiles if not p.is_ransomware]
-    if not ransomware or not benign:
-        raise CorpusError("corpus must contain both ransomware and benign traces")
+    ransomware, benign = _split_classes(profiles)
 
     tp = fp = tn = fn = 0
     rows: List[TraceRow] = []
@@ -253,10 +276,8 @@ def evaluate_profiles(
     for r in range(repeats):
         rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
         if fixed_model is None:
-            n_r = max(1, int(round(train_frac * len(ransomware))))
-            n_b = max(1, int(round(train_frac * len(benign))))
-            train_r = set(rng.choice(len(ransomware), size=n_r, replace=False).tolist())
-            train_b = set(rng.choice(len(benign), size=n_b, replace=False).tolist())
+            draw = _draw_training_split(len(ransomware), len(benign), train_frac, rng)
+            train_r, train_b = map(set, draw)
             train_set = [ransomware[i] for i in train_r] + [benign[i] for i in train_b]
             test_set = [p for i, p in enumerate(ransomware) if i not in train_r] + [
                 p for i, p in enumerate(benign) if i not in train_b
@@ -315,69 +336,21 @@ def evaluate_profiles(
 
 def cmd_eval(
     corpus_dir: str,
-    rules_path: Optional[str],
-    model_path: Optional[str],
+    rules_file: Optional[str],
+    model_file: Optional[str],
     repeats: int,
     seed: int,
     train_frac: float = 0.2,
     window_ms: int = 5000,
     threshold: float = 0.5,
 ) -> EvalSummary:
-    rules = load_rules_file(rules_path or default_rules_path())
+    rules = load_rules_file(rules_file or default_rules_path())
     profiles = load_corpus_profiles(corpus_dir, window_ms * 1000, rules)
-    fixed = load_model_file(model_path) if model_path else None
+    fixed = load_model_file(model_file) if model_file else None
     return evaluate_profiles(
         profiles, repeats=repeats, seed=seed, train_frac=train_frac,
         fixed_model=fixed, threshold=threshold,
     )
-
-
-# --- bench -------------------------------------------------------------------
-
-
-@dataclass
-class StageTiming:
-    name: str
-    events_per_second: float
-
-
-@dataclass
-class BenchReport:
-    events: int
-    full_events_per_second: float
-    stages: List[StageTiming]
-
-
-def cmd_bench(
-    trace_path: str,
-    rules_path: Optional[str] = None,
-    model_path: Optional[str] = None,
-) -> BenchReport:
-    """Immediate-mode replay throughput, overall and per detector stage."""
-    manifest, events = load_trace(trace_path)
-    rules = load_rules_file(rules_path or default_rules_path())
-    model = load_model_file(model_path) if model_path else None
-
-    def run(enable_commands, enable_fileio, use_model):
-        cfg = EngineConfig(
-            enable_commands=enable_commands, enable_fileio=enable_fileio, quarantine=False
-        )
-        engine = Engine(cfg, rules=rules, model=model if use_model else None)
-        report = run_trace(engine, manifest, events)
-        return report.events_per_second
-
-    stages = [
-        StageTiming("rules_only", run(True, False, False)),
-        StageTiming("fileio_only", run(False, True, False)),
-        StageTiming("rules+fileio", run(True, True, False)),
-    ]
-    if model is not None:
-        full = run(True, True, True)
-        stages.append(StageTiming("full_pipeline", full))
-    else:
-        full = stages[-1].events_per_second
-
-    return BenchReport(events=len(events), full_events_per_second=full, stages=stages)
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -440,12 +413,6 @@ def _build_parser() -> _Parser:
                    help="write per-trace detection latencies as delimited text")
     p.add_argument("--correlations", action="store_true",
                    help="also print the per-pair event-count correlation table")
-
-    p = sub.add_parser("bench", help="throughput benchmark")
-    p.add_argument("--trace", required=True)
-    p.add_argument("--rules")
-    p.add_argument("--model")
-    p.add_argument("--json-report", metavar="PATH")
     return parser
 
 
@@ -501,13 +468,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_detect(args) -> int:
     manifest, events = load_trace(args.trace)
-    config = EngineConfig(
-        window_len=args.window_ms * 1000,
-        rules_path=args.rules,
-        model_path=args.model,
-        quarantine=not args.no_quarantine,
-    )
-    report = run_trace(Engine(config), manifest, events)
+    config = EngineConfig(window_len=args.window_ms * 1000, quarantine=not args.no_quarantine)
+    rules = load_rules_file(args.rules or default_rules_path())
+    model = load_model_file(args.model) if args.model else None
+    report = run_trace(Engine(config, rules=rules, model=model), manifest, events)
     print(f"trace    : {args.trace}")
     print(f"label    : {manifest.label.value} ({manifest.family})")
     print(f"events   : {report.events_processed}  ({report.events_per_second:,.0f}/s)")
@@ -546,20 +510,15 @@ def _cmd_detect(args) -> int:
 def _cmd_train(args) -> int:
     rules = load_rules_file(args.rules or default_rules_path())
     profiles = load_corpus_profiles(args.corpus, args.window_ms * 1000, rules)
+    ransomware, benign = _split_classes(profiles)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0]))
-    ransomware = [p for p in profiles if p.is_ransomware]
-    benign = [p for p in profiles if not p.is_ransomware]
-    if not ransomware or not benign:
-        raise CorpusError("corpus must contain both ransomware and benign traces")
-    n_r = max(1, int(round(args.train_frac * len(ransomware))))
-    n_b = max(1, int(round(args.train_frac * len(benign))))
-    picks = [ransomware[i] for i in rng.choice(len(ransomware), size=n_r, replace=False)]
-    picks += [benign[i] for i in rng.choice(len(benign), size=n_b, replace=False)]
+    train_r, train_b = _draw_training_split(len(ransomware), len(benign), args.train_frac, rng)
+    picks = [ransomware[i] for i in train_r] + [benign[i] for i in train_b]
     model = train_from_profiles(picks, threshold=args.threshold)
     save_model_file(args.out, model)
     print(
         f"trained on {len(picks)} traces "
-        f"({n_r} ransomware, {n_b} benign); model written to {args.out}"
+        f"({len(train_r)} ransomware, {len(train_b)} benign); model written to {args.out}"
     )
     print(f"mlr converged={model.mlr.converged} iters={model.mlr.n_iter}; "
           f"svm converged={model.svm.converged} passes={model.svm.passes} "
@@ -608,29 +567,11 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    report = cmd_bench(args.trace, args.rules, args.model)
-    print(f"events   : {report.events}")
-    print(f"full     : {report.full_events_per_second:,.0f} events/s")
-    for stage in report.stages:
-        print(f"{stage.name:13s}: {stage.events_per_second:,.0f} events/s")
-    if args.json_report:
-        payload = {
-            "events": report.events,
-            "full_events_per_second": report.full_events_per_second,
-            "stages": {s.name: s.events_per_second for s in report.stages},
-        }
-        with open(args.json_report, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2)
-    return EXIT_OK
-
-
 _COMMANDS = {
     "synth": _cmd_synth,
     "detect": _cmd_detect,
     "train": _cmd_train,
     "eval": _cmd_eval,
-    "bench": _cmd_bench,
 }
 
 

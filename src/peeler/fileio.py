@@ -163,7 +163,8 @@ _EXEMPT_IMAGES = frozenset({"system", "explorer.exe"})
 _SYSTEM_PID = 4
 
 
-def _is_exempt(pid: int, pid_images: Mapping[int, str]) -> bool:
+def is_exempt(pid: int, pid_images: Mapping[int, str]) -> bool:
+    """True for the system process (pid 4 / image "system") and explorer.exe."""
     return pid == _SYSTEM_PID or pid_images.get(pid, "") in _EXEMPT_IMAGES
 
 
@@ -188,7 +189,7 @@ def stage3_filter(
             return False
     involved = 0
     for pid in lst.contributing_pids:
-        if not _is_exempt(pid, pid_images):
+        if not is_exempt(pid, pid_images):
             involved += 1
             if involved > 1:
                 return False
@@ -225,9 +226,6 @@ class FileIoMatcher:
     @property
     def pid_images(self) -> Mapping[int, str]:
         return self._pid_images
-
-    def identities(self) -> List[FileIdentity]:
-        return [lst.identity for lst in self._lists]
 
     def lists(self) -> List[FileEventsList]:
         return list(self._lists)
@@ -349,7 +347,7 @@ class FileIoMatcher:
         )
 
     def _offending_pid(self, lst: FileEventsList, e: Event) -> int:
-        candidates = [p for p in lst.contributing_pids if not _is_exempt(p, self._pid_images)]
+        candidates = [p for p in lst.contributing_pids if not is_exempt(p, self._pid_images)]
         if len(candidates) == 1:
             return candidates[0]
         return e.pid

@@ -20,21 +20,15 @@ from typing import Dict, Iterable, List, Optional
 from .commands import CommandMatcher, RuleSet, default_rules_path, load_rules_file
 from .events import Alert, Detector, Event, EventType, Provider
 from .features import window_features
-from .fileio import FileIoMatcher, MatcherConfig
-from .ml import FusedClassifier, fuse, load_model_file
+from .fileio import FileIoMatcher, is_exempt
+from .ml import FusedClassifier, fuse
 from .trace_io import TraceManifest, Window, window_partition
 
 
 @dataclass
 class EngineConfig:
     window_len: int = 5_000_000
-    rules_path: Optional[str] = None  # None selects the bundled rule file
-    model_path: Optional[str] = None  # ML stage disabled when absent
-    threshold: Optional[float] = None  # overrides the model's fusion threshold
     quarantine: bool = True
-    enable_commands: bool = True
-    enable_fileio: bool = True
-    matcher_config: Optional[MatcherConfig] = None
 
     def __post_init__(self):
         if self.window_len <= 0:
@@ -56,7 +50,10 @@ class DetectionReport:
 
 
 class Engine:
-    """Single-stream detection state; feed one trace per instance."""
+    """Single-stream detection state; feed one trace per instance.
+
+    rules=None loads the bundled rule file; model=None turns the ML stage off.
+    """
 
     def __init__(
         self,
@@ -65,17 +62,11 @@ class Engine:
         model: Optional[FusedClassifier] = None,
     ):
         self.config = config
-        self.commands: Optional[CommandMatcher] = None
-        if config.enable_commands:
-            if rules is None:
-                rules = load_rules_file(config.rules_path or default_rules_path())
-            self.commands = CommandMatcher(rules)
-        self.matcher = FileIoMatcher(config.matcher_config) if config.enable_fileio else None
+        if rules is None:
+            rules = load_rules_file(default_rules_path())
+        self.commands = CommandMatcher(rules)
+        self.matcher = FileIoMatcher()
         self.model = model
-        if self.model is None and config.model_path:
-            self.model = load_model_file(config.model_path)
-        if self.model is not None and config.threshold is not None:
-            self.model.threshold = config.threshold
         self.alerts: List[Alert] = []
         self.events_processed = 0
         self.quarantined = set()
@@ -97,12 +88,10 @@ class Engine:
         self.events_processed += 1
         prov = e.provider
         if prov is Provider.FILE:
-            if self.matcher is not None:
-                self._emit(self.matcher.ingest(e), out)
+            self._emit(self.matcher.ingest(e), out)
         elif prov is Provider.PROCESS:
-            if self.matcher is not None:
-                self.matcher.ingest(e)  # feeds the pid-image exemption map
-            if self.commands is not None and e.etype is EventType.START:
+            self.matcher.ingest(e)  # feeds the pid-image exemption map
+            if e.etype is EventType.START:
                 self._emit(self.commands.match(e), out)
         return out
 
@@ -122,13 +111,8 @@ class Engine:
         if verdict != "ransomware":
             return out
         pid_counts = Counter(e.pid for e in events)
-        exempt_images = ("system", "explorer.exe")
-        pid_images = self.matcher.pid_images if self.matcher is not None else {}
-        ranked = [
-            (n, p)
-            for p, n in pid_counts.items()
-            if p != 4 and pid_images.get(p, "") not in exempt_images
-        ]
+        pid_images = self.matcher.pid_images
+        ranked = [(n, p) for p, n in pid_counts.items() if not is_exempt(p, pid_images)]
         ranked.sort(key=lambda t: (-t[0], t[1]))
         top = [p for _, p in ranked[:3]]
         alert = Alert(
@@ -166,13 +150,3 @@ def run_trace(engine: Engine, manifest: TraceManifest, events: Iterable[Event]) 
         events_per_second=engine.events_processed / elapsed if elapsed > 0 else 0.0,
         verdict="ransomware" if alerts else "benign",
     )
-
-
-def detect_trace(
-    config: EngineConfig,
-    manifest: TraceManifest,
-    events: Iterable[Event],
-    rules: Optional[RuleSet] = None,
-    model: Optional[FusedClassifier] = None,
-) -> DetectionReport:
-    return run_trace(Engine(config, rules=rules, model=model), manifest, events)

@@ -1,5 +1,5 @@
-"""Trace file reading/writing, timed replay, and the one window partitioning
-that detection and evaluation share.
+"""Trace file reading/writing and the one window partitioning that detection
+and evaluation share.
 
 Wire format (bit-exact, UTF-8, \\n line endings):
 
@@ -10,10 +10,11 @@ Wire format (bit-exact, UTF-8, \\n line endings):
 One JSON object per event line with keys ts, pid, tid, prov, etype plus the
 provider-specific attribute keys (session_id, parent_id, image, cmdline,
 file_key, file_object, io_size, file_name, image_size); absent keys are
-omitted. file_key/file_object are written as 0x-prefixed hex strings and
-accepted as hex strings or plain integers on ingestion. Decoding is strict
-by JSON type: integer fields take only JSON integers (not booleans or
-floats) in [0, 2^64), and string fields only strings.
+omitted. file_key/file_object are written as 0x-prefixed lowercase hex
+strings without leading zeros, and accepted only in that spelling or as
+plain integers on ingestion. Decoding is strict by JSON type: integer
+fields take only JSON integers (not booleans or floats) in [0, 2^64), and
+string fields only strings.
 
 window_partition cuts a stream lazily into tumbling windows aligned at t=0
 and yields only the non-empty ones; the engine (pipeline.run_trace) and the
@@ -23,10 +24,9 @@ eval profiles (cli.profile_trace) both consume it.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import BinaryIO, Callable, Iterable, Iterator, List, Tuple
+from typing import BinaryIO, Iterable, Iterator, List, Tuple
 
 from .errors import ParseError, SchemaError
 from .events import (
@@ -86,13 +86,6 @@ class Window:
     events: List[Event] = field(default_factory=list)
 
 
-@dataclass
-class ReplayStats:
-    events: int
-    elapsed_seconds: float
-    events_per_second: float
-
-
 _PROVIDER_BY_NAME = {p.value: p for p in Provider}
 _ETYPE_BY_NAME = {t.value: t for t in EventType}
 
@@ -119,14 +112,20 @@ def _str(value, name: str, lineno: int) -> str:
 
 
 def _key_in(value, name: str, lineno: int) -> int:
-    """A file key: a hex string or a plain integer, unsigned 64-bit."""
+    """A file key: a plain integer or the hex string _key_out writes, unsigned 64-bit.
+
+    int(value, 16) alone also takes whitespace, a sign, underscores, "0X",
+    no prefix and leading zeros; the round trip through hex() admits one
+    spelling per key.
+    """
     if type(value) is str:
         try:
-            value = int(value, 16)
+            key = int(value, 16)
         except ValueError:
-            raise ParseError(lineno, f"{name} is not a hex number") from None
-        if 0 <= value < _U64:  # the common case, checked inline: decode is hot
-            return value
+            key = -1
+        if 0 <= key < _U64 and hex(key) == value:
+            return key
+        raise ParseError(lineno, f"{name} is not 0x and lowercase hex digits")
     return _u64(value, name, lineno)
 
 
@@ -331,39 +330,6 @@ def load_trace(path) -> Tuple[TraceManifest, List[Event]]:
 def save_trace(path, manifest: TraceManifest, events: List[Event]) -> None:
     with open(path, "wb") as f:
         write_trace(manifest, events, f)
-
-
-def replay(
-    events: Iterable[Event],
-    consumer: Callable[[Event], None],
-    mode: str = "immediate",
-    scale: float = 1.0,
-) -> ReplayStats:
-    """Deliver events to consumer in order.
-
-    timed mode sleeps the inter-event gap multiplied by scale (scale 0 is
-    equivalent to immediate); immediate mode delivers back-to-back. A
-    consumer exception stops the replay and propagates.
-    """
-    if mode not in ("immediate", "timed"):
-        raise ValueError(f"unknown replay mode {mode!r}")
-    count = 0
-    start = time.perf_counter()
-    if mode == "timed" and scale > 0:
-        prev_ts = None
-        for e in events:
-            if prev_ts is not None and e.timestamp > prev_ts:
-                time.sleep((e.timestamp - prev_ts) * 1e-6 * scale)
-            prev_ts = e.timestamp
-            consumer(e)
-            count += 1
-    else:
-        for e in events:
-            consumer(e)
-            count += 1
-    elapsed = time.perf_counter() - start
-    rate = count / elapsed if elapsed > 0 else 0.0
-    return ReplayStats(events=count, elapsed_seconds=elapsed, events_per_second=rate)
 
 
 def window_partition(events: Iterable[Event], window_len: int) -> Iterator[Window]:

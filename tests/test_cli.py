@@ -14,7 +14,6 @@ from peeler.cli import (
     EXIT_OK,
     EXIT_USAGE,
     TraceProfile,
-    cmd_bench,
     evaluate_profiles,
     load_corpus_profiles,
     main,
@@ -26,7 +25,7 @@ from peeler.events import Detector
 from peeler.ml import FusedClassifier, MlrModel, Scaler, SvmModel, load_model_file, save_model
 from peeler.pipeline import Engine, EngineConfig, run_trace
 from peeler.synth import SynthConfig, default_corpus_spec, synth_corpus
-from peeler.trace_io import TraceLabel, TraceManifest, load_trace, save_trace
+from peeler.trace_io import TraceLabel, load_trace
 from peeler.fileio import PatternKind
 from oracles import ref_mlr_loss_grad, ref_smo_solve
 
@@ -61,6 +60,7 @@ def small_corpus(tmp_path_factory):
 
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == EXIT_USAGE
+    assert main(["bench", "--trace", "trace.pt"]) == EXIT_USAGE
 
 
 def test_unknown_pattern_is_usage_error(capsys):
@@ -220,27 +220,6 @@ def test_fused_at_least_individual_minus_two_points(small_corpus):
     assert fused >= max(mlr_only, svm_only) - 0.02
 
 
-def test_bench_small_trace(tmp_path, capsys):
-    out = str(tmp_path / "b.pt")
-    assert main(["synth", "--archetype", "benign-desktop", "--seed", "2", "--out", out,
-                 "--duration-ms", "60000"]) == EXIT_OK
-    report = cmd_bench(out)
-    assert report.events > 0
-    assert report.full_events_per_second > 0
-    names = [s.name for s in report.stages]
-    assert "rules_only" in names and "rules+fileio" in names
-    rules_only = next(s for s in report.stages if s.name == "rules_only")
-    assert rules_only.events_per_second >= report.full_events_per_second * 0.5
-
-
-def test_bench_empty_trace_is_defined(tmp_path):
-    path = str(tmp_path / "empty.pt")
-    save_trace(path, TraceManifest(TraceLabel.BENIGN, "none", 0, 0, 0), [])
-    report = cmd_bench(path)
-    assert report.events == 0
-    assert report.full_events_per_second == 0.0
-
-
 def test_training_and_eval_identical_with_loop_reference_kernels(tmp_path, monkeypatch):
     synth_corpus(default_corpus_spec(4, 4, 12), str(tmp_path), master_seed=5)
     profiles = load_corpus_profiles(str(tmp_path), 5_000_000,
@@ -294,6 +273,13 @@ HOSTILE_EDITS = {
     "file_key_over_64_bits": (b'"file_key":"0xffffb203afd146f0"', b'"file_key":"0x1ffffffffffffffff"'),
     "file_key_int_over_64_bits": (b'"file_key":"0xffffb203afd146f0"',
                                   b'"file_key":%d' % 0x1FFFFFFFFFFFFFFFF),
+    "file_key_padded_sign_underscore": (b'"file_key":"0xffffb203afd146f0"',
+                                        b'"file_key":" +0x_5 "'),
+    "file_key_upper_prefix": (b'"file_key":"0xffffb203afd146f0"', b'"file_key":"0X5"'),
+    "file_key_unprefixed": (b'"file_key":"0xffffb203afd146f0"', b'"file_key":"ff"'),
+    "file_key_no_digits": (b'"file_key":"0xffffb203afd146f0"', b'"file_key":"0x"'),
+    "file_key_17_digits": (b'"file_key":"0xffffb203afd146f0"', b'"file_key":"0x00000000000000005"'),
+    "file_key_leading_zero": (b'"file_key":"0xffffb203afd146f0"', b'"file_key":"0x05"'),
     "pid_over_64_bits": (b'"pid":10,"tid":100,"prov":"File","etype":"Read"',
                          b'"pid":18446744073709551616,"tid":100,"prov":"File","etype":"Read"'),
     "io_size_negative": (b'"io_size":4096', b'"io_size":-4'),

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from peeler.cli import profile_trace
-from peeler.commands import default_rules_path, load_rules_file
+from peeler.commands import CommandMatcher, default_rules_path, load_rules_file
 from peeler.errors import SchemaError
-from peeler.events import Detector
+from peeler.events import Detector, EventType, Provider
 from peeler.features import window_features
-from peeler.fileio import PatternKind
+from peeler.fileio import FileIoMatcher, PatternKind
 from peeler.ml import FusedClassifier, train_mlr, train_svm
-from peeler.pipeline import Engine, EngineConfig, detect_trace, run_trace
+from peeler.pipeline import Engine, EngineConfig, run_trace
 from peeler.synth import (
     DEFAULT_LOCKER_PROFILE,
     SynthConfig,
@@ -58,7 +58,7 @@ def test_cerber_transcript_alerts_on_eighth_event():
 def test_benign_trace_is_quiet():
     manifest, events = synth_trace(SynthConfig(seed=8, archetype="benign_desktop",
                                                duration=40_000_000))
-    report = detect_trace(EngineConfig(), manifest, events)
+    report = run_trace(Engine(EngineConfig()), manifest, events)
     assert report.verdict == "benign"
     assert report.alerts == []
     assert report.first_alert_latency is None
@@ -70,7 +70,7 @@ def test_crypto_trace_detected_with_latency():
                       pattern=PatternKind.MEM_TO_FILE_PRE_OVERWRITE,
                       n_files=10, duration=30_000_000)
     manifest, events, info = synth_trace_detailed(cfg)
-    report = detect_trace(EngineConfig(), manifest, events)
+    report = run_trace(Engine(EngineConfig()), manifest, events)
     assert report.verdict == "ransomware"
     assert report.detector_counts[Detector.FILE_IO_PATTERN] >= 1
     assert report.first_alert_latency is not None
@@ -82,8 +82,8 @@ def test_quarantine_caps_alerts_per_pid():
                       pattern=PatternKind.MEM_TO_FILE_POST_OVERWRITE,
                       n_files=6, duration=20_000_000)
     manifest, events = synth_trace(cfg)
-    with_q = detect_trace(EngineConfig(quarantine=True), manifest, events)
-    without_q = detect_trace(EngineConfig(quarantine=False), manifest, events)
+    with_q = run_trace(Engine(EngineConfig(quarantine=True)), manifest, events)
+    without_q = run_trace(Engine(EngineConfig(quarantine=False)), manifest, events)
     pids = [a.pid for a in with_q.alerts]
     assert len(pids) == len(set(pids))
     assert len(without_q.alerts) >= 6 > len(with_q.alerts)
@@ -94,21 +94,21 @@ def test_detector_independence():
                       pattern=PatternKind.FILE_TO_FILE_DELETE,
                       n_files=5, duration=20_000_000, command_injection=True)
     manifest, events = synth_trace(cfg)
-    base = EngineConfig(quarantine=False)
-    no_cmd = EngineConfig(quarantine=False, enable_commands=False)
-    no_file = EngineConfig(quarantine=False, enable_fileio=False)
+    report = run_trace(Engine(EngineConfig(quarantine=False)), manifest, events)
 
-    full = detect_trace(base, manifest, events)
-    without_commands = detect_trace(no_cmd, manifest, events)
-    without_fileio = detect_trace(no_file, manifest, events)
-
-    def of(report, detector):
+    def of(detector):
         return [a for a in report.alerts if a.detector is detector]
 
-    assert of(full, Detector.FILE_IO_PATTERN) == of(without_commands, Detector.FILE_IO_PATTERN)
-    assert of(full, Detector.COMMAND_RULE) == of(without_fileio, Detector.COMMAND_RULE)
-    assert of(without_commands, Detector.COMMAND_RULE) == []
-    assert of(without_fileio, Detector.FILE_IO_PATTERN) == []
+    # each detector alone, over the events it sees in the engine
+    matcher = FileIoMatcher()
+    alone_fileio = [a for a in map(matcher.ingest, events) if a is not None]
+    commands = CommandMatcher(load_rules_file(default_rules_path()))
+    starts = [e for e in events if e.provider is Provider.PROCESS and e.etype is EventType.START]
+    alone_commands = [a for a in map(commands.match, starts) if a is not None]
+
+    assert alone_fileio and alone_commands
+    assert of(Detector.FILE_IO_PATTERN) == alone_fileio
+    assert of(Detector.COMMAND_RULE) == alone_commands
 
 
 def test_report_is_deterministic():
@@ -116,8 +116,8 @@ def test_report_is_deterministic():
                       pattern=PatternKind.FILE_TO_FILE_RENAME_DELETE,
                       n_files=4, duration=20_000_000)
     manifest, events = synth_trace(cfg)
-    r1 = detect_trace(EngineConfig(), manifest, events)
-    r2 = detect_trace(EngineConfig(), manifest, events)
+    r1 = run_trace(Engine(EngineConfig()), manifest, events)
+    r2 = run_trace(Engine(EngineConfig()), manifest, events)
     assert r1.alerts == r2.alerts
     assert r1.verdict == r2.verdict
     assert r1.detector_counts == r2.detector_counts
@@ -221,7 +221,7 @@ def test_empty_window_skipped_without_model():
 def test_run_trace_rejects_out_of_order_timestamps():
     events = [ev_read(1, 10, 0xA, 0xB), ev_read(1, 6_000_000, 0xA, 0xB), ev_read(1, 3, 0xA, 0xB)]
     with pytest.raises(SchemaError, match="non-monotonic timestamp"):
-        detect_trace(EngineConfig(), _manifest(events), events)
+        run_trace(Engine(EngineConfig()), _manifest(events), events)
 
 
 def _tiny_model(seed=30):
@@ -255,7 +255,7 @@ def test_ml_stage_flags_locker_windows():
     cfg = SynthConfig(seed=77, archetype="locker",
                       spawn_profile=DEFAULT_LOCKER_PROFILE, duration=60_000_000)
     manifest, events = synth_trace(cfg)
-    report = detect_trace(EngineConfig(), manifest, events, model=model)
+    report = run_trace(Engine(EngineConfig(), model=model), manifest, events)
     ml_alerts = [a for a in report.alerts if a.detector is Detector.ML_CLASSIFIER]
     assert ml_alerts, "locker trace must trip the window classifier"
     assert report.first_alert_latency is not None
@@ -263,7 +263,7 @@ def test_ml_stage_flags_locker_windows():
 
     manifest_b, events_b = synth_trace(SynthConfig(seed=78, archetype="benign_desktop",
                                                    duration=60_000_000))
-    report_b = detect_trace(EngineConfig(), manifest_b, events_b, model=model)
+    report_b = run_trace(Engine(EngineConfig(), model=model), manifest_b, events_b)
     assert [a for a in report_b.alerts if a.detector is Detector.ML_CLASSIFIER] == []
 
 
@@ -272,7 +272,24 @@ def test_threshold_override_controls_ml_alerts():
     cfg = SynthConfig(seed=79, archetype="locker",
                       spawn_profile=DEFAULT_LOCKER_PROFILE, duration=60_000_000)
     manifest, events = synth_trace(cfg)
-    strict = detect_trace(EngineConfig(threshold=0.999999), manifest, events, model=model)
+    strict_model = dataclasses.replace(model, threshold=0.999999)
+    strict = run_trace(Engine(EngineConfig(), model=strict_model), manifest, events)
     ml_alerts = [a for a in strict.alerts if a.detector is Detector.ML_CLASSIFIER]
-    lax = detect_trace(EngineConfig(threshold=0.5), manifest, events, model=model)
+    lax_model = dataclasses.replace(model, threshold=0.5)
+    lax = run_trace(Engine(EngineConfig(), model=lax_model), manifest, events)
     assert len(ml_alerts) <= len([a for a in lax.alerts if a.detector is Detector.ML_CLASSIFIER])
+
+
+def test_ml_alert_skips_system_and_explorer_pids():
+    always = dataclasses.replace(_tiny_model(), threshold=0.0)
+    events = [ev_proc_start(20, 0, image="C:\\Windows\\explorer.exe")]
+    events += [ev_read(4, 10 + i, 0xA, 0xB) for i in range(6)]
+    events += [ev_read(20, 20 + i, 0xC, 0xD) for i in range(5)]
+    events += [ev_read(31, 30, 0xE, 0xF)]
+    events += [ev_read(30, 40 + i, 0x10, 0x11) for i in range(2)]
+    report = run_trace(Engine(EngineConfig(), model=always), _manifest(events), events)
+    assert len(report.alerts) == 1
+    alert = report.alerts[0]
+    assert alert.detector is Detector.ML_CLASSIFIER
+    assert alert.pid == 30
+    assert alert.trigger.endswith(" top_pids=[30, 31]")

@@ -1,4 +1,4 @@
-"""Trace format round-trips, replay ordering, and window partitioning."""
+"""Trace format round-trips and window partitioning."""
 
 import dataclasses
 import hashlib
@@ -12,14 +12,12 @@ from peeler.commands import default_rules_path, load_rules_file
 from peeler.errors import ParseError, SchemaError
 from peeler.pipeline import Engine, EngineConfig, run_trace
 from peeler.trace_io import (
-    ReplayStats,
     TraceLabel,
     TraceManifest,
     Window,
     event_to_line,
     line_to_event,
     read_trace,
-    replay,
     window_partition,
     write_trace,
 )
@@ -143,52 +141,6 @@ def test_hex_and_int_keys_accepted_on_ingestion():
     e = line_to_event(line)
     assert e.attrs.file_key == 255 and e.attrs.file_object == 255
     assert 'file_key":"0xff"' in event_to_line(e)
-
-
-def test_replay_immediate_preserves_order():
-    rng = np.random.default_rng(3)
-    events = random_events(rng, 500)
-    seen = []
-    stats = replay(events, seen.append, mode="immediate")
-    assert seen == events
-    assert stats.events == 500 and stats.events_per_second > 0
-
-
-def test_replay_timed_zero_scale_equals_immediate():
-    rng = np.random.default_rng(4)
-    events = random_events(rng, 50)
-    a, b = [], []
-    replay(events, a.append, mode="immediate")
-    replay(events, b.append, mode="timed", scale=0.0)
-    assert a == b
-
-
-def test_replay_timed_honors_gaps():
-    import time
-
-    events = [ev_read(1, 0, 0xA, 0xB), ev_read(1, 1_000_000, 0xA, 0xB)]
-    stamps = []
-    replay(events, lambda e: stamps.append(time.perf_counter()), mode="timed", scale=0.05)
-    assert stamps[1] - stamps[0] >= 0.045  # 1 s gap x 0.05, minus scheduler slack
-
-
-def test_replay_stops_at_consumer_failure():
-    events = [ev_read(1, 0, 0xA, 0xB)] * 5
-    calls = []
-
-    def consumer(e):
-        calls.append(e)
-        if len(calls) == 3:
-            raise RuntimeError("boom")
-
-    with pytest.raises(RuntimeError):
-        replay(events, consumer)
-    assert len(calls) == 3
-
-
-def test_replay_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        replay([], lambda e: None, mode="warp")
 
 
 def test_window_boundary_is_half_open():
