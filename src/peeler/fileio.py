@@ -12,12 +12,15 @@ against four encryption-shaped acceptors:
 The acceptors are reconstructions from observed ransomware I/O transcripts
 (Cerber, Locky, InfinityCrypt, WannaCry); they are the whole-sequence
 languages of a file's event list, matched anchored at the list's first event.
-Matching is O(1) per event: each list carries one DFA state per acceptor.
+The four acceptor tables are compiled at import into one product DFA over
+their reachable joint states, with each state's alert kind precomputed, so
+matching is one table step per event and each list carries one state. All
+four acceptors anchor on C, so a list whose first letter is R/W/N/D enters
+the all-dead state at once and is never matched again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
@@ -36,21 +39,6 @@ class PatternKind(Enum):
     MEM_TO_FILE_PRE_OVERWRITE = "MemToFilePreOverwrite"
     FILE_TO_FILE_DELETE = "FileToFileDelete"
     FILE_TO_FILE_RENAME_DELETE = "FileToFileRenameDelete"
-
-
-@dataclass
-class FileIdentity:
-    """All keys and names observed for one user file.
-
-    A file accumulates multiple FileObject keys (per-open handles) and names
-    (renames); file_key is treated as a stable per-file join key. Sets only
-    grow for the lifetime of the identity.
-    """
-
-    canonical_id: int
-    file_objects: Set[int] = field(default_factory=set)
-    file_names: Set[str] = field(default_factory=set)
-    file_keys: Set[int] = field(default_factory=set)
 
 
 _LETTER_INDEX = {"C": 0, "R": 1, "W": 2, "N": 3, "D": 4}
@@ -115,6 +103,42 @@ _ACCEPTORS = (
 )
 
 
+def _build_product():
+    """Compile the four acceptors into one DFA over their joint states.
+
+    Breadth-first from the joint start state, so state 0 is the start and
+    only reachable joint states get a row. Returns the step table (one
+    {letter: next state} row per state), each state's four component states
+    in _ACCEPTORS order, and each state's hit for (single-file, multi-file):
+    the first accepting kind in enum order that the FileObject count allows.
+    """
+    tables = [table for _, table, _, _ in _ACCEPTORS]
+    components = [(0, 0, 0, 0)]
+    index = {components[0]: 0}
+    step = []
+    for comp in components:  # grows while it is walked
+        row = {}
+        for letter, li in _LETTER_INDEX.items():
+            nxt = tuple(t[s][li] if s >= 0 else -1 for t, s in zip(tables, comp))
+            if nxt not in index:
+                index[nxt] = len(components)
+                components.append(nxt)
+            row[letter] = index[nxt]
+        step.append(row)
+    def first_hit(comp, multi_file):
+        return next((
+            kind
+            for (kind, _, accept, needs_multi), s in zip(_ACCEPTORS, comp)
+            if s in accept and (multi_file or not needs_multi)
+        ), None)
+
+    hit = [(first_hit(comp, False), first_hit(comp, True)) for comp in components]
+    return tuple(step), tuple(components), tuple(hit), index[(-1, -1, -1, -1)]
+
+
+_STEP, _COMPONENTS, _HIT, _DEAD = _build_product()
+
+
 def match_letters(letters: str, multi_file: bool) -> Optional[PatternKind]:
     """Match a complete letter sequence against the four acceptors.
 
@@ -122,36 +146,53 @@ def match_letters(letters: str, multi_file: bool) -> Optional[PatternKind]:
     least two FileObject keys). Returns the first matching kind in enum
     order, or None.
     """
-    for kind, table, accept, needs_multi in _ACCEPTORS:
-        if needs_multi and not multi_file:
-            continue
-        state = 0
-        for ch in letters:
-            state = table[state][_LETTER_INDEX[ch]]
-            if state < 0:
-                break
-        if state in accept:
-            return kind
-    return None
+    state = 0
+    for ch in letters:
+        state = _STEP[state][ch]
+    return _HIT[state][multi_file]
 
 
-@dataclass
 class FileEventsList:
-    """Accumulated I/O events and online matching state for one file."""
+    """One user file: its identity, its letters and its matching state.
 
-    identity: FileIdentity
-    events: List[Tuple[Event, str]] = field(default_factory=list)
-    contributing_pids: Set[int] = field(default_factory=set)
-    matched: Optional[PatternKind] = None
-    etypes: Set[EventType] = field(default_factory=set)
-    # one DFA state per acceptor, in _ACCEPTORS order
-    dfa: List[int] = field(default_factory=lambda: [0, 0, 0, 0])
-    last_seen_count: int = 0
-    last_seen_ts: int = 0
+    A file accumulates several FileObject keys (per-open handles), names
+    (renames) and file_keys (a stable per-file join key); the sets only grow
+    for the lifetime of the list. The letters and contributing pids stop growing
+    once the list has matched or is dead in all four acceptors, since
+    neither can change an alert after that.
+    """
+
+    __slots__ = (
+        "file_objects",
+        "file_names",
+        "file_keys",
+        "contributing_pids",
+        "_letters",
+        "state",
+        "matched",
+        "last_seen_count",
+        "last_seen_ts",
+    )
+
+    def __init__(self) -> None:
+        self.file_objects: Set[int] = set()
+        self.file_names: Set[str] = set()
+        self.file_keys: Set[int] = set()
+        self.contributing_pids: Set[int] = set()
+        self._letters: List[str] = []
+        self.state = 0  # product DFA state; 0 is the start
+        self.matched: Optional[PatternKind] = None
+        self.last_seen_count = 0
+        self.last_seen_ts = 0
 
     @property
     def letters(self) -> str:
-        return "".join(letter for _, letter in self.events)
+        return "".join(self._letters)
+
+    @property
+    def dfa(self) -> Tuple[int, int, int, int]:
+        """The four acceptors' states, in _ACCEPTORS order; -1 is dead."""
+        return _COMPONENTS[self.state]
 
 
 def _parent_dir(path: str) -> str:
@@ -168,21 +209,14 @@ def is_exempt(pid: int, pid_images: Mapping[int, str]) -> bool:
     return pid == _SYSTEM_PID or pid_images.get(pid, "") in _EXEMPT_IMAGES
 
 
-def stage3_filter(
-    lst: FileEventsList,
-    candidate: PatternKind,
-    pid_images: Mapping[int, str] = {},
-) -> bool:
+def stage3_filter(lst: FileEventsList, pid_images: Mapping[int, str]) -> bool:
     """False-positive suppression; True means keep the alert.
 
     Suppresses when the list's file names do not share one parent directory,
     or when more than one process contributed events after exempting the
-    system process (pid 4 / image "system") and explorer.exe. The candidate
-    kind does not influence the filters; it is part of the contract so
-    call sites stay explicit about what is being filtered.
+    system process (pid 4 / image "system") and explorer.exe.
     """
-    del candidate
-    names = lst.identity.file_names
+    names = lst.file_names
     if len(names) > 1:
         parents = {_parent_dir(n) for n in names}
         if len(parents) > 1:
@@ -196,31 +230,24 @@ def stage3_filter(
     return True
 
 
-@dataclass
-class MatcherConfig:
-    """Eviction policy for idle per-file state.
-
-    An identity idle for more than max_idle_events File events or
-    max_idle_us of trace time is dropped; unbounded per-file state would
-    otherwise leak on long benign traces.
-    """
-
-    max_idle_events: int = 1_000_000
-    max_idle_us: int = 600_000_000
-    sweep_interval: int = 65_536
+# Eviction policy for idle per-file state: a list idle for more than
+# MAX_IDLE_EVENTS File events or MAX_IDLE_US of trace time is dropped at the
+# next sweep, one every SWEEP_INTERVAL File events; unbounded per-file state
+# would otherwise leak on long benign traces.
+MAX_IDLE_EVENTS = 1_000_000
+MAX_IDLE_US = 600_000_000
+SWEEP_INTERVAL = 65_536
 
 
 class FileIoMatcher:
     """Streaming matcher state. Confine one instance to one consumer task."""
 
-    def __init__(self, config: Optional[MatcherConfig] = None):
-        self.config = config or MatcherConfig()
+    def __init__(self) -> None:
         self._by_object: Dict[int, FileEventsList] = {}
         self._by_key: Dict[int, FileEventsList] = {}
         self._by_name: Dict[str, FileEventsList] = {}
         self._lists: List[FileEventsList] = []
         self._pid_images: Dict[int, str] = {}
-        self._next_id = 0
         self._count = 0
 
     @property
@@ -231,8 +258,7 @@ class FileIoMatcher:
         return list(self._lists)
 
     def _new_list(self) -> FileEventsList:
-        self._next_id += 1
-        lst = FileEventsList(identity=FileIdentity(canonical_id=self._next_id))
+        lst = FileEventsList()
         self._lists.append(lst)
         return lst
 
@@ -247,10 +273,9 @@ class FileIoMatcher:
                 lst = self._by_name.get(name)
             if lst is None:
                 lst = self._new_list()
-            ident = lst.identity
-            ident.file_objects.add(obj)
+            lst.file_objects.add(obj)
             self._by_object[obj] = lst
-            ident.file_names.add(name)
+            lst.file_names.add(name)
             self._by_name[name] = lst
             return lst
         # Read/Write/Rename/Delete carry (file_key, file_object): the
@@ -265,18 +290,11 @@ class FileIoMatcher:
             lst = self._by_object.get(obj)
         if lst is None:
             lst = self._new_list()
-        ident = lst.identity
-        ident.file_keys.add(fk)
+        lst.file_keys.add(fk)
         self._by_key[fk] = lst
-        ident.file_objects.add(obj)
+        lst.file_objects.add(obj)
         self._by_object[obj] = lst
         return lst
-
-    def resolve_identity(self, e: Event) -> FileIdentity:
-        """Resolve (and register) the file identity a File event belongs to."""
-        if e.provider is not Provider.FILE:
-            raise ValueError("resolve_identity requires a File-provider event")
-        return self._resolve(e).identity
 
     def ingest(self, e: Event) -> Optional[Alert]:
         """Fold one event into matcher state; returns an alert on detection.
@@ -293,49 +311,24 @@ class FileIoMatcher:
             return None
 
         self._count += 1
-        if self._count % self.config.sweep_interval == 0:
+        if self._count % SWEEP_INTERVAL == 0:
             self._sweep(e.timestamp)
 
+        # A dead list stays registered, so a later event on its lineage
+        # resolves to it and stays dead.
         lst = self._resolve(e)
         lst.last_seen_count = self._count
         lst.last_seen_ts = e.timestamp
-        if lst.matched is not None:
+        state = lst.state
+        if state == _DEAD or lst.matched is not None:
             return None
 
         letter = PATTERN_LETTERS[e.etype]
-        lst.events.append((e, letter))
+        lst._letters.append(letter)
         lst.contributing_pids.add(e.pid)
-        lst.etypes.add(e.etype)
-
-        li = _LETTER_INDEX[letter]
-        dfa = lst.dfa
-        s = dfa[0]
-        if s >= 0:
-            dfa[0] = _POST_T[s][li]
-        s = dfa[1]
-        if s >= 0:
-            dfa[1] = _PRE_T[s][li]
-        s = dfa[2]
-        if s >= 0:
-            dfa[2] = _FTFD_T[s][li]
-        s = dfa[3]
-        if s >= 0:
-            dfa[3] = _FTFRD_T[s][li]
-
-        # The unique-etype gate saves the acceptance/filter work on short
-        # lists; any full acceptor word necessarily holds >= 4 unique etypes.
-        if len(lst.etypes) < 4:
-            return None
-
-        multi_file = len(lst.identity.file_objects) >= 2
-        hit = None
-        for idx, (kind, _, accept, needs_multi) in enumerate(_ACCEPTORS):
-            if dfa[idx] in accept and (multi_file or not needs_multi):
-                hit = kind
-                break
-        if hit is None:
-            return None
-        if not stage3_filter(lst, hit, self._pid_images):
+        lst.state = state = _STEP[state][letter]
+        hit = _HIT[state][len(lst.file_objects) >= 2]
+        if hit is None or not stage3_filter(lst, self._pid_images):
             return None
         lst.matched = hit
         return Alert(
@@ -353,25 +346,23 @@ class FileIoMatcher:
         return e.pid
 
     def _sweep(self, now_ts: int) -> None:
-        cfg = self.config
         keep: List[FileEventsList] = []
         for lst in self._lists:
             idle_events = self._count - lst.last_seen_count
             idle_us = now_ts - lst.last_seen_ts
-            if idle_events > cfg.max_idle_events or idle_us > cfg.max_idle_us:
+            if idle_events > MAX_IDLE_EVENTS or idle_us > MAX_IDLE_US:
                 self._unregister(lst)
             else:
                 keep.append(lst)
         self._lists = keep
 
     def _unregister(self, lst: FileEventsList) -> None:
-        ident = lst.identity
-        for obj in ident.file_objects:
+        for obj in lst.file_objects:
             if self._by_object.get(obj) is lst:
                 del self._by_object[obj]
-        for fk in ident.file_keys:
+        for fk in lst.file_keys:
             if self._by_key.get(fk) is lst:
                 del self._by_key[fk]
-        for name in ident.file_names:
+        for name in lst.file_names:
             if self._by_name.get(name) is lst:
                 del self._by_name[name]

@@ -40,7 +40,6 @@ from .events import (
     ProcessAttrs,
     Provider,
     ThreadAttrs,
-    validate_event,
 )
 
 HEADER_MAGIC = "PEELER-TRACE"
@@ -178,10 +177,11 @@ def _parse_attrs(provider: Provider, etype: EventType, obj: dict, lineno: int):
                 io_size=_u64(obj["io_size"], "io_size", lineno),
             )
         if cls is FileNameAttrs:
-            return FileNameAttrs(
-                file_object=_key_in(obj["file_object"], "file_object", lineno),
-                file_name=_str(obj["file_name"], "file_name", lineno),
-            )
+            file_object = _key_in(obj["file_object"], "file_object", lineno)
+            file_name = _str(obj["file_name"], "file_name", lineno)
+            if not file_name:
+                raise SchemaError(f"line {lineno}: invalid event: attrs.file_name: empty")
+            return FileNameAttrs(file_object=file_object, file_name=file_name)
         if cls is FileRenDelAttrs:
             return FileRenDelAttrs(
                 file_key=_key_in(obj["file_key"], "file_key", lineno),
@@ -214,7 +214,11 @@ def _json_loads(text: str, lineno: int, what: str):
 
 
 def line_to_event(line: str, lineno: int = 0) -> Event:
-    """Parse one wire line back into an Event."""
+    """Parse one wire line back into an Event.
+
+    Raises ParseError for a malformed line and SchemaError for a FileCreate
+    or FileDelete with an empty file name.
+    """
     obj = _json_loads(line, lineno, "invalid JSON")
     if type(obj) is not dict:
         raise ParseError(lineno, "event line is not an object")
@@ -280,8 +284,8 @@ def read_trace(source: BinaryIO) -> Tuple[TraceManifest, List[Event]]:
 
     Raises ParseError for malformed lines (invalid UTF-8 or JSON, a missing
     key, a value of the wrong JSON type or out of range) and SchemaError for
-    invariant violations (bad event, non-monotonic timestamps, count/duration
-    mismatch). Both abort the read.
+    invariant violations (an empty FileCreate/FileDelete file name,
+    non-monotonic timestamps, count/duration mismatch). Both abort the read.
     """
     try:
         text = source.read().decode("utf-8")
@@ -305,9 +309,6 @@ def read_trace(source: BinaryIO) -> Tuple[TraceManifest, List[Event]]:
     prev_ts = -1
     for i, line in enumerate(lines[1:], start=2):
         e = line_to_event(line, i)
-        violations = validate_event(e)
-        if violations:
-            raise SchemaError(f"line {i}: invalid event: {'; '.join(violations)}")
         if e.timestamp < prev_ts:
             raise SchemaError(f"line {i}: non-monotonic timestamp")
         prev_ts = e.timestamp

@@ -285,6 +285,7 @@ HOSTILE_EDITS = {
     "io_size_negative": (b'"io_size":4096', b'"io_size":-4'),
     "io_size_nan": (b'"io_size":4096', b'"io_size":NaN'),
     "file_name_int": (b'"file_name":"c:/users/u/documents/a.docx"', b'"file_name":7'),
+    "file_name_empty": (b'"file_name":"c:/users/u/documents/a.docx"', b'"file_name":""'),
     "session_id_float": (b'"session_id":1', b'"session_id":1.0'),
     "prov_list": (b'"prov":"File","etype":"Read"', b'"prov":["File"],"etype":"Read"'),
     "event_count_string": (b'"event_count":3', b'"event_count":"3"'),

@@ -5,10 +5,16 @@ import itertools
 import numpy as np
 import pytest
 
+from peeler import fileio
 from peeler.events import Detector
 from peeler.fileio import (
+    _FTFD_T,
+    _FTFRD_T,
+    _POST_T,
+    _PRE_T,
+    _STEP,
+    FileEventsList,
     FileIoMatcher,
-    MatcherConfig,
     PatternKind,
     match_letters,
     stage3_filter,
@@ -31,8 +37,8 @@ from oracles import ACCEPTOR_REGEXES, brute_force_alerts
 from stream_gen import gen_random_stream
 
 
-def run_matcher(events, config=None):
-    matcher = FileIoMatcher(config)
+def run_matcher(events):
+    matcher = FileIoMatcher()
     fired = []
     for i, e in enumerate(events):
         alert = matcher.ingest(e)
@@ -94,32 +100,30 @@ def test_match_letters_equals_regexes_random_long():
 
 
 def test_create_then_read_share_identity():
-    matcher = FileIoMatcher()
-    i1 = matcher.resolve_identity(ev_create(1, 0, 0xA, "c:/u/d/D_186.wav"))
-    i2 = matcher.resolve_identity(ev_read(1, 1, 0xA, 0xB))
-    assert i1 is i2
-    assert 0xB in i1.file_objects
+    matcher, _ = run_matcher([ev_create(1, 0, 0xA, "c:/u/d/D_186.wav"), ev_read(1, 1, 0xA, 0xB)])
+    [lst] = matcher.lists()
+    assert lst.file_objects == {0xA, 0xB}
+    assert lst.file_keys == {0xA}
+    assert lst.letters == "CR"
 
 
 def test_distinct_creates_make_distinct_identities():
-    matcher = FileIoMatcher()
-    i1 = matcher.resolve_identity(ev_create(1, 0, 0xA, "c:/u/d/x"))
-    i2 = matcher.resolve_identity(ev_create(1, 1, 0xB, "c:/u/d/y"))
-    assert i1 is not i2
+    matcher, _ = run_matcher([ev_create(1, 0, 0xA, "c:/u/d/x"), ev_create(1, 1, 0xB, "c:/u/d/y")])
+    assert [(l.file_objects, l.file_names) for l in matcher.lists()] == [
+        ({0xA}, {"c:/u/d/x"}),
+        ({0xB}, {"c:/u/d/y"}),
+    ]
 
 
 def test_rename_bridges_new_create_into_lineage():
-    matcher = FileIoMatcher()
-    i1 = matcher.resolve_identity(ev_create(1, 0, 0xA, "x"))
-    matcher.resolve_identity(ev_rename(1, 1, 0xA, 0xB))
-    i3 = matcher.resolve_identity(ev_create(1, 2, 0xB, "x.enc"))
-    assert i3 is i1
-    assert i1.file_names == {"x", "x.enc"}
-
-
-def test_resolve_rejects_non_file_events():
-    with pytest.raises(ValueError):
-        FileIoMatcher().resolve_identity(ev_proc_start(1, 0))
+    matcher, _ = run_matcher([
+        ev_create(1, 0, 0xA, "x"),
+        ev_rename(1, 1, 0xA, 0xB),
+        ev_create(1, 2, 0xB, "x.enc"),
+    ])
+    [lst] = matcher.lists()
+    assert lst.file_names == {"x", "x.enc"}
+    assert lst.letters == "CNC"
 
 
 # --- ingest on the figure transcripts --------------------------------------
@@ -174,7 +178,7 @@ def test_single_object_lineage_cannot_fire_file_to_file():
     ]
     matcher, fired = run_matcher(events)
     assert fired == []
-    assert all(len(l.identity.file_objects) == 1 for l in matcher.lists())
+    assert all(len(l.file_objects) == 1 for l in matcher.lists())
 
 
 def test_compression_tool_flow_never_alerts():
@@ -194,8 +198,8 @@ def test_compression_tool_flow_never_alerts():
 # --- stage 3 filters --------------------------------------------------------
 
 
-def _matched_list(events, config=None):
-    matcher = FileIoMatcher(config)
+def _matched_list(events):
+    matcher = FileIoMatcher()
     for e in events:
         matcher.ingest(e)
     return matcher.lists()[0], matcher
@@ -203,7 +207,7 @@ def _matched_list(events, config=None):
 
 def test_stage3_same_dir_single_pid_keeps():
     lst, m = _matched_list(cerber_post_overwrite())
-    assert stage3_filter(lst, PatternKind.MEM_TO_FILE_POST_OVERWRITE, m.pid_images)
+    assert stage3_filter(lst, m.pid_images)
 
 
 def test_stage3_system_pid_exempt():
@@ -253,31 +257,86 @@ def test_ingest_does_not_touch_other_lineages():
     matcher = FileIoMatcher()
     for e in locky_pre_overwrite(pid=100)[:4]:
         matcher.ingest(e)
-    before = [(l.identity.canonical_id, l.letters) for l in matcher.lists()]
+    before = [(id(l), l.letters) for l in matcher.lists()]
     matcher.ingest(ev_create(200, 10_000, 0x9999, "c:/u/pictures/other.png"))
-    after = [(l.identity.canonical_id, l.letters) for l in matcher.lists()[:-1]]
+    after = [(id(l), l.letters) for l in matcher.lists()[:-1]]
     assert before == after
 
 
-def test_idle_identities_evicted():
-    config = MatcherConfig(max_idle_events=10, max_idle_us=10**12, sweep_interval=4)
-    matcher = FileIoMatcher(config)
+def test_idle_identities_evicted(monkeypatch):
+    monkeypatch.setattr(fileio, "MAX_IDLE_EVENTS", 10)
+    monkeypatch.setattr(fileio, "MAX_IDLE_US", 10**12)
+    monkeypatch.setattr(fileio, "SWEEP_INTERVAL", 4)
+    matcher = FileIoMatcher()
     matcher.ingest(ev_create(1, 0, 0xA, "c:/u/d/old.txt"))
     for k in range(40):
         matcher.ingest(ev_read(2, 10 + k, 0x1000 + k, 0x1000 + k))
-    names = {n for l in matcher.lists() for n in l.identity.file_names}
+    names = {n for l in matcher.lists() for n in l.file_names}
     assert "c:/u/d/old.txt" not in names
 
 
-def test_time_based_eviction():
-    config = MatcherConfig(max_idle_events=10**9, max_idle_us=1000, sweep_interval=2)
-    matcher = FileIoMatcher(config)
+def test_time_based_eviction(monkeypatch):
+    monkeypatch.setattr(fileio, "MAX_IDLE_EVENTS", 10**9)
+    monkeypatch.setattr(fileio, "MAX_IDLE_US", 1000)
+    monkeypatch.setattr(fileio, "SWEEP_INTERVAL", 2)
+    matcher = FileIoMatcher()
     matcher.ingest(ev_create(1, 0, 0xA, "c:/u/d/old.txt"))
     matcher.ingest(ev_read(2, 5_000, 0xB, 0xB))
     matcher.ingest(ev_read(2, 5_001, 0xC, 0xC))
     matcher.ingest(ev_read(2, 5_002, 0xD, 0xD))
-    names = {n for l in matcher.lists() for n in l.identity.file_names}
+    names = {n for l in matcher.lists() for n in l.file_names}
     assert "c:/u/d/old.txt" not in names
+
+
+# --- product automaton --------------------------------------------------------
+
+
+def _component_walks(letters):
+    """Walk each acceptor table on its own; -1 is dead and stays dead."""
+    states = []
+    for table in (_POST_T, _PRE_T, _FTFD_T, _FTFRD_T):
+        s = 0
+        for ch in letters:
+            if s < 0:
+                break
+            s = table[s]["CRWND".index(ch)]
+        states.append(s)
+    return tuple(states)
+
+
+def test_product_state_equals_component_walks():
+    rng = np.random.default_rng(5)
+    alphabet = np.array(list("CRWND"))
+    # bias towards encryption-shaped words so accepting states are reached
+    shapes = ["CRRWWNDC", "CNDCRRWW", "CRRCWWD", "CRRCWWNDC"]
+    strings = ["".join(t) for n in range(6) for t in itertools.product("CRWND", repeat=n)]
+    for _ in range(3000):
+        s = "".join(alphabet[rng.integers(0, 5, size=int(rng.integers(0, 30)))])
+        strings.append(s)
+        strings.append(shapes[int(rng.integers(0, 4))][: int(rng.integers(1, 10))] + s)
+    for letters in strings:
+        lst = FileEventsList()
+        for ch in letters:
+            lst.state = _STEP[lst.state][ch]
+        assert lst.dfa == _component_walks(letters), letters
+    for seed in range(100):
+        matcher, _ = run_matcher(gen_random_stream(seed))
+        for lst in matcher.lists():
+            assert lst.dfa == _component_walks(lst.letters), (seed, lst.letters)
+
+
+def test_lineage_starting_with_read_is_dead_for_good():
+    a = 0xFFFFB203AFD146F0
+    # the read registers the create's FileObject, so the whole cerber flow
+    # that follows joins a lineage whose first letter is R
+    events = [ev_read(2816, 0, 0x77, a)] + cerber_post_overwrite(t0=10)
+    matcher, fired = run_matcher(events)
+    assert fired == [] == brute_force_alerts(events)
+    [lst] = [l for l in matcher.lists() if a in l.file_objects]
+    assert "c:/users/u/music/D_186.wav" in lst.file_names
+    assert lst.letters == "R"
+    assert lst.dfa == (-1, -1, -1, -1)
+    assert lst.matched is None
 
 
 # --- oracle equivalence ------------------------------------------------------
