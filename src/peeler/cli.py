@@ -1,5 +1,10 @@
 """Command-line front end: synth, detect, train, eval.
 
+Train and eval decode each corpus trace once, into a TraceProfile: its
+split-independent rule and pattern alerts plus one feature row per window.
+Everything eval reports, the --correlations table included, comes from
+those rows.
+
 Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 internal error.
 """
 
@@ -16,7 +21,7 @@ import numpy as np
 from .commands import RuleSet, default_rules_path, load_rules_file
 from .errors import CorpusError, PeelerError
 from .events import Detector
-from .features import correlation_report, window_features
+from .features import correlations_from_rows, window_features
 from .fileio import PatternKind
 from .ml import (
     FusedClassifier,
@@ -87,7 +92,7 @@ def profile_trace(path: str, window_len: int, rules: RuleSet) -> TraceProfile:
     engine = Engine(EngineConfig(window_len=window_len, quarantine=False), rules=rules)
     rule_ts = None
     pattern_ts = None
-    windows = []
+    ends, counts, x_mlr, x_svm = [], [], [], []
     for w in window_partition(events, window_len):
         for e in w.events:
             for alert in engine.process_event(e):
@@ -95,8 +100,11 @@ def profile_trace(path: str, window_len: int, rules: RuleSet) -> TraceProfile:
                     rule_ts = alert.event_timestamp
                 elif alert.detector is Detector.FILE_IO_PATTERN and pattern_ts is None:
                     pattern_ts = alert.event_timestamp
-        windows.append(w)
-    feats = [window_features(w) for w in windows]
+        mlr, svm = window_features(w.events)
+        ends.append(w.end)
+        counts.append(len(w.events))
+        x_mlr.append(mlr.as_vector())
+        x_svm.append(svm.as_vector())
     return TraceProfile(
         path=path,
         label=manifest.label,
@@ -105,10 +113,10 @@ def profile_trace(path: str, window_len: int, rules: RuleSet) -> TraceProfile:
         duration=manifest.duration,
         rule_alert_ts=rule_ts,
         pattern_alert_ts=pattern_ts,
-        window_ends=np.array([w.end for w in windows], dtype=np.int64),
-        window_counts=np.array([len(w.events) for w in windows], dtype=np.int64),
-        X_mlr=np.vstack([m.as_vector() for m, _ in feats]) if feats else np.zeros((0, 5)),
-        X_svm=np.vstack([s.as_vector() for _, s in feats]) if feats else np.zeros((0, 8)),
+        window_ends=np.array(ends, dtype=np.int64),
+        window_counts=np.array(counts, dtype=np.int64),
+        X_mlr=np.vstack(x_mlr) if x_mlr else np.zeros((0, 5)),
+        X_svm=np.vstack(x_svm) if x_svm else np.zeros((0, 8)),
     )
 
 
@@ -263,7 +271,6 @@ def evaluate_profiles(
     seed: int,
     train_frac: float = 0.2,
     fixed_model: Optional[FusedClassifier] = None,
-    threshold: float = 0.5,
 ) -> EvalSummary:
     """Repeated stratified train/test splits; metrics from pooled counts."""
     ransomware, benign = _split_classes(profiles)
@@ -282,7 +289,7 @@ def evaluate_profiles(
             test_set = [p for i, p in enumerate(ransomware) if i not in train_r] + [
                 p for i, p in enumerate(benign) if i not in train_b
             ]
-            model = train_from_profiles(train_set, threshold=threshold)
+            model = train_from_profiles(train_set)
         else:
             model = fixed_model
             test_set = list(profiles)
@@ -331,25 +338,6 @@ def evaluate_profiles(
         rows=rows,
         crypto_latency=LatencyStats.of(crypto_lat),
         locker_latency=LatencyStats.of(locker_lat),
-    )
-
-
-def cmd_eval(
-    corpus_dir: str,
-    rules_file: Optional[str],
-    model_file: Optional[str],
-    repeats: int,
-    seed: int,
-    train_frac: float = 0.2,
-    window_ms: int = 5000,
-    threshold: float = 0.5,
-) -> EvalSummary:
-    rules = load_rules_file(rules_file or default_rules_path())
-    profiles = load_corpus_profiles(corpus_dir, window_ms * 1000, rules)
-    fixed = load_model_file(model_file) if model_file else None
-    return evaluate_profiles(
-        profiles, repeats=repeats, seed=seed, train_frac=train_frac,
-        fixed_model=fixed, threshold=threshold,
     )
 
 
@@ -527,9 +515,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    summary = cmd_eval(
-        args.corpus, args.rules, args.model, args.repeats, args.seed,
-        train_frac=args.train_frac, window_ms=args.window_ms,
+    rules = load_rules_file(args.rules or default_rules_path())
+    profiles = load_corpus_profiles(args.corpus, args.window_ms * 1000, rules)
+    fixed = load_model_file(args.model) if args.model else None
+    summary = evaluate_profiles(
+        profiles, repeats=args.repeats, seed=args.seed, train_frac=args.train_frac,
+        fixed_model=fixed,
     )
     print(f"repeats  : {summary.repeats} (seed {summary.seed})")
     print(f"counts   : tp={summary.tp} fp={summary.fp} tn={summary.tn} fn={summary.fn}")
@@ -540,12 +531,7 @@ def _cmd_eval(args) -> int:
             print(f"latency  : {name} n={stats.n} mean={stats.mean_ms:.1f}ms "
                   f"p50={stats.p50_ms:.1f}ms p90={stats.p90_ms:.1f}ms")
     if args.correlations:
-        rules = load_rules_file(args.rules or default_rules_path())
-        corpus = []
-        for path, _, _, _ in read_corpus_index(args.corpus):
-            manifest, events = load_trace(path)
-            corpus.append((manifest, window_partition(events, args.window_ms * 1000)))
-        print(correlation_report(corpus).as_table())
+        print(correlations_from_rows((p.label, p.X_svm) for p in profiles).as_table())
     if args.latency_table:
         with open(args.latency_table, "w", encoding="utf-8") as f:
             f.write("repeat | trace | label | family | verdict | detector | latency_ms\n")

@@ -172,8 +172,3 @@ class CommandMatcher:
                     emitted_timestamp=e.timestamp,
                 )
         return None
-
-
-def match_command(rules: RuleSet, e: Event) -> Optional[Alert]:
-    """One-shot form of CommandMatcher.match (pure in (rules, event))."""
-    return CommandMatcher(rules).match(e)

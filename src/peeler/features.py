@@ -3,7 +3,9 @@
 Two feature views feed the classifiers: the process-tree shape of a window
 (spawn-heavy screen lockers stand out) and raw per-window event-type counts
 (crypto I/O storms stand out). Trees are rebuilt per window from that
-window's events only, so windows stay independent samples.
+window's events only, so windows stay independent samples. Every function
+here takes the window's event sequence (Window.events); its two feature
+vectors are the one row per window that detect scores and eval keeps.
 """
 
 from __future__ import annotations
@@ -100,12 +102,8 @@ class SvmFeatures:
         )
 
 
-def _events_of(window) -> List[Event]:
-    return window.events if isinstance(window, Window) else list(window)
-
-
-def build_process_tree(window) -> ProcessTree:
-    """Build the window's process forest.
+def build_process_tree(events: Iterable[Event]) -> ProcessTree:
+    """Build the process forest of one window's events.
 
     One node per pid with a Process Start event, plus stub nodes for parents
     referenced by parent_id but not started in the window (image name taken
@@ -114,7 +112,6 @@ def build_process_tree(window) -> ProcessTree:
     attributed to the node's pid. A parent edge that would close a cycle is
     dropped (the child becomes a root) and recorded as a warning.
     """
-    events = _events_of(window)
     images: Dict[int, str] = {}
     started: Dict[int, int] = {}
     threads: Counter = Counter()
@@ -199,16 +196,16 @@ _SVM_KEYS = (
 )
 
 
-def extract_svm_features(window) -> SvmFeatures:
-    """Count the eight tracked (provider, etype) pairs in one window."""
+def extract_svm_features(events: Iterable[Event]) -> SvmFeatures:
+    """Count the eight tracked (provider, etype) pairs in one window's events."""
     counts: Counter = Counter()
-    for e in _events_of(window):
+    for e in events:
         counts[(e.provider, e.etype)] += 1
     return SvmFeatures(*(counts.get(k, 0) for k in _SVM_KEYS))
 
 
-def window_features(window) -> Tuple[MlrFeatures, SvmFeatures]:
-    return extract_mlr_features(build_process_tree(window)), extract_svm_features(window)
+def window_features(events: Sequence[Event]) -> Tuple[MlrFeatures, SvmFeatures]:
+    return extract_mlr_features(build_process_tree(events)), extract_svm_features(events)
 
 
 def pearson_flagged(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, bool]:
@@ -274,17 +271,28 @@ class CorrelationReport:
 
 
 def correlation_report(
-    corpus: Iterable[Tuple[TraceManifest, List[Window]]],
+    corpus: Iterable[Tuple[TraceManifest, Iterable[Window]]],
 ) -> CorrelationReport:
     """Per-window count correlations for the four tracked event pairs,
     computed separately over ransomware-labeled and benign-labeled traces."""
+    return correlations_from_rows(
+        (manifest.label, (extract_svm_features(w.events).as_vector() for w in windows))
+        for manifest, windows in corpus
+    )
+
+
+def correlations_from_rows(
+    traces: Iterable[Tuple[TraceLabel, Iterable[np.ndarray]]],
+) -> CorrelationReport:
+    """correlation_report over each trace's SvmFeatures rows, in window order.
+
+    Traces labeled UNKNOWN are skipped without reading their rows.
+    """
     groups: Dict[bool, List[np.ndarray]] = {True: [], False: []}
-    for manifest, windows in corpus:
-        if manifest.label is TraceLabel.UNKNOWN:
+    for label, rows in traces:
+        if label is TraceLabel.UNKNOWN:
             continue
-        key = manifest.label.is_ransomware
-        for w in windows:
-            groups[key].append(extract_svm_features(w).as_vector())
+        groups[label.is_ransomware].extend(rows)
     if not groups[True] and not groups[False]:
         raise ValueError("corpus is empty")
 

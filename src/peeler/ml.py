@@ -4,6 +4,10 @@ A softmax-regression model over process-tree features and an RBF-kernel SVM
 over event-frequency features are trained separately; at detection time
 their [0, 1] scores are averaged and thresholded. The SVM margin is squashed
 through a logistic to make the two scores commensurable.
+
+Feature rows are plain float vectors (features.MlrFeatures/SvmFeatures
+.as_vector()). Every score comes from the batch functions: fuse_batch scores
+a matrix of window rows, and fuse scores one window as a 1-row matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import numpy as np
 
 from . import kernels
 from .errors import ParseError, SingleClassError, VersionMismatchError
-from .features import MlrFeatures, SvmFeatures
 
 MODEL_MAGIC = "PEELER-MODEL"
 MODEL_VERSION = "v1"
@@ -32,7 +35,7 @@ DEFAULT_THRESHOLD = 0.5
 def _as_matrix(X) -> np.ndarray:
     if isinstance(X, np.ndarray):
         return np.asarray(X, dtype=np.float64)
-    rows = [x.as_vector() if isinstance(x, (MlrFeatures, SvmFeatures)) else np.asarray(x, float) for x in X]
+    rows = [np.asarray(x, float) for x in X]
     return np.vstack(rows) if rows else np.zeros((0, 0))
 
 
@@ -70,12 +73,6 @@ def fit_scaler(samples) -> Scaler:
     degenerate = std == 0.0
     std = np.where(degenerate, 1.0, std)
     return Scaler(mean=mean, std=std, degenerate=degenerate)
-
-
-def apply_scaler(scaler: Scaler, x) -> np.ndarray:
-    if isinstance(x, (MlrFeatures, SvmFeatures)):
-        x = x.as_vector()
-    return scaler.apply(x)
 
 
 @dataclass
@@ -154,17 +151,13 @@ def mlr_class_probabilities(m: MlrModel, x) -> np.ndarray:
 
 
 def mlr_probabilities_batch(m: MlrModel, X) -> np.ndarray:
+    """Softmax probabilities (benign, ransomware), one row per feature row."""
     Xm = _as_matrix(X)
     Xb = np.hstack([m.scaler.apply(Xm), np.ones((Xm.shape[0], 1))])
     scores = Xb @ m.weights.T
     scores -= scores.max(axis=1, keepdims=True)
     e = np.exp(scores)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def predict_mlr(m: MlrModel, x) -> float:
-    """Probability that the window is ransomware."""
-    return float(mlr_class_probabilities(m, x)[1])
 
 
 @dataclass
@@ -225,6 +218,7 @@ def train_svm(
 
 
 def svm_decision_batch(m: SvmModel, X) -> np.ndarray:
+    """Raw margins f(x) = sum_i coef_i K(sv_i, x) + b, one per row."""
     Xs = m.scaler.apply(_as_matrix(X))
     if m.support_vectors.shape[0] == 0:
         return np.full(Xs.shape[0], m.bias)
@@ -232,19 +226,10 @@ def svm_decision_batch(m: SvmModel, X) -> np.ndarray:
     return k @ m.dual_coefs + m.bias
 
 
-def svm_decision(m: SvmModel, x) -> float:
-    """Raw margin f(x) = sum_i coef_i K(sv_i, x) + b."""
-    return float(svm_decision_batch(m, _as_matrix([x]))[0])
-
-
 def predict_svm_batch(m: SvmModel, X) -> np.ndarray:
+    """Margins squashed to [0, 1]; 0.5 sits exactly on the boundary."""
     f = np.clip(svm_decision_batch(m, X), -500.0, 500.0)
     return 1.0 / (1.0 + np.exp(-f))
-
-
-def predict_svm(m: SvmModel, x) -> float:
-    """Margin squashed to [0, 1]; 0.5 sits exactly on the boundary."""
-    return float(predict_svm_batch(m, _as_matrix([x]))[0])
 
 
 @dataclass
@@ -254,14 +239,19 @@ class FusedClassifier:
     threshold: float = DEFAULT_THRESHOLD
 
 
-def fuse(fc: FusedClassifier, x_mlr, x_svm) -> Tuple[float, str]:
-    """Average the two scores; ransomware at or above the threshold."""
-    score = 0.5 * (predict_mlr(fc.mlr, x_mlr) + predict_svm(fc.svm, x_svm))
-    return score, CLASSES[1] if score >= fc.threshold else CLASSES[0]
-
-
 def fuse_batch(fc: FusedClassifier, X_mlr, X_svm) -> np.ndarray:
+    """Average the two scores, one per window row."""
     return 0.5 * (mlr_probabilities_batch(fc.mlr, X_mlr)[:, 1] + predict_svm_batch(fc.svm, X_svm))
+
+
+def fuse(fc: FusedClassifier, x_mlr, x_svm) -> Tuple[float, str]:
+    """Score one window; ransomware at or above the threshold.
+
+    The window is scored alone, as a 1-row batch: a row's score inside a
+    larger batch can differ in the last bits.
+    """
+    score = float(fuse_batch(fc, [x_mlr], [x_svm])[0])
+    return score, CLASSES[1] if score >= fc.threshold else CLASSES[0]
 
 
 # --- persistence ------------------------------------------------------------

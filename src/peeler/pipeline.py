@@ -106,8 +106,8 @@ class Engine:
         events = window.events
         if self.model is None or not events:
             return out
-        mlr, svm = window_features(window)
-        score, verdict = fuse(self.model, mlr, svm)
+        mlr, svm = window_features(events)
+        score, verdict = fuse(self.model, mlr.as_vector(), svm.as_vector())
         if verdict != "ransomware":
             return out
         pid_counts = Counter(e.pid for e in events)

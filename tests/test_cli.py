@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from peeler import kernels
+from peeler import cli, kernels
 from peeler.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -22,10 +22,11 @@ from peeler.cli import (
 )
 from peeler.commands import default_rules_path, load_rules_file
 from peeler.events import Detector
+from peeler.features import correlation_report
 from peeler.ml import FusedClassifier, MlrModel, Scaler, SvmModel, load_model_file, save_model
 from peeler.pipeline import Engine, EngineConfig, run_trace
-from peeler.synth import SynthConfig, default_corpus_spec, synth_corpus
-from peeler.trace_io import TraceLabel, load_trace
+from peeler.synth import SynthConfig, default_corpus_spec, read_corpus_index, synth_corpus
+from peeler.trace_io import TraceLabel, load_trace, window_partition
 from peeler.fileio import PatternKind
 from oracles import ref_mlr_loss_grad, ref_smo_solve
 
@@ -116,19 +117,33 @@ def test_train_then_eval_with_fixed_model(small_corpus, tmp_path, capsys):
 
 
 def test_eval_trains_per_repeat_and_is_deterministic(small_corpus, capsys):
-    from peeler.cli import cmd_eval
-
-    s1 = cmd_eval(small_corpus, None, None, repeats=2, seed=9)
-    s2 = cmd_eval(small_corpus, None, None, repeats=2, seed=9)
+    rules = load_rules_file(default_rules_path())
+    s1 = evaluate_profiles(load_corpus_profiles(small_corpus, 5_000_000, rules), repeats=2, seed=9)
+    s2 = evaluate_profiles(load_corpus_profiles(small_corpus, 5_000_000, rules), repeats=2, seed=9)
     assert (s1.tp, s1.fp, s1.tn, s1.fn) == (s2.tp, s2.fp, s2.tn, s2.fn)
     assert s1.metrics_dict() == s2.metrics_dict()
 
 
-def test_eval_correlations_prints_table(small_corpus, capsys):
+def test_eval_correlations_prints_table(small_corpus, capsys, monkeypatch):
+    decoded = []
+
+    def counting_load_trace(path):
+        decoded.append(path)
+        return load_trace(path)
+
+    monkeypatch.setattr(cli, "load_trace", counting_load_trace)
     assert main(["eval", "--corpus", small_corpus, "--repeats", "1", "--seed", "3",
                  "--correlations"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "(File Read, File Write)" in out
+    # the table comes from the profiles' rows: each trace is decoded once
+    paths = [path for path, _, _, _ in read_corpus_index(small_corpus)]
+    assert sorted(decoded) == sorted(paths)
+    corpus = []
+    for path in paths:
+        manifest, events = load_trace(path)
+        corpus.append((manifest, window_partition(events, 5_000_000)))
+    assert out.endswith("\n" + correlation_report(corpus).as_table() + "\n")
 
 
 def test_eval_single_class_corpus_is_data_error(tmp_path, capsys):
@@ -191,9 +206,8 @@ def test_perfect_detector_stub_yields_perfect_metrics():
 
 
 def test_f1_is_harmonic_mean_of_precision_recall(small_corpus):
-    from peeler.cli import cmd_eval
-
-    s = cmd_eval(small_corpus, None, None, repeats=2, seed=4)
+    rules = load_rules_file(default_rules_path())
+    s = evaluate_profiles(load_corpus_profiles(small_corpus, 5_000_000, rules), repeats=2, seed=4)
     if s.precision + s.recall > 0:
         expected = 2 * s.precision * s.recall / (s.precision + s.recall)
         assert abs(s.f1 - expected) <= 1e-9

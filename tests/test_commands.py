@@ -10,7 +10,6 @@ from peeler.commands import (
     load_rules,
     load_rules_file,
     default_rules_path,
-    match_command,
     normalize_command,
 )
 from peeler.errors import DuplicateRuleIdError, ParseError
@@ -89,16 +88,16 @@ def test_matching_is_case_insensitive(bundled):
 
 def test_first_matching_rule_wins():
     rules = load_rules(io.BytesIO(b"a | attack | net | stop | x\nb | attack | net | stop,vss | y\n"))
-    alert = match_command(rules, ev_proc_start(1, 0, cmdline="net stop vss"))
+    alert = CommandMatcher(rules).match(ev_proc_start(1, 0, cmdline="net stop vss"))
     assert alert.trigger == "a"
 
 
 def test_non_start_events_never_match(bundled):
-    assert match_command(bundled, ev_read(1, 0, 0xA, 0xB)) is None
+    assert CommandMatcher(bundled).match(ev_read(1, 0, 0xA, 0xB)) is None
 
 
 def test_token_mismatch_is_absent(bundled):
-    assert match_command(bundled, ev_proc_start(1, 0, cmdline="net.exe start spooler")) is None
+    assert CommandMatcher(bundled).match(ev_proc_start(1, 0, cmdline="net.exe start spooler")) is None
 
 
 def test_empty_rules_file():
@@ -130,5 +129,5 @@ def test_unknown_goal_rejected():
 
 def test_match_is_pure(bundled):
     e = ev_proc_start(9, 50, cmdline=ATTACK_COMMANDS[0])
-    results = {match_command(bundled, e).trigger for _ in range(5)}
+    results = {CommandMatcher(bundled).match(e).trigger for _ in range(5)}
     assert len(results) == 1

@@ -152,7 +152,7 @@ def test_window_sums_equal_whole_trace_counts():
     events = random_events(rng, 500)
     whole = extract_svm_features(events).as_vector()
     windows = window_partition(events, 250_000)
-    summed = np.sum([extract_svm_features(w).as_vector() for w in windows], axis=0)
+    summed = np.sum([extract_svm_features(w.events).as_vector() for w in windows], axis=0)
     assert np.array_equal(whole, summed)
 
 

@@ -11,15 +11,15 @@ from peeler.ml import (
     MlrModel,
     Scaler,
     SvmModel,
-    apply_scaler,
     fit_scaler,
     fuse,
+    fuse_batch,
     load_model,
     mlr_class_probabilities,
-    predict_mlr,
-    predict_svm,
+    mlr_probabilities_batch,
+    predict_svm_batch,
     save_model,
-    svm_decision,
+    svm_decision_batch,
     train_mlr,
     train_svm,
 )
@@ -40,8 +40,8 @@ def _separable(n=20, d=5, gap=4.0, seed=0):
 def test_scaler_two_points():
     s = fit_scaler(np.array([[0.0], [2.0]]))
     assert s.mean[0] == 1.0 and s.std[0] == 1.0
-    assert apply_scaler(s, np.array([0.0]))[0] == -1.0
-    assert apply_scaler(s, np.array([2.0]))[0] == 1.0
+    assert s.apply(np.array([0.0]))[0] == -1.0
+    assert s.apply(np.array([2.0]))[0] == 1.0
 
 
 def test_scaler_constant_feature_flagged():
@@ -70,7 +70,7 @@ def test_scaled_moments_are_standard():
 def test_mlr_separable_training_accuracy():
     X, y = _separable()
     m = train_mlr(X, y)
-    preds = [predict_mlr(m, x) >= 0.5 for x in X]
+    preds = (mlr_probabilities_batch(m, X)[:, 1] >= 0.5).tolist()
     assert preds == [bool(v) for v in y]
     assert m.converged
 
@@ -86,7 +86,7 @@ def test_mlr_no_signal_predicts_prior():
     X = np.ones((8, 5))
     y = np.array([1, 0, 0, 1, 0, 0, 0, 0])  # prior 0.25
     m = train_mlr(X, y)
-    assert predict_mlr(m, X[0]) == pytest.approx(0.25, abs=0.02)
+    assert mlr_probabilities_batch(m, X[:1])[:, 1][0] == pytest.approx(0.25, abs=0.02)
 
 
 def test_mlr_single_class_rejected():
@@ -107,14 +107,15 @@ def test_mlr_label_shape_mismatch():
 def test_mlr_zero_weights_give_half():
     s = Scaler(np.zeros(5), np.ones(5), np.zeros(5, dtype=bool))
     m = MlrModel(weights=np.zeros((2, 6)), scaler=s, l2=0.0, converged=True, n_iter=0)
-    assert predict_mlr(m, np.zeros(5)) == 0.5
+    assert mlr_probabilities_batch(m, np.zeros((1, 5)))[:, 1][0] == 0.5
 
 
 def test_mlr_probability_monotone_in_margin():
     s = Scaler(np.zeros(1), np.ones(1), np.zeros(1, dtype=bool))
     w = np.array([[0.0, 0.0], [1.0, 0.0]])  # ransomware score = x
     m = MlrModel(weights=w, scaler=s, l2=0.0, converged=True, n_iter=0)
-    probs = [predict_mlr(m, np.array([v])) for v in (0.0, 2.0, 8.0, 30.0, 200.0)]
+    margins = np.array([[0.0], [2.0], [8.0], [30.0], [200.0]])
+    probs = mlr_probabilities_batch(m, margins)[:, 1].tolist()
     assert probs[0] == 0.5
     assert all(b > a for a, b in zip(probs, probs[1:]))
     assert probs[-1] > 1.0 - 1e-12
@@ -136,7 +137,7 @@ def test_svm_xor_training_accuracy():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     y = np.array([0, 0, 1, 1])
     m = train_svm(X, y, c=10.0, gamma=1.0)
-    assert [predict_svm(m, x) >= 0.5 for x in X] == [False, False, True, True]
+    assert (predict_svm_batch(m, X) >= 0.5).tolist() == [False, False, True, True]
 
 
 def test_svm_conflicting_duplicates_at_bound():
@@ -190,15 +191,15 @@ def test_svm_decision_zero_scores_half():
         passes=0,
         dual_objective=0.0,
     )
-    assert svm_decision(m, np.ones(8)) == 0.0
-    assert predict_svm(m, np.ones(8)) == 0.5
+    assert svm_decision_batch(m, np.ones((1, 8)))[0] == 0.0
+    assert predict_svm_batch(m, np.ones((1, 8)))[0] == 0.5
 
 
 def test_svm_isolated_support_vector_dominates_own_score():
     X = np.vstack([np.full((1, 8), 8.0), np.random.default_rng(9).normal(size=(9, 8)) - 3.0])
     y = np.array([1] + [0] * 9)
     m = train_svm(X, y, gamma=0.5)
-    assert predict_svm(m, X[0]) > 0.5
+    assert predict_svm_batch(m, X[:1])[0] > 0.5
 
 
 def test_svm_gamma_defaults_to_inverse_dim():
@@ -223,14 +224,14 @@ def test_affine_feature_rescale_leaves_predictions_unchanged():
 
     m1 = train_mlr(X, y)
     m2 = train_mlr(X * scale + shift, y)
-    p1 = np.array([predict_mlr(m1, x) for x in probe])
-    p2 = np.array([predict_mlr(m2, x * scale + shift) for x in probe])
+    p1 = mlr_probabilities_batch(m1, probe)[:, 1]
+    p2 = mlr_probabilities_batch(m2, probe * scale + shift)[:, 1]
     assert np.allclose(p1, p2, atol=1e-9)
 
     s1 = train_svm(X, y, gamma=0.2)
     s2 = train_svm(X * scale + shift, y, gamma=0.2)
-    q1 = np.array([predict_svm(s1, x) for x in probe])
-    q2 = np.array([predict_svm(s2, x * scale + shift) for x in probe])
+    q1 = predict_svm_batch(s1, probe)
+    q2 = predict_svm_batch(s2, probe * scale + shift)
     assert np.allclose(q1, q2, atol=1e-9)
 
 
@@ -285,6 +286,21 @@ def _trained_fused(seed=20):
     X5, y = _separable(n=15, d=5, gap=1.2, seed=seed)
     X8, _ = _separable(n=15, d=8, gap=1.2, seed=seed + 1)
     return FusedClassifier(mlr=train_mlr(X5, y), svm=train_svm(X8, y), threshold=0.5)
+
+
+@pytest.mark.parametrize("seed", [24, 26, 28])
+def test_fuse_is_a_one_row_fuse_batch(seed):
+    fc = _trained_fused(seed=seed)
+    rng = np.random.default_rng(seed)
+    X5 = rng.normal(size=(200, 5)) * 3
+    X8 = rng.normal(size=(200, 8)) * 3
+    verdicts = set()
+    for x5, x8 in zip(X5, X8):
+        score, verdict = fuse(fc, x5, x8)
+        assert score == fuse_batch(fc, x5[None], x8[None])[0]
+        assert verdict == ("ransomware" if score >= fc.threshold else "benign")
+        verdicts.add(verdict)
+    assert verdicts == {"ransomware", "benign"}
 
 
 def test_model_round_trip_identical_predictions():

@@ -241,7 +241,7 @@ def _tiny_model(seed=30):
         for w in window_partition(events, 5_000_000):
             if len(w.events) < 10 and label == 1:
                 continue
-            mlr, svm = window_features(w)
+            mlr, svm = window_features(w.events)
             X_mlr.append(mlr.as_vector())
             X_svm.append(svm.as_vector())
             y.append(label)
