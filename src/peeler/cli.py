@@ -74,7 +74,6 @@ class TraceProfile:
     label: TraceLabel
     family: str
     attack_onset: int
-    duration: int
     rule_alert_ts: Optional[int]
     pattern_alert_ts: Optional[int]
     window_ends: np.ndarray
@@ -95,11 +94,13 @@ def profile_trace(path: str, window_len: int, rules: RuleSet) -> TraceProfile:
     ends, counts, x_mlr, x_svm = [], [], [], []
     for w in window_partition(events, window_len):
         for e in w.events:
-            for alert in engine.process_event(e):
-                if alert.detector is Detector.COMMAND_RULE and rule_ts is None:
-                    rule_ts = alert.event_timestamp
-                elif alert.detector is Detector.FILE_IO_PATTERN and pattern_ts is None:
-                    pattern_ts = alert.event_timestamp
+            alert = engine.process_event(e)
+            if alert is None:
+                continue
+            if alert.detector is Detector.COMMAND_RULE and rule_ts is None:
+                rule_ts = alert.event_timestamp
+            elif alert.detector is Detector.FILE_IO_PATTERN and pattern_ts is None:
+                pattern_ts = alert.event_timestamp
         mlr, svm = window_features(w.events)
         ends.append(w.end)
         counts.append(len(w.events))
@@ -110,7 +111,6 @@ def profile_trace(path: str, window_len: int, rules: RuleSet) -> TraceProfile:
         label=manifest.label,
         family=manifest.family,
         attack_onset=manifest.attack_onset,
-        duration=manifest.duration,
         rule_alert_ts=rule_ts,
         pattern_alert_ts=pattern_ts,
         window_ends=np.array(ends, dtype=np.int64),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fnmatch import translate as _glob_translate
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
-from .errors import DuplicateRuleIdError, ParseError
+from .errors import DuplicateRuleIdError, ParseError, decode_utf8
 from .events import Alert, Detector, Event, EventType, ProcessAttrs, Provider
 
 GOALS = ("stealth", "attack", "payment_guidance")
@@ -101,7 +101,7 @@ def load_rules(source: BinaryIO) -> RuleSet:
     version = "0"
     rules: List[CommandRule] = []
     seen = set()
-    text = source.read().decode("utf-8")
+    text = decode_utf8(source.read())
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:

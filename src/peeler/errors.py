@@ -1,4 +1,4 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the input decode that raises one."""
 
 
 class PeelerError(Exception):
@@ -12,6 +12,14 @@ class ParseError(PeelerError):
         super().__init__(f"line {line}: {reason}")
         self.line = line
         self.reason = reason
+
+
+def decode_utf8(data: bytes) -> str:
+    """Decode a whole input file; invalid UTF-8 is a ParseError naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from None
 
 
 class SchemaError(PeelerError):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Union
+from typing import List, Union
 
 
 class Provider(Enum):
@@ -161,13 +161,6 @@ PATTERN_LETTERS = {
     EventType.DELETE: "D",
     EventType.FILE_DELETE: "D",
 }
-
-
-def pattern_letter(e: Event) -> Optional[str]:
-    """Map a File event to its pattern letter (C/R/W/N/D); None otherwise."""
-    if e.provider is not Provider.FILE:
-        return None
-    return PATTERN_LETTERS.get(e.etype)
 
 
 def validate_event(e: Event) -> List[str]:

@@ -260,13 +260,13 @@ class CorrelationReport:
     n_ransomware_windows: int
     n_benign_windows: int
 
-    def as_table(self, sep: str = " | ") -> str:
-        lines = [sep.join(["events pair", "ransomware", "benign"])]
+    def as_table(self) -> str:
+        lines = [" | ".join(["events pair", "ransomware", "benign"])]
         for row in self.rows:
             cells = []
             for cell in (row.ransomware, row.benign):
                 cells.append("degenerate" if cell.degenerate else f"{cell.coefficient:.4f}")
-            lines.append(sep.join([f"({row.pair[0]}, {row.pair[1]})"] + cells))
+            lines.append(" | ".join([f"({row.pair[0]}, {row.pair[1]})"] + cells))
         return "\n".join(lines)
 
 

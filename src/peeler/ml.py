@@ -7,7 +7,9 @@ through a logistic to make the two scores commensurable.
 
 Feature rows are plain float vectors (features.MlrFeatures/SvmFeatures
 .as_vector()). Every score comes from the batch functions: fuse_batch scores
-a matrix of window rows, and fuse scores one window as a 1-row matrix.
+a matrix of window rows, and fuse scores one window as a 1-row matrix. Each
+row's dot products are summed along the row itself, never through a matrix
+product, so a row scores the same bits in a batch of any size.
 """
 
 from __future__ import annotations
@@ -18,18 +20,27 @@ from typing import BinaryIO, List, Tuple
 import numpy as np
 
 from . import kernels
-from .errors import ParseError, SingleClassError, VersionMismatchError
+from .errors import ParseError, SingleClassError, VersionMismatchError, decode_utf8
+from .features import MlrFeatures, SvmFeatures
 
 MODEL_MAGIC = "PEELER-MODEL"
 MODEL_VERSION = "v1"
 
 CLASSES = ("benign", "ransomware")
 
-DEFAULT_L2 = 1e-3
-DEFAULT_C = 10.0
-DEFAULT_TOL = 1e-3
-DEFAULT_MAX_PASSES = 400
+# Training hyperparameters: the MLR's L2 penalty, iteration cap and gradient
+# tolerance, and the SVM's box bound, KKT tolerance and pass budget.
+MLR_L2 = 1e-3
+MLR_MAX_ITER = 500
+MLR_GRAD_TOL = 1e-6
+SVM_C = 10.0
+SVM_TOL = 1e-3
+SVM_MAX_PASSES = 400
 DEFAULT_THRESHOLD = 0.5
+
+# Row widths of the two feature vectors; a model file must match them.
+MLR_WIDTH = len(MlrFeatures.__dataclass_fields__)
+SVM_WIDTH = len(SvmFeatures.__dataclass_fields__)
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -91,18 +102,12 @@ class MlrModel:
         return CLASSES
 
 
-def train_mlr(
-    X,
-    y,
-    l2: float = DEFAULT_L2,
-    max_iter: int = 500,
-    grad_tol: float = 1e-6,
-) -> MlrModel:
+def train_mlr(X, y) -> MlrModel:
     """Fit by full-batch gradient descent with backtracking line search.
 
     The accepted step always decreases the regularized loss, so the loss
     history is non-increasing; converged means the gradient norm fell below
-    grad_tol before max_iter.
+    MLR_GRAD_TOL within MLR_MAX_ITER iterations.
     """
     Xm = _as_matrix(X)
     n = Xm.shape[0]
@@ -115,14 +120,14 @@ def train_mlr(
     Xb = np.hstack([scaler.apply(Xm), np.ones((n, 1))])
     W = np.zeros((2, Xb.shape[1]))
 
-    loss, grad = kernels.mlr_loss_grad(W, Xb, ym, l2)
+    loss, grad = kernels.mlr_loss_grad(W, Xb, ym, MLR_L2)
     history = [float(loss)]
     converged = False
     step = 1.0
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MLR_MAX_ITER + 1):
         gnorm2 = float((grad * grad).sum())
-        if np.sqrt(gnorm2) < grad_tol:
+        if np.sqrt(gnorm2) < MLR_GRAD_TOL:
             converged = True
             it -= 1
             break
@@ -130,7 +135,7 @@ def train_mlr(
         t = step
         while t > 1e-14:
             Wc = W - t * grad
-            closs, cgrad = kernels.mlr_loss_grad(Wc, Xb, ym, l2)
+            closs, cgrad = kernels.mlr_loss_grad(Wc, Xb, ym, MLR_L2)
             if closs <= loss - 1e-4 * t * gnorm2:
                 W, loss, grad = Wc, closs, cgrad
                 history.append(float(loss))
@@ -141,7 +146,7 @@ def train_mlr(
         if not accepted:
             break  # no descent step representable; treat as stalled
     return MlrModel(
-        weights=W, scaler=scaler, l2=l2, converged=converged, n_iter=it, loss_history=history
+        weights=W, scaler=scaler, l2=MLR_L2, converged=converged, n_iter=it, loss_history=history
     )
 
 
@@ -154,7 +159,7 @@ def mlr_probabilities_batch(m: MlrModel, X) -> np.ndarray:
     """Softmax probabilities (benign, ransomware), one row per feature row."""
     Xm = _as_matrix(X)
     Xb = np.hstack([m.scaler.apply(Xm), np.ones((Xm.shape[0], 1))])
-    scores = Xb @ m.weights.T
+    scores = (Xb[:, None, :] * m.weights).sum(-1)
     scores -= scores.max(axis=1, keepdims=True)
     e = np.exp(scores)
     return e / e.sum(axis=1, keepdims=True)
@@ -176,14 +181,7 @@ class SvmModel:
     dual_objective: float
 
 
-def train_svm(
-    X,
-    y,
-    c: float = DEFAULT_C,
-    gamma: float = None,
-    tol: float = DEFAULT_TOL,
-    max_passes: int = DEFAULT_MAX_PASSES,
-) -> SvmModel:
+def train_svm(X, y, gamma: float = None) -> SvmModel:
     """Fit the dual with the pairwise optimizer in kernels.smo_solve.
 
     gamma defaults to 1/n_features. When the pass budget runs out before the
@@ -200,7 +198,7 @@ def train_svm(
     Xs = scaler.apply(Xm)
     yy = np.where(ym == 1, 1.0, -1.0)
     gram = kernels.rbf_gram(Xs, Xs, gamma)
-    alpha, bias, passes, converged = kernels.smo_solve(gram, yy, c, tol, max_passes)
+    alpha, bias, passes, converged = kernels.smo_solve(gram, yy, SVM_C, SVM_TOL, SVM_MAX_PASSES)
     ay = alpha * yy
     objective = float(alpha.sum() - 0.5 * (ay @ gram @ ay))
     keep = alpha > 1e-10
@@ -209,7 +207,7 @@ def train_svm(
         dual_coefs=ay[keep],
         bias=float(bias),
         gamma=float(gamma),
-        c=float(c),
+        c=SVM_C,
         scaler=scaler,
         converged=bool(converged),
         passes=int(passes),
@@ -223,7 +221,7 @@ def svm_decision_batch(m: SvmModel, X) -> np.ndarray:
     if m.support_vectors.shape[0] == 0:
         return np.full(Xs.shape[0], m.bias)
     k = kernels.rbf_gram(Xs, m.support_vectors, m.gamma)
-    return k @ m.dual_coefs + m.bias
+    return (k * m.dual_coefs).sum(-1) + m.bias
 
 
 def predict_svm_batch(m: SvmModel, X) -> np.ndarray:
@@ -245,11 +243,7 @@ def fuse_batch(fc: FusedClassifier, X_mlr, X_svm) -> np.ndarray:
 
 
 def fuse(fc: FusedClassifier, x_mlr, x_svm) -> Tuple[float, str]:
-    """Score one window; ransomware at or above the threshold.
-
-    The window is scored alone, as a 1-row batch: a row's score inside a
-    larger batch can differ in the last bits.
-    """
+    """Score one window as a 1-row batch; ransomware at or above the threshold."""
     score = float(fuse_batch(fc, [x_mlr], [x_svm])[0])
     return score, CLASSES[1] if score >= fc.threshold else CLASSES[0]
 
@@ -320,20 +314,32 @@ def _parse_sections(text: str):
     return sections
 
 
-def _vec(s: str) -> np.ndarray:
-    return np.array([float(t) for t in s.split()], dtype=np.float64) if s else np.zeros(0)
+def _num(s: str) -> float:
+    x = float(s)
+    if not np.isfinite(x):
+        raise ValueError(f"{s!r} is not finite")
+    return x
 
 
-def _scaler_from(sec: dict) -> Scaler:
-    return Scaler(
-        mean=_vec(sec["mean"]),
-        std=_vec(sec["std"]),
-        degenerate=np.array([t == "1" for t in sec["degenerate"].split()]),
-    )
+def _vec(s: str, width: int) -> np.ndarray:
+    v = np.array([_num(t) for t in s.split()], dtype=np.float64)
+    if len(v) != width:
+        raise ValueError(f"expected {width} values, got {len(v)}")
+    return v
+
+
+def _scaler_from(sec: dict, width: int) -> Scaler:
+    std = _vec(sec["std"], width)
+    flags = sec["degenerate"].split()
+    if not (std > 0).all() or len(flags) != width:
+        raise ValueError(f"a scaler needs {width} positive std values and {width} degenerate flags")
+    return Scaler(mean=_vec(sec["mean"], width), std=std, degenerate=np.array([t == "1" for t in flags]))
 
 
 def load_model(source: BinaryIO) -> FusedClassifier:
-    text = source.read().decode("utf-8")
+    """Read a model file. Every number must be finite and every row as wide
+    as the scorers read; anything else is a ParseError."""
+    text = decode_utf8(source.read())
     first, _, rest = text.partition("\n")
     if not first.startswith(MODEL_MAGIC + " "):
         raise ParseError(1, "missing model header magic")
@@ -342,33 +348,34 @@ def load_model(source: BinaryIO) -> FusedClassifier:
         raise VersionMismatchError(f"unsupported model version {version!r}")
     try:
         sec = _parse_sections(rest)
-        mlr_scaler = _scaler_from(sec["scaler.mlr"])
+        mlr_scaler = _scaler_from(sec["scaler.mlr"], MLR_WIDTH)
         msec = sec["mlr"]
-        weights = np.vstack([_vec(msec[f"weights.{cls}"]) for cls in CLASSES])
+        weights = np.vstack([_vec(msec[f"weights.{cls}"], MLR_WIDTH + 1) for cls in CLASSES])
         mlr = MlrModel(
             weights=weights,
             scaler=mlr_scaler,
-            l2=float(msec["l2"]),
+            l2=_num(msec["l2"]),
             converged=msec["converged"] == "1",
             n_iter=int(msec["n_iter"]),
         )
-        svm_scaler = _scaler_from(sec["scaler.svm"])
+        svm_scaler = _scaler_from(sec["scaler.svm"], SVM_WIDTH)
         ssec = sec["svm"]
-        coefs = _vec(ssec["coef"])
-        svs = [ _vec(ssec[f"sv.{i}"]) for i in range(len(coefs)) ]
-        sv_matrix = np.vstack(svs) if svs else np.zeros((0, len(svm_scaler.mean)))
+        # one coef per support vector
+        coefs = _vec(ssec["coef"], sum(key.startswith("sv.") for key in ssec))
+        svs = [_vec(ssec[f"sv.{i}"], SVM_WIDTH) for i in range(len(coefs))]
+        sv_matrix = np.vstack(svs) if svs else np.zeros((0, SVM_WIDTH))
         svm = SvmModel(
             support_vectors=sv_matrix,
             dual_coefs=coefs,
-            bias=float(ssec["bias"]),
-            gamma=float(ssec["gamma"]),
-            c=float(ssec["c"]),
+            bias=_num(ssec["bias"]),
+            gamma=_num(ssec["gamma"]),
+            c=_num(ssec["c"]),
             scaler=svm_scaler,
             converged=ssec["converged"] == "1",
             passes=int(ssec["passes"]),
-            dual_objective=float(ssec["dual_objective"]),
+            dual_objective=_num(ssec["dual_objective"]),
         )
-        threshold = float(sec["fusion"]["threshold"])
+        threshold = _num(sec["fusion"]["threshold"])
     except KeyError as exc:
         raise ParseError(0, f"missing model key {exc.args[0]!r}") from None
     except ValueError as exc:

@@ -5,9 +5,11 @@ The engine holds no window state: run_trace cuts the stream with
 trace_io.window_partition, the same windowing that eval uses, feeds each
 window's events to process_event and then hands the window to flush_window.
 Command rules and the file I/O matcher see every event as it arrives and can
-alert mid-window; the ML stage fires only when a window closes. A pid that
-has alerted is quarantined (further alerts suppressed) when quarantine is
-on; the stream itself is never stopped, so one run measures every detector.
+alert mid-window; the ML stage fires only when a window closes. Each call
+returns its one alert or None, since a File event reaches only the matcher, a
+Process Start only the rules and a window only the classifier. A pid that has
+alerted is quarantined (further alerts suppressed) when quarantine is on; the
+stream itself is never stopped, so one run measures every detector.
 """
 
 from __future__ import annotations
@@ -71,59 +73,56 @@ class Engine:
         self.events_processed = 0
         self.quarantined = set()
 
-    def _emit(self, alert: Optional[Alert], out: List[Alert]) -> None:
+    def _emit(self, alert: Optional[Alert]) -> Optional[Alert]:
+        """Record alert unless quarantine suppresses it; returns what was recorded."""
         if alert is None:
-            return
+            return None
         if alert.pid in self.quarantined:
             if self.config.quarantine:
-                return
+                return None
         else:
             self.quarantined.add(alert.pid)
         self.alerts.append(alert)
-        out.append(alert)
+        return alert
 
-    def process_event(self, e: Event) -> List[Alert]:
-        """Feed one event to the per-event detectors; returns their alerts."""
-        out: List[Alert] = []
+    def process_event(self, e: Event) -> Optional[Alert]:
+        """Feed one event to the per-event detectors; returns its alert or None."""
         self.events_processed += 1
         prov = e.provider
         if prov is Provider.FILE:
-            self._emit(self.matcher.ingest(e), out)
-        elif prov is Provider.PROCESS:
+            return self._emit(self.matcher.ingest(e))
+        if prov is Provider.PROCESS:
             self.matcher.ingest(e)  # feeds the pid-image exemption map
             if e.etype is EventType.START:
-                self._emit(self.commands.match(e), out)
-        return out
+                return self._emit(self.commands.match(e))
+        return None
 
-    def flush_window(self, window: Window) -> List[Alert]:
-        """Classify one closed window when the ML stage is on; returns its alerts.
+    def flush_window(self, window: Window) -> Optional[Alert]:
+        """Classify one closed window when the ML stage is on; returns its alert or None.
 
         The alert is attributed to the pid contributing the most window
         events (system/explorer excluded), with the top contenders recorded
         in the trigger text.
         """
-        out: List[Alert] = []
         events = window.events
         if self.model is None or not events:
-            return out
+            return None
         mlr, svm = window_features(events)
         score, verdict = fuse(self.model, mlr.as_vector(), svm.as_vector())
         if verdict != "ransomware":
-            return out
+            return None
         pid_counts = Counter(e.pid for e in events)
         pid_images = self.matcher.pid_images
         ranked = [(n, p) for p, n in pid_counts.items() if not is_exempt(p, pid_images)]
         ranked.sort(key=lambda t: (-t[0], t[1]))
         top = [p for _, p in ranked[:3]]
-        alert = Alert(
+        return self._emit(Alert(
             detector=Detector.ML_CLASSIFIER,
             pid=top[0] if top else events[0].pid,
             trigger=f"score={score:.4f} top_pids={top}",
             event_timestamp=window.end,
             emitted_timestamp=window.end,
-        )
-        self._emit(alert, out)
-        return out
+        ))
 
 
 def run_trace(engine: Engine, manifest: TraceManifest, events: Iterable[Event]) -> DetectionReport:

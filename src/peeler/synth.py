@@ -16,10 +16,9 @@ same lineage.
 
 Event-count couplings (reads vs writes, process starts vs image loads,
 ends vs unloads, thread starts vs ends) come from per-entity mechanics plus
-the noise levels in CorrelationKnobs; the shipped defaults are calibrated
-so the default corpus lands near the observed per-pair coefficients. That
-calibration reproduces the statistics of the measurement pipeline, not real
-malware.
+the noise-level constants below; they are calibrated so the default corpus
+lands near the observed per-pair coefficients. That calibration reproduces
+the statistics of the measurement pipeline, not real malware.
 """
 
 from __future__ import annotations
@@ -85,17 +84,20 @@ class SpawnProfile:
     n_threads: int
 
 
-@dataclass(frozen=True)
-class CorrelationKnobs:
-    """Noise levels behind the four tracked event-pair correlations."""
+# Noise levels behind the four tracked event-pair correlations.
+WRITE_RATIO_LOW = 0.6  # writes per read burst, lower bound
+WRITE_RATIO_HIGH = 1.4
+SCAN_READ_LEVEL = 0.72  # crypto directory-scan read bursts (no writes)
+DESKTOP_RW_COUPLING = 0.12  # benign write counts tracking reads
+DESKTOP_RW_NOISE = 5.0
 
-    write_ratio_low: float = 0.6  # writes per read burst, lower bound
-    write_ratio_high: float = 1.4
-    scan_read_level: float = 0.72  # crypto directory-scan read bursts (no writes)
-    image_noise: float = 3.0  # background loads/unloads per busy window
-    thread_noise: float = 2.0  # background unpaired thread events
-    desktop_rw_coupling: float = 0.12  # benign write counts tracking reads
-    desktop_rw_noise: float = 5.0
+# Gap between consecutive events of one encryption lineage, in microseconds.
+LINEAGE_GAP_LO = 150
+LINEAGE_GAP_HI = 2500
+
+# Every INJECT_EVERY-th attack trace of the default corpus carries injected
+# attack commands.
+INJECT_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,6 @@ class SynthConfig:
     duration: int = 60_000_000
     command_injection: bool = False
     intensity: float = 1.0  # activity multiplier (desktop profile)
-    knobs: CorrelationKnobs = CorrelationKnobs()
 
     def validate(self) -> None:
         if self.archetype not in ARCHETYPES:
@@ -213,7 +214,7 @@ def _dll(rng: np.random.Generator) -> str:
 # --- crypto lineages ---------------------------------------------------------
 
 
-def _lineage(kind, rng, pid, tid, alloc, name, t, gap_lo=150, gap_hi=2500, knobs=CorrelationKnobs()):
+def _lineage(kind, rng, pid, tid, alloc, name, t):
     """Emit one complete encryption lineage starting at time t.
 
     Returns (events, end_time). The letter word of the lineage is a word of
@@ -223,14 +224,14 @@ def _lineage(kind, rng, pid, tid, alloc, name, t, gap_lo=150, gap_hi=2500, knobs
 
     def adv():
         nonlocal t
-        t += int(rng.integers(gap_lo, gap_hi))
+        t += int(rng.integers(LINEAGE_GAP_LO, LINEAGE_GAP_HI))
         return t
 
     def rw_rounds(read_fk, read_obj, write_fk, write_obj):
         rounds = int(rng.integers(1, 4))
         for _ in range(rounds):
             n_r = int(rng.integers(2, 9))
-            ratio = rng.uniform(knobs.write_ratio_low, knobs.write_ratio_high)
+            ratio = rng.uniform(WRITE_RATIO_LOW, WRITE_RATIO_HIGH)
             n_w = max(1, int(round(n_r * ratio)))
             for _ in range(n_r):
                 events.append(_read(pid, adv(), read_fk, read_obj, int(rng.integers(1, 257)) * 4096, tid))
@@ -260,7 +261,7 @@ def _lineage(kind, rng, pid, tid, alloc, name, t, gap_lo=150, gap_hi=2500, knobs
         for _ in range(n_r):
             events.append(_read(pid, adv(), a, b, int(rng.integers(1, 257)) * 4096, tid))
         events.append(_create(pid, adv(), b, name + ".crypt", tid))
-        n_w = max(1, int(round(n_r * rng.uniform(knobs.write_ratio_low, knobs.write_ratio_high))))
+        n_w = max(1, int(round(n_r * rng.uniform(WRITE_RATIO_LOW, WRITE_RATIO_HIGH))))
         for _ in range(n_w):
             events.append(_write(pid, adv(), b, g, int(rng.integers(1, 257)) * 4096, tid))
         for _ in range(int(rng.integers(0, 3))):
@@ -273,7 +274,7 @@ def _lineage(kind, rng, pid, tid, alloc, name, t, gap_lo=150, gap_hi=2500, knobs
         for _ in range(n_r):
             events.append(_read(pid, adv(), a, b, int(rng.integers(1, 257)) * 4096, tid))
         events.append(_create(pid, adv(), b, name + ".tmp", tid))
-        n_w = max(1, int(round(n_r * rng.uniform(knobs.write_ratio_low, knobs.write_ratio_high))))
+        n_w = max(1, int(round(n_r * rng.uniform(WRITE_RATIO_LOW, WRITE_RATIO_HIGH))))
         for _ in range(n_w):
             events.append(_write(pid, adv(), b, g, int(rng.integers(1, 257)) * 4096, tid))
         for _ in range(int(rng.integers(0, 3))):
@@ -284,7 +285,7 @@ def _lineage(kind, rng, pid, tid, alloc, name, t, gap_lo=150, gap_hi=2500, knobs
     return events, t
 
 
-def _background_churn(events, rng, pid, alloc, t0, t1, knobs):
+def _background_churn(events, rng, pid, alloc, t0, t1):
     """Low-rate image/thread noise decoupled from process lifecycles."""
     t = t0
     while True:
@@ -319,7 +320,6 @@ def _inject_commands(events, info, rng, alloc, parent_pid, t0, commands):
 
 def _gen_crypto(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event], GenInfo, str]:
     alloc = _Alloc(rng)
-    knobs = cfg.knobs
     info = GenInfo()
     events: List[Event] = []
     family = CRYPTO_FAMILIES[cfg.pattern]
@@ -328,7 +328,7 @@ def _gen_crypto(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event]
     info.attack_onset = onset
     # light desktop noise before the attack
     noise_pid = alloc.pid()
-    _background_churn(events, rng, noise_pid, alloc, 0, onset, knobs)
+    _background_churn(events, rng, noise_pid, alloc, 0, onset)
 
     mal_pid = alloc.pid()
     events.append(_proc_start(mal_pid, onset, f"{family.lower()}.exe", f"{family.lower()}.exe", noise_pid, alloc))
@@ -346,7 +346,7 @@ def _gen_crypto(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event]
     for i in range(cfg.n_files):
         directory = USER_DIRS[int(rng.integers(len(USER_DIRS)))]
         name = _file_name(rng, directory)
-        lineage, end = _lineage(cfg.pattern, rng, mal_pid, tid, alloc, name, int(starts[i]), knobs=cfg.knobs)
+        lineage, end = _lineage(cfg.pattern, rng, mal_pid, tid, alloc, name, int(starts[i]))
         events.extend(lineage)
         info.file_completions.append(end)
     # directory enumeration between encryption rounds: bursty read-only
@@ -355,11 +355,11 @@ def _gen_crypto(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event]
     while t < cfg.duration - 1_000_000:
         t += int(rng.integers(1_200_000, 5_000_000))
         if rng.random() < 0.85:
-            burst = int(rng.integers(4, 44) * knobs.scan_read_level)
+            burst = int(rng.integers(4, 44) * SCAN_READ_LEVEL)
             obj = alloc.key()
             for k in range(burst):
                 events.append(_read(mal_pid, t + 350 * k, obj, alloc.key(), 4096, tid))
-    _background_churn(events, rng, mal_pid, alloc, onset, cfg.duration, knobs)
+    _background_churn(events, rng, mal_pid, alloc, onset, cfg.duration)
     return events, info, family
 
 
@@ -368,7 +368,6 @@ def _gen_crypto(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event]
 
 def _gen_locker(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event], GenInfo, str]:
     alloc = _Alloc(rng)
-    knobs = cfg.knobs
     info = GenInfo()
     events: List[Event] = []
     profile = cfg.spawn_profile or DEFAULT_LOCKER_PROFILE
@@ -436,7 +435,7 @@ def _gen_locker(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event]
         for _ in range(n_loads):
             tu += int(rng.integers(1_000, 40_000))
             events.append(_image(pid, tu, EventType.UNLOAD, _dll(rng), 131072, alloc))
-    _background_churn(events, rng, root, alloc, onset, cfg.duration, knobs)
+    _background_churn(events, rng, root, alloc, onset, cfg.duration)
     return events, info, "VirLock"
 
 
@@ -476,7 +475,7 @@ def _gen_crypto_like(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[E
         for _ in range(count):
             t += int(rng.integers(200, 2_000))
             events.append(_write(pid, t, archive_obj, alloc.key(), int(rng.integers(1, 129)) * 4096, tid))
-    _background_churn(events, rng, pid, alloc, 0, cfg.duration, cfg.knobs)
+    _background_churn(events, rng, pid, alloc, 0, cfg.duration)
     return events, info, "7zip"
 
 
@@ -533,13 +532,12 @@ def _gen_spawner(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event
             obj = alloc.key()
             events.append(_create(root, t, obj, "c:/users/user/appdata/pycharm/workspace.xml", tid))
             events.append(_write(root, t + 700, obj, alloc.key(), 8192, tid))
-    _background_churn(events, rng, root, alloc, 0, cfg.duration, cfg.knobs)
+    _background_churn(events, rng, root, alloc, 0, cfg.duration)
     return events, info, "Pycharm"
 
 
 def _gen_desktop(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event], GenInfo, str]:
     alloc = _Alloc(rng)
-    knobs = cfg.knobs
     info = GenInfo()
     events: List[Event] = []
     apps = [
@@ -570,7 +568,7 @@ def _gen_desktop(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event
         # per-window activity level modulates both reads and (weakly) writes
         level = rng.gamma(2.0, 2.0) * cfg.intensity
         n_reads = int(rng.poisson(2.0 * level))
-        n_writes = int(rng.poisson(knobs.desktop_rw_noise + knobs.desktop_rw_coupling * 2.0 * level))
+        n_writes = int(rng.poisson(DESKTOP_RW_NOISE + DESKTOP_RW_COUPLING * 2.0 * level))
         app = images[int(rng.integers(len(images)))]
         pid = pids[app]
         for _ in range(n_reads):
@@ -664,12 +662,11 @@ def default_corpus_spec(
     n_crypto: int = 40,
     n_locker: int = 40,
     n_benign: int = 120,
-    inject_every: int = 4,
 ) -> List[SynthConfig]:
     """The standard evaluation mix: n_crypto/4 traces per encryption shape,
     n_locker screen lockers, and n_benign split across the three benign
-    profiles. Every inject_every-th attack trace also carries injected
-    attack commands (0 disables injection)."""
+    profiles. Every INJECT_EVERY-th attack trace also carries injected
+    attack commands."""
     configs: List[SynthConfig] = []
     kinds = list(PatternKind)
     for i in range(n_crypto):
@@ -691,10 +688,7 @@ def default_corpus_spec(
                 duration=int(90_000_000 + 30_000_000 * (i % 3)),
             )
         )
-    if inject_every > 0:
-        configs = [
-            replace(c, command_injection=(i % inject_every == 0)) for i, c in enumerate(configs)
-        ]
+    configs = [replace(c, command_injection=(i % INJECT_EVERY == 0)) for i, c in enumerate(configs)]
     per = n_benign // 3
     for i in range(per):
         configs.append(SynthConfig(seed=0, archetype="benign_crypto_like", n_files=8 + 2 * (i % 5), duration=60_000_000))

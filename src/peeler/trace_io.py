@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import BinaryIO, Iterable, Iterator, List, Tuple
 
-from .errors import ParseError, SchemaError
+from .errors import ParseError, SchemaError, decode_utf8
 from .events import (
     ATTRS_FOR,
     Event,
@@ -287,10 +287,7 @@ def read_trace(source: BinaryIO) -> Tuple[TraceManifest, List[Event]]:
     invariant violations (an empty FileCreate/FileDelete file name,
     non-monotonic timestamps, count/duration mismatch). Both abort the read.
     """
-    try:
-        text = source.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(exc.object.count(b"\n", 0, exc.start) + 1, "invalid UTF-8") from None
+    text = decode_utf8(source.read())
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -185,7 +185,7 @@ def _neutral_svm():
 
 def _stub_profile(path, label, rule_ts=None):
     return TraceProfile(
-        path=path, label=label, family="stub", attack_onset=0, duration=10_000_000,
+        path=path, label=label, family="stub", attack_onset=0,
         rule_alert_ts=rule_ts, pattern_alert_ts=None,
         window_ends=np.zeros(0, dtype=np.int64), window_counts=np.zeros(0, dtype=np.int64),
         X_mlr=np.zeros((0, 5)), X_svm=np.zeros((0, 8)),
@@ -322,6 +322,88 @@ def test_hostile_trace_is_data_error(name, tmp_path, capsys):
     path.write_bytes(_VALID_TRACE.replace(old, new))
     assert main(["detect", "--trace", str(path)]) == EXIT_DATA
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def valid_model_text(small_corpus):
+    rules = load_rules_file(default_rules_path())
+    buf = io.BytesIO()
+    save_model(train_from_profiles(load_corpus_profiles(small_corpus, 5_000_000, rules)), buf)
+    return buf.getvalue().decode("utf-8")
+
+
+def _edit_model(text, section, key, value):
+    """text with one key of one section set to value(old value)."""
+    lines = text.split("\n")
+    i = lines.index(f"[{section}]") + 1
+    while not lines[i].startswith(key + " = "):
+        i += 1
+    lines[i] = f"{key} = {value(lines[i].partition(' = ')[2])}"
+    # the surrogate escape stands for the raw byte 0xff: invalid UTF-8
+    return "\n".join(lines).encode("utf-8", "surrogateescape")
+
+
+# (section, key, new value from old value) -> each must be a data error
+HOSTILE_MODEL_EDITS = {
+    "mlr_mean_2_values": ("scaler.mlr", "mean", lambda v: "0.5 1.5"),
+    "mlr_degenerate_1_value": ("scaler.mlr", "degenerate", lambda v: "0"),
+    "mlr_std_zero": ("scaler.mlr", "std", lambda v: "0.0" + v[v.index(" "):]),
+    "svm_std_9_values": ("scaler.svm", "std", lambda v: v + " 1.0"),
+    "svm_mean_nan": ("scaler.svm", "mean", lambda v: "nan" + v[v.index(" "):]),
+    "weights_5_values": ("mlr", "weights.benign", lambda v: v.rsplit(" ", 1)[0]),
+    "l2_inf": ("mlr", "l2", lambda v: "inf"),
+    "gamma_inf": ("svm", "gamma", lambda v: "inf"),
+    "bias_minus_inf": ("svm", "bias", lambda v: "-inf"),
+    "sv_7_values": ("svm", "sv.0", lambda v: v.rsplit(" ", 1)[0]),
+    "coef_missing": ("svm", "coef", lambda v: v.rsplit(" ", 1)[0]),
+    "coef_extra": ("svm", "coef", lambda v: v + " 0.5"),
+    "threshold_nan": ("fusion", "threshold", lambda v: "nan"),
+    "invalid_utf8": ("fusion", "threshold", lambda v: v + "\udcff"),
+}
+
+
+def _detect_with(tmp_path, model_bytes, rules_bytes=None):
+    trace, model, report = tmp_path / "t.pt", tmp_path / "m.pm", tmp_path / "r.json"
+    trace.write_bytes(_VALID_TRACE)
+    model.write_bytes(model_bytes)
+    argv = ["detect", "--trace", str(trace), "--model", str(model), "--json-report", str(report)]
+    if rules_bytes is not None:
+        (tmp_path / "rules.txt").write_bytes(rules_bytes)
+        argv += ["--rules", str(tmp_path / "rules.txt")]
+    return main(argv), report.exists()
+
+
+def test_valid_model_template_detects(valid_model_text, tmp_path, capsys):
+    assert _detect_with(tmp_path, valid_model_text.encode("utf-8")) == (EXIT_OK, True)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_MODEL_EDITS))
+def test_hostile_model_is_data_error(name, valid_model_text, tmp_path, capsys):
+    edited = _edit_model(valid_model_text, *HOSTILE_MODEL_EDITS[name])
+    assert _detect_with(tmp_path, edited) == (EXIT_DATA, False)
+    assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_rules_is_data_error(valid_model_text, tmp_path, capsys):
+    rules = Path(default_rules_path()).read_bytes() + b"# caf\xe9\n"
+    assert _detect_with(tmp_path, valid_model_text.encode("utf-8"), rules) == (EXIT_DATA, False)
+    assert "invalid UTF-8" in capsys.readouterr().err
+
+
+def test_profile_trace_matches_first_rule_and_pattern_alerts(small_corpus):
+    rules = load_rules_file(default_rules_path())
+    seen = set()
+    for path, _, _, _ in read_corpus_index(small_corpus):
+        profile = cli.profile_trace(path, 5_000_000, rules)
+        manifest, events = load_trace(path)
+        report = run_trace(Engine(EngineConfig(quarantine=False), rules=rules), manifest, events)
+        first = {}
+        for a in report.alerts:
+            first.setdefault(a.detector, a.event_timestamp)
+        assert profile.rule_alert_ts == first.get(Detector.COMMAND_RULE), path
+        assert profile.pattern_alert_ts == first.get(Detector.FILE_IO_PATTERN), path
+        seen.update(first)
+    assert {Detector.COMMAND_RULE, Detector.FILE_IO_PATTERN} <= seen
 
 
 def test_detect_and_eval_agree_on_ml_first_alert(small_corpus):

@@ -13,11 +13,11 @@ from peeler.events import (
     ProcessAttrs,
     Provider,
     ThreadAttrs,
+    PATTERN_LETTERS,
     VALID_PAIRS,
-    pattern_letter,
     validate_event,
 )
-from helpers import ev_create, ev_fdelete, ev_proc_start, ev_read
+from helpers import ev_create, ev_proc_start
 
 _SAMPLE_ATTRS = {
     ProcessAttrs: ProcessAttrs(1, 0, "app.exe", "app.exe /x"),
@@ -69,17 +69,15 @@ def test_empty_file_name_flagged():
 
 
 def test_pattern_letters():
-    assert pattern_letter(ev_create(1, 0, 0xA, "f")) == "C"
-    assert pattern_letter(ev_fdelete(1, 0, 0xA, "f")) == "D"
-    assert pattern_letter(ev_read(1, 0, 0xA, 0xB)) == "R"
-    assert pattern_letter(ev_proc_start(1, 0)) is None
+    assert PATTERN_LETTERS[EventType.FILE_CREATE] == "C"
+    assert PATTERN_LETTERS[EventType.FILE_DELETE] == "D"
+    assert PATTERN_LETTERS[EventType.DELETE] == "D"
+    assert PATTERN_LETTERS[EventType.READ] == "R"
+    assert PATTERN_LETTERS[EventType.WRITE] == "W"
+    assert PATTERN_LETTERS[EventType.RENAME] == "N"
 
 
 def test_pattern_letter_defined_exactly_on_file_events():
-    lettered = set()
-    for (prov, et), cls in ATTRS_FOR.items():
-        e = Event(1, 1, prov, et, 0, _SAMPLE_ATTRS[cls])
-        if pattern_letter(e) is not None:
-            lettered.add((prov, et))
-    assert lettered == {(p, t) for (p, t) in VALID_PAIRS if p is Provider.FILE}
-    assert len(lettered) == 6
+    file_types = {t for (p, t) in VALID_PAIRS if p is Provider.FILE}
+    assert set(PATTERN_LETTERS) == file_types
+    assert len(file_types) == 6

@@ -136,14 +136,14 @@ def test_mlr_probabilities_sum_to_one():
 def test_svm_xor_training_accuracy():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     y = np.array([0, 0, 1, 1])
-    m = train_svm(X, y, c=10.0, gamma=1.0)
+    m = train_svm(X, y, gamma=1.0)
     assert (predict_svm_batch(m, X) >= 0.5).tolist() == [False, False, True, True]
 
 
 def test_svm_conflicting_duplicates_at_bound():
     X = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0], [-5.0, -5.0]])
     y = np.array([1, 0, 1, 0])
-    m = train_svm(X, y, c=10.0, gamma=0.5)
+    m = train_svm(X, y, gamma=0.5)
     # the two duplicate rows scale to identical vectors; their coefficients
     # sit at +/- c
     mags = np.abs(m.dual_coefs)
@@ -301,6 +301,20 @@ def test_fuse_is_a_one_row_fuse_batch(seed):
         assert verdict == ("ransomware" if score >= fc.threshold else "benign")
         verdicts.add(verdict)
     assert verdicts == {"ransomware", "benign"}
+
+
+@pytest.mark.parametrize("seed,n_train", [(24, 15), (26, 60), (28, 200)])
+def test_row_score_does_not_depend_on_batch(seed, n_train):
+    X5, y = _separable(n=n_train, d=5, gap=0.6, seed=seed)
+    X8, _ = _separable(n=n_train, d=8, gap=0.6, seed=seed + 1)
+    fc = FusedClassifier(mlr=train_mlr(X5, y), svm=train_svm(X8, y))
+    rng = np.random.default_rng(seed)
+    X5 = rng.normal(size=(300, 5)) * 3
+    X8 = rng.normal(size=(300, 8)) * 3
+    alone = np.array([fuse_batch(fc, X5[i : i + 1], X8[i : i + 1])[0] for i in range(300)])
+    for size in (2, 3, 7, 64, 300):
+        rows = rng.choice(300, size=size, replace=False)
+        assert (fuse_batch(fc, X5[rows], X8[rows]) == alone[rows]).all()
 
 
 def test_model_round_trip_identical_predictions():

@@ -35,10 +35,10 @@ def test_command_alert_emitted_before_window_close():
     engine = Engine(EngineConfig())
     e = ev_proc_start(50, 1000, image="vssadmin.exe",
                       cmdline="vssadmin.exe delete shadows /all /quiet")
-    alerts = engine.process_event(e)
-    assert len(alerts) == 1
-    assert alerts[0].detector is Detector.COMMAND_RULE
-    assert alerts[0].event_timestamp == 1000
+    alert = engine.process_event(e)
+    assert alert.detector is Detector.COMMAND_RULE
+    assert alert.event_timestamp == 1000
+    assert engine.alerts == [alert]
 
 
 def test_cerber_transcript_alerts_on_eighth_event():
@@ -46,7 +46,8 @@ def test_cerber_transcript_alerts_on_eighth_event():
     events = cerber_post_overwrite()
     fired = []
     for i, e in enumerate(events):
-        for a in engine.process_event(e):
+        a = engine.process_event(e)
+        if a is not None:
             fired.append((i, a))
     assert len(fired) == 1
     idx, alert = fired[0]
@@ -211,7 +212,7 @@ def test_window_jump_matches_step_loop():
 
 def test_empty_window_skipped_without_model():
     engine = Engine(EngineConfig())
-    assert engine.flush_window(Window(0, 0, 5_000_000, [ev_read(1, 10, 0xA, 0xB)])) == []
+    assert engine.flush_window(Window(0, 0, 5_000_000, [ev_read(1, 10, 0xA, 0xB)])) is None
     events = [ev_read(1, ts, 0xA, 0xB) for ts in (0, 12_000_000, 12_000_001, 40_000_000)]
     windows = list(window_partition(events, 5_000_000))
     assert [w.index for w in windows] == [0, 2, 8]
