@@ -3,7 +3,9 @@
 Train and eval decode each corpus trace once, into a TraceProfile: its
 split-independent rule and pattern alerts plus one feature row per window.
 Everything eval reports, the --correlations table included, comes from
-those rows.
+those rows. Detect, train and eval all cut windows at trace_io.WINDOW_LEN,
+which no option changes: a model is only valid at the window length its
+training rows were taken over.
 
 Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 internal error.
 """
@@ -35,14 +37,13 @@ from .pipeline import Engine, EngineConfig, run_trace
 from .synth import (
     DEFAULT_LOCKER_PROFILE,
     DEFAULT_SPAWNER_PROFILE,
-    SpawnProfile,
     SynthConfig,
     default_corpus_spec,
     read_corpus_index,
     synth_corpus,
     synth_trace,
 )
-from .trace_io import TraceLabel, load_trace, save_trace, window_partition
+from .trace_io import WINDOW_LEN, TraceLabel, load_trace, save_trace, window_partition
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -86,13 +87,13 @@ class TraceProfile:
         return self.label.is_ransomware
 
 
-def profile_trace(path: str, window_len: int, rules: RuleSet) -> TraceProfile:
+def profile_trace(path: str, rules: RuleSet) -> TraceProfile:
     manifest, events = load_trace(path)
-    engine = Engine(EngineConfig(window_len=window_len, quarantine=False), rules=rules)
+    engine = Engine(EngineConfig(quarantine=False), rules=rules)
     rule_ts = None
     pattern_ts = None
     ends, counts, x_mlr, x_svm = [], [], [], []
-    for w in window_partition(events, window_len):
+    for w in window_partition(events, WINDOW_LEN):
         for e in w.events:
             alert = engine.process_event(e)
             if alert is None:
@@ -120,9 +121,9 @@ def profile_trace(path: str, window_len: int, rules: RuleSet) -> TraceProfile:
     )
 
 
-def load_corpus_profiles(corpus_dir: str, window_len: int, rules: RuleSet) -> List[TraceProfile]:
+def load_corpus_profiles(corpus_dir: str, rules: RuleSet) -> List[TraceProfile]:
     rows = read_corpus_index(corpus_dir)
-    return [profile_trace(path, window_len, rules) for path, _, _, _ in rows]
+    return [profile_trace(path, rules) for path, _, _, _ in rows]
 
 
 # --- training ----------------------------------------------------------------
@@ -364,9 +365,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="output trace path")
     p.add_argument("--duration-ms", type=int, default=60_000)
     p.add_argument("--intensity", type=float, default=1.0)
-    p.add_argument("--processes", type=int, help="spawn profile: process count")
-    p.add_argument("--depth", type=int, help="spawn profile: tree depth")
-    p.add_argument("--threads", type=int, help="spawn profile: total threads")
     p.add_argument("--inject-commands", action="store_true")
     p.add_argument("--default-corpus", metavar="DIR",
                    help="write the standard 40/40/120 evaluation corpus to DIR")
@@ -375,7 +373,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--trace", required=True)
     p.add_argument("--rules", help="rules file (bundled set when omitted)")
     p.add_argument("--model", help="model file (ML stage off when omitted)")
-    p.add_argument("--window-ms", type=int, default=5000)
     p.add_argument("--no-quarantine", action="store_true")
     p.add_argument("--json-report", metavar="PATH")
 
@@ -384,7 +381,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--train-frac", type=float, default=0.2)
-    p.add_argument("--window-ms", type=int, default=5000)
     p.add_argument("--rules", help="rules file (bundled set when omitted)")
     p.add_argument("--threshold", type=float, default=0.5)
 
@@ -395,7 +391,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--repeats", type=int, default=20)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--train-frac", type=float, default=0.2)
-    p.add_argument("--window-ms", type=int, default=5000)
     p.add_argument("--json-report", metavar="PATH")
     p.add_argument("--latency-table", metavar="PATH",
                    help="write per-trace detection latencies as delimited text")
@@ -417,17 +412,8 @@ def _parse_archetype(args) -> SynthConfig:
         archetype = "crypto"
     else:
         archetype = name.replace("-", "_")
-    profile = None
-    if args.processes or args.depth or args.threads:
-        profile = SpawnProfile(
-            n_processes=args.processes or 44,
-            depth=args.depth or 3,
-            n_threads=args.threads or 352,
-        )
-    elif archetype == "locker":
-        profile = DEFAULT_LOCKER_PROFILE
-    elif archetype == "benign_spawner":
-        profile = DEFAULT_SPAWNER_PROFILE
+    profile = {"locker": DEFAULT_LOCKER_PROFILE,
+               "benign_spawner": DEFAULT_SPAWNER_PROFILE}.get(archetype)
     return SynthConfig(
         seed=args.seed,
         archetype=archetype,
@@ -456,7 +442,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_detect(args) -> int:
     manifest, events = load_trace(args.trace)
-    config = EngineConfig(window_len=args.window_ms * 1000, quarantine=not args.no_quarantine)
+    config = EngineConfig(quarantine=not args.no_quarantine)
     rules = load_rules_file(args.rules or default_rules_path())
     model = load_model_file(args.model) if args.model else None
     report = run_trace(Engine(config, rules=rules, model=model), manifest, events)
@@ -497,7 +483,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_train(args) -> int:
     rules = load_rules_file(args.rules or default_rules_path())
-    profiles = load_corpus_profiles(args.corpus, args.window_ms * 1000, rules)
+    profiles = load_corpus_profiles(args.corpus, rules)
     ransomware, benign = _split_classes(profiles)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0]))
     train_r, train_b = _draw_training_split(len(ransomware), len(benign), args.train_frac, rng)
@@ -516,7 +502,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     rules = load_rules_file(args.rules or default_rules_path())
-    profiles = load_corpus_profiles(args.corpus, args.window_ms * 1000, rules)
+    profiles = load_corpus_profiles(args.corpus, rules)
     fixed = load_model_file(args.model) if args.model else None
     summary = evaluate_profiles(
         profiles, repeats=args.repeats, seed=args.seed, train_frac=args.train_frac,

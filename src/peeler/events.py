@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Union
+from typing import Union
 
 
 class Provider(Enum):
@@ -22,7 +22,7 @@ class Provider(Enum):
 
 
 class EventType(Enum):
-    """Event name, scoped to its owning provider (see VALID_PAIRS)."""
+    """Event name, scoped to its owning provider (see ATTRS_FOR)."""
 
     START = "Start"
     END = "End"
@@ -106,8 +106,6 @@ ATTRS_FOR = {
     (Provider.IMAGE, EventType.UNLOAD): ImageAttrs,
 }
 
-VALID_PAIRS = frozenset(ATTRS_FOR)
-
 
 @dataclass(frozen=True, slots=True)
 class Event:
@@ -161,38 +159,3 @@ PATTERN_LETTERS = {
     EventType.DELETE: "D",
     EventType.FILE_DELETE: "D",
 }
-
-
-def validate_event(e: Event) -> List[str]:
-    """Check one event against the data model. Returns [] when valid.
-
-    Total function: never raises, each violation names the offending field.
-    Timestamp monotonicity is a stream property and is checked by the trace
-    reader, not here.
-    """
-    violations = []
-    if not isinstance(e.provider, Provider):
-        violations.append("provider: not a Provider")
-        return violations
-    if not isinstance(e.etype, EventType):
-        violations.append("etype: not an EventType")
-        return violations
-    expected = ATTRS_FOR.get((e.provider, e.etype))
-    if expected is None:
-        violations.append(f"etype: {e.etype.value} invalid for provider {e.provider.value}")
-        return violations
-    if type(e.attrs) is not expected:
-        violations.append(
-            f"attrs: variant {type(e.attrs).__name__} does not match "
-            f"{e.provider.value}/{e.etype.value} (expected {expected.__name__})"
-        )
-        return violations
-    if e.pid < 0:
-        violations.append("pid: negative")
-    if e.tid < 0:
-        violations.append("tid: negative")
-    if e.timestamp < 0:
-        violations.append("timestamp: negative")
-    if isinstance(e.attrs, FileNameAttrs) and not e.attrs.file_name:
-        violations.append("attrs.file_name: empty")
-    return violations

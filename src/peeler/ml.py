@@ -97,10 +97,6 @@ class MlrModel:
     n_iter: int
     loss_history: List[float] = field(default_factory=list, repr=False)
 
-    @property
-    def classes(self) -> Tuple[str, str]:
-        return CLASSES
-
 
 def train_mlr(X, y) -> MlrModel:
     """Fit by full-batch gradient descent with backtracking line search.
@@ -294,26 +290,6 @@ def save_model(fc: FusedClassifier, sink: BinaryIO) -> None:
     sink.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _parse_sections(text: str):
-    sections = {}
-    current = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            sections[current] = {}
-            continue
-        if current is None:
-            raise ParseError(lineno, "key outside any section")
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ParseError(lineno, "expected key = value")
-        sections[current][key.strip()] = value.strip()
-    return sections
-
-
 def _num(s: str) -> float:
     x = float(s)
     if not np.isfinite(x):
@@ -321,66 +297,126 @@ def _num(s: str) -> float:
     return x
 
 
-def _vec(s: str, width: int) -> np.ndarray:
-    v = np.array([_num(t) for t in s.split()], dtype=np.float64)
-    if len(v) != width:
-        raise ValueError(f"expected {width} values, got {len(v)}")
-    return v
+def _positive(s: str) -> float:
+    x = _num(s)
+    if x <= 0:
+        raise ValueError(f"{s!r} is not positive")
+    return x
 
 
-def _scaler_from(sec: dict, width: int) -> Scaler:
-    std = _vec(sec["std"], width)
-    flags = sec["degenerate"].split()
-    if not (std > 0).all() or len(flags) != width:
-        raise ValueError(f"a scaler needs {width} positive std values and {width} degenerate flags")
-    return Scaler(mean=_vec(sec["mean"], width), std=std, degenerate=np.array([t == "1" for t in flags]))
+def _flag(s: str) -> bool:
+    if s not in ("0", "1"):
+        raise ValueError(f"{s!r} is not 0 or 1")
+    return s == "1"
+
+
+def _row(width: int, read=_num):
+    """A parser of exactly width space-separated values, each read by read."""
+
+    def parse(s: str) -> np.ndarray:
+        values = [read(t) for t in s.split()]
+        if len(values) != width:
+            raise ValueError(f"expected {width} values, got {len(values)}")
+        return np.array(values)
+
+    return parse
+
+
+class _ModelText:
+    """The [section] key = value lines of a model file, numbered as the file is.
+
+    Each key keeps its line, so a rejected value names it; a missing key
+    names its section's header line, and a missing section the last line.
+    A repeated key or section is rejected at the repeat.
+    """
+
+    def __init__(self, lines: List[str]):
+        self.last_line = len(lines)
+        self.sections = {}
+        keys = None
+        for lineno, raw in enumerate(lines[1:], start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                if line[1:-1] in self.sections:
+                    raise ParseError(lineno, f"repeated section {line}")
+                keys = {}
+                self.sections[line[1:-1]] = (lineno, keys)
+                continue
+            if keys is None:
+                raise ParseError(lineno, "key outside any section")
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ParseError(lineno, "expected key = value")
+            key = key.strip()
+            if key in keys:
+                raise ParseError(lineno, f"repeated key {key!r}")
+            keys[key] = (lineno, value.strip())
+
+    def section(self, name: str) -> Tuple[int, dict]:
+        """The header line of [name] and its keys."""
+        if name not in self.sections:
+            raise ParseError(self.last_line, f"missing model section [{name}]")
+        return self.sections[name]
+
+    def get(self, section: str, key: str, parse=_num):
+        """The value of key in section, read by parse (a finite float by default)."""
+        header, keys = self.section(section)
+        if key not in keys:
+            raise ParseError(header, f"missing model key {key!r} in [{section}]")
+        lineno, value = keys[key]
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise ParseError(lineno, f"bad model value for {key!r}: {exc}") from None
+
+
+def _scaler_from(m: _ModelText, section: str, width: int) -> Scaler:
+    return Scaler(
+        mean=m.get(section, "mean", _row(width)),
+        std=m.get(section, "std", _row(width, _positive)),
+        degenerate=m.get(section, "degenerate", _row(width, _flag)),
+    )
 
 
 def load_model(source: BinaryIO) -> FusedClassifier:
-    """Read a model file. Every number must be finite and every row as wide
-    as the scorers read; anything else is a ParseError."""
-    text = decode_utf8(source.read())
-    first, _, rest = text.partition("\n")
+    """Read a model file. Every number must be finite, every row as wide as
+    the scorers read and every flag 0 or 1; anything else is a ParseError
+    that names the file line it rejects."""
+    lines = decode_utf8(source.read()).split("\n")
+    first = lines[0]
     if not first.startswith(MODEL_MAGIC + " "):
         raise ParseError(1, "missing model header magic")
     version = first[len(MODEL_MAGIC) + 1 :].strip()
     if version != MODEL_VERSION:
         raise VersionMismatchError(f"unsupported model version {version!r}")
-    try:
-        sec = _parse_sections(rest)
-        mlr_scaler = _scaler_from(sec["scaler.mlr"], MLR_WIDTH)
-        msec = sec["mlr"]
-        weights = np.vstack([_vec(msec[f"weights.{cls}"], MLR_WIDTH + 1) for cls in CLASSES])
-        mlr = MlrModel(
-            weights=weights,
-            scaler=mlr_scaler,
-            l2=_num(msec["l2"]),
-            converged=msec["converged"] == "1",
-            n_iter=int(msec["n_iter"]),
-        )
-        svm_scaler = _scaler_from(sec["scaler.svm"], SVM_WIDTH)
-        ssec = sec["svm"]
-        # one coef per support vector
-        coefs = _vec(ssec["coef"], sum(key.startswith("sv.") for key in ssec))
-        svs = [_vec(ssec[f"sv.{i}"], SVM_WIDTH) for i in range(len(coefs))]
-        sv_matrix = np.vstack(svs) if svs else np.zeros((0, SVM_WIDTH))
-        svm = SvmModel(
-            support_vectors=sv_matrix,
-            dual_coefs=coefs,
-            bias=_num(ssec["bias"]),
-            gamma=_num(ssec["gamma"]),
-            c=_num(ssec["c"]),
-            scaler=svm_scaler,
-            converged=ssec["converged"] == "1",
-            passes=int(ssec["passes"]),
-            dual_objective=_num(ssec["dual_objective"]),
-        )
-        threshold = _num(sec["fusion"]["threshold"])
-    except KeyError as exc:
-        raise ParseError(0, f"missing model key {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ParseError(0, f"bad model value: {exc}") from None
-    return FusedClassifier(mlr=mlr, svm=svm, threshold=threshold)
+    if lines[-1] == "":
+        lines.pop()
+    m = _ModelText(lines)
+    mlr = MlrModel(
+        scaler=_scaler_from(m, "scaler.mlr", MLR_WIDTH),
+        l2=m.get("mlr", "l2"),
+        converged=m.get("mlr", "converged", _flag),
+        n_iter=m.get("mlr", "n_iter", int),
+        weights=np.vstack([m.get("mlr", f"weights.{cls}", _row(MLR_WIDTH + 1)) for cls in CLASSES]),
+    )
+    svm_scaler = _scaler_from(m, "scaler.svm", SVM_WIDTH)
+    # one coef per support vector
+    n_sv = sum(key.startswith("sv.") for key in m.section("svm")[1])
+    svs = [m.get("svm", f"sv.{i}", _row(SVM_WIDTH)) for i in range(n_sv)]
+    svm = SvmModel(
+        c=m.get("svm", "c"),
+        gamma=m.get("svm", "gamma"),
+        bias=m.get("svm", "bias"),
+        converged=m.get("svm", "converged", _flag),
+        passes=m.get("svm", "passes", int),
+        dual_objective=m.get("svm", "dual_objective"),
+        dual_coefs=m.get("svm", "coef", _row(n_sv)),
+        support_vectors=np.vstack(svs) if svs else np.zeros((0, SVM_WIDTH)),
+        scaler=svm_scaler,
+    )
+    return FusedClassifier(mlr=mlr, svm=svm, threshold=m.get("fusion", "threshold"))
 
 
 def save_model_file(path, fc: FusedClassifier) -> None:

@@ -2,14 +2,16 @@
 closed windows, and collects alerts.
 
 The engine holds no window state: run_trace cuts the stream with
-trace_io.window_partition, the same windowing that eval uses, feeds each
-window's events to process_event and then hands the window to flush_window.
-Command rules and the file I/O matcher see every event as it arrives and can
-alert mid-window; the ML stage fires only when a window closes. Each call
-returns its one alert or None, since a File event reaches only the matcher, a
-Process Start only the rules and a window only the classifier. A pid that has
-alerted is quarantined (further alerts suppressed) when quarantine is on; the
-stream itself is never stopped, so one run measures every detector.
+trace_io.window_partition at the fixed trace_io.WINDOW_LEN, the same
+windowing that train and eval use, so a model always scores windows of the
+length it was trained on. It feeds each window's events to process_event
+and then hands the window to flush_window. Command rules and the file I/O
+matcher see every event as it arrives and can alert mid-window; the ML stage
+fires only when a window closes. Each call returns its one alert or None,
+since a File event reaches only the matcher, a Process Start only the rules
+and a window only the classifier. A pid that has alerted is quarantined
+(further alerts suppressed) when quarantine is on; the stream itself is
+never stopped, so one run measures every detector.
 """
 
 from __future__ import annotations
@@ -24,17 +26,12 @@ from .events import Alert, Detector, Event, EventType, Provider
 from .features import window_features
 from .fileio import FileIoMatcher, is_exempt
 from .ml import FusedClassifier, fuse
-from .trace_io import TraceManifest, Window, window_partition
+from .trace_io import WINDOW_LEN, TraceManifest, Window, window_partition
 
 
 @dataclass
 class EngineConfig:
-    window_len: int = 5_000_000
     quarantine: bool = True
-
-    def __post_init__(self):
-        if self.window_len <= 0:
-            raise ValueError("window_len must be positive")
 
 
 @dataclass
@@ -131,7 +128,7 @@ def run_trace(engine: Engine, manifest: TraceManifest, events: Iterable[Event]) 
         raise ValueError("engine has already consumed a stream")
     start = time.perf_counter()
     process = engine.process_event
-    for window in window_partition(events, engine.config.window_len):
+    for window in window_partition(events, WINDOW_LEN):
         for e in window.events:
             process(e)
         engine.flush_window(window)

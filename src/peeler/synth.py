@@ -41,7 +41,7 @@ from .events import (
     ThreadAttrs,
 )
 from .fileio import PatternKind
-from .trace_io import TraceLabel, TraceManifest, save_trace
+from .trace_io import WINDOW_LEN, TraceLabel, TraceManifest, save_trace
 
 ARCHETYPES = ("crypto", "locker", "benign_crypto_like", "benign_spawner", "benign_desktop")
 
@@ -370,7 +370,7 @@ def _gen_locker(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event]
     alloc = _Alloc(rng)
     info = GenInfo()
     events: List[Event] = []
-    profile = cfg.spawn_profile or DEFAULT_LOCKER_PROFILE
+    profile = cfg.spawn_profile
 
     onset = int(rng.integers(500_000, 3_000_000))
     info.attack_onset = onset
@@ -483,7 +483,7 @@ def _gen_spawner(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event
     alloc = _Alloc(rng)
     info = GenInfo()
     events: List[Event] = []
-    profile = cfg.spawn_profile or DEFAULT_SPAWNER_PROFILE
+    profile = cfg.spawn_profile
 
     n_target = max(3, int(round(profile.n_processes * rng.uniform(0.85, 1.15))))
     threads_per_proc = max(1, round(profile.n_threads / max(profile.n_processes, 1)))
@@ -559,7 +559,9 @@ def _gen_desktop(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event
             tl += int(rng.integers(2_000, 80_000))
             events.append(_image(pid, tl, EventType.LOAD, _dll(rng), 131072, alloc))
 
-    window = 5_000_000
+    # one activity level per detection window, so reads and writes couple
+    # per window: that is the benign R/W correlation criterion 5 measures
+    window = WINDOW_LEN
     n_windows = cfg.duration // window
     images = list(pids)
     tid = alloc.tid()

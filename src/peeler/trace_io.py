@@ -18,7 +18,7 @@ string fields only strings.
 
 window_partition cuts a stream lazily into tumbling windows aligned at t=0
 and yields only the non-empty ones; the engine (pipeline.run_trace) and the
-eval profiles (cli.profile_trace) both consume it.
+eval profiles (cli.profile_trace) both consume it, always at WINDOW_LEN.
 """
 
 from __future__ import annotations
@@ -44,6 +44,11 @@ from .events import (
 
 HEADER_MAGIC = "PEELER-TRACE"
 FORMAT_VERSION = "v1"
+
+# The classifier's window, in microseconds. A model is trained on feature
+# counts taken over windows of this length, so detect, train and eval must
+# all cut the stream at it; a model file does not record it.
+WINDOW_LEN = 5_000_000
 
 
 class TraceLabel(Enum):

@@ -31,7 +31,7 @@ def corpus_profiles(default_corpus_dir):
     from peeler.commands import default_rules_path, load_rules_file
 
     rules = load_rules_file(default_rules_path())
-    return load_corpus_profiles(default_corpus_dir, 5_000_000, rules)
+    return load_corpus_profiles(default_corpus_dir, rules)
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,16 @@ from peeler.cli import (
 from peeler.commands import default_rules_path, load_rules_file
 from peeler.events import Detector
 from peeler.features import correlation_report
-from peeler.ml import FusedClassifier, MlrModel, Scaler, SvmModel, load_model_file, save_model
+from peeler.errors import ParseError
+from peeler.ml import (
+    FusedClassifier,
+    MlrModel,
+    Scaler,
+    SvmModel,
+    load_model,
+    load_model_file,
+    save_model,
+)
 from peeler.pipeline import Engine, EngineConfig, run_trace
 from peeler.synth import SynthConfig, default_corpus_spec, read_corpus_index, synth_corpus
 from peeler.trace_io import TraceLabel, load_trace, window_partition
@@ -118,8 +127,8 @@ def test_train_then_eval_with_fixed_model(small_corpus, tmp_path, capsys):
 
 def test_eval_trains_per_repeat_and_is_deterministic(small_corpus, capsys):
     rules = load_rules_file(default_rules_path())
-    s1 = evaluate_profiles(load_corpus_profiles(small_corpus, 5_000_000, rules), repeats=2, seed=9)
-    s2 = evaluate_profiles(load_corpus_profiles(small_corpus, 5_000_000, rules), repeats=2, seed=9)
+    s1 = evaluate_profiles(load_corpus_profiles(small_corpus, rules), repeats=2, seed=9)
+    s2 = evaluate_profiles(load_corpus_profiles(small_corpus, rules), repeats=2, seed=9)
     assert (s1.tp, s1.fp, s1.tn, s1.fn) == (s2.tp, s2.fp, s2.tn, s2.fn)
     assert s1.metrics_dict() == s2.metrics_dict()
 
@@ -167,7 +176,7 @@ def test_confusion_counts_sum_to_test_set_size(tmp_path):
     rules = load_rules_file(default_rules_path())
     from peeler.cli import load_corpus_profiles
 
-    profiles = load_corpus_profiles(str(d), 5_000_000, rules)
+    profiles = load_corpus_profiles(str(d), rules)
     summary = evaluate_profiles(profiles, repeats=1, seed=0)
     assert summary.tp + summary.fp + summary.tn + summary.fn == 2  # 4 traces - 2 train
 
@@ -207,7 +216,7 @@ def test_perfect_detector_stub_yields_perfect_metrics():
 
 def test_f1_is_harmonic_mean_of_precision_recall(small_corpus):
     rules = load_rules_file(default_rules_path())
-    s = evaluate_profiles(load_corpus_profiles(small_corpus, 5_000_000, rules), repeats=2, seed=4)
+    s = evaluate_profiles(load_corpus_profiles(small_corpus, rules), repeats=2, seed=4)
     if s.precision + s.recall > 0:
         expected = 2 * s.precision * s.recall / (s.precision + s.recall)
         assert abs(s.f1 - expected) <= 1e-9
@@ -217,7 +226,7 @@ def test_fused_at_least_individual_minus_two_points(small_corpus):
     rules = load_rules_file(default_rules_path())
     from peeler.cli import load_corpus_profiles
 
-    profiles = load_corpus_profiles(small_corpus, 5_000_000, rules)
+    profiles = load_corpus_profiles(small_corpus, rules)
     ransomware = [p for p in profiles if p.is_ransomware]
     benign = [p for p in profiles if not p.is_ransomware]
     train = ransomware[::2] + benign[::2]
@@ -236,8 +245,7 @@ def test_fused_at_least_individual_minus_two_points(small_corpus):
 
 def test_training_and_eval_identical_with_loop_reference_kernels(tmp_path, monkeypatch):
     synth_corpus(default_corpus_spec(4, 4, 12), str(tmp_path), master_seed=5)
-    profiles = load_corpus_profiles(str(tmp_path), 5_000_000,
-                                    load_rules_file(default_rules_path()))
+    profiles = load_corpus_profiles(str(tmp_path), load_rules_file(default_rules_path()))
 
     def outputs():
         buf = io.BytesIO()
@@ -308,6 +316,28 @@ HOSTILE_EDITS = {
 }
 
 
+# each flag these commands no longer take -> a usage error that writes nothing
+REMOVED_FLAGS = {
+    "detect_window_ms": ["detect", "--trace", "{trace}", "--json-report", "{out}", "--window-ms", "5000"],
+    "train_window_ms": ["train", "--corpus", "{corpus}", "--out", "{out}", "--window-ms", "5000"],
+    "eval_window_ms": ["eval", "--corpus", "{corpus}", "--repeats", "1", "--json-report", "{out}",
+                       "--window-ms", "5000"],
+    "synth_processes": ["synth", "--archetype", "benign-spawner", "--out", "{out}", "--processes", "10"],
+    "synth_depth": ["synth", "--archetype", "benign-spawner", "--out", "{out}", "--depth", "3"],
+    "synth_threads": ["synth", "--archetype", "benign-spawner", "--out", "{out}", "--threads", "100"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_FLAGS))
+def test_removed_flag_is_usage_error(name, small_corpus, tmp_path, capsys):
+    trace, out = tmp_path / "t.pt", tmp_path / "out"
+    trace.write_bytes(_VALID_TRACE)
+    argv = [a.format(trace=trace, corpus=small_corpus, out=out) for a in REMOVED_FLAGS[name]]
+    assert main(argv) == EXIT_USAGE
+    assert not out.exists()
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_valid_trace_template_detects(tmp_path, capsys):
     path = tmp_path / "valid.pt"
     path.write_bytes(_VALID_TRACE)
@@ -328,7 +358,7 @@ def test_hostile_trace_is_data_error(name, tmp_path, capsys):
 def valid_model_text(small_corpus):
     rules = load_rules_file(default_rules_path())
     buf = io.BytesIO()
-    save_model(train_from_profiles(load_corpus_profiles(small_corpus, 5_000_000, rules)), buf)
+    save_model(train_from_profiles(load_corpus_profiles(small_corpus, rules)), buf)
     return buf.getvalue().decode("utf-8")
 
 
@@ -359,6 +389,13 @@ HOSTILE_MODEL_EDITS = {
     "coef_extra": ("svm", "coef", lambda v: v + " 0.5"),
     "threshold_nan": ("fusion", "threshold", lambda v: "nan"),
     "invalid_utf8": ("fusion", "threshold", lambda v: v + "\udcff"),
+    "garbage_line": ("scaler.mlr", "mean", lambda v: v + "\ngarbage"),
+    "bias_abc": ("svm", "bias", lambda v: "abc"),
+    "degenerate_7": ("scaler.mlr", "degenerate", lambda v: "0 0 7 0 0"),
+    "mlr_converged_yes": ("mlr", "converged", lambda v: "yes"),
+    "svm_converged_yes": ("svm", "converged", lambda v: "yes"),
+    "gamma_repeated": ("svm", "gamma", lambda v: v + "\ngamma = 99.0"),
+    "fusion_repeated": ("fusion", "threshold", lambda v: f"{v}\n[fusion]\nthreshold = {v}"),
 }
 
 
@@ -384,6 +421,30 @@ def test_hostile_model_is_data_error(name, valid_model_text, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _model_error_line(lines):
+    with pytest.raises(ParseError) as exc:
+        load_model(io.BytesIO("\n".join(lines).encode("utf-8")))
+    assert str(exc.value).startswith(f"line {exc.value.line}: ")
+    return exc.value.line
+
+
+def test_model_error_names_its_line(valid_model_text):
+    lines = valid_model_text.split("\n")
+
+    def index(prefix):  # list index; the file numbers the same line index + 1
+        return next(i for i, text in enumerate(lines) if text.startswith(prefix))
+
+    bias, gamma, l2 = index("bias = "), index("gamma = "), index("l2 = ")
+    assert _model_error_line(lines[:2] + ["garbage"] + lines[2:]) == 3
+    assert _model_error_line(lines[:bias] + ["bias = abc"] + lines[bias + 1:]) == bias + 1
+    # a repeat is rejected where it repeats
+    assert _model_error_line(lines[:gamma + 1] + ["gamma = 99.0"] + lines[gamma + 1:]) == gamma + 2
+    # a missing key names its section's header, a missing section the last line
+    assert _model_error_line(lines[:l2] + lines[l2 + 1:]) == index("[mlr]") + 1
+    no_fusion = [text for text in lines if text != "[fusion]"]
+    assert _model_error_line(no_fusion) == len(no_fusion) - 1  # the text ends in "\n"
+
+
 def test_non_utf8_rules_is_data_error(valid_model_text, tmp_path, capsys):
     rules = Path(default_rules_path()).read_bytes() + b"# caf\xe9\n"
     assert _detect_with(tmp_path, valid_model_text.encode("utf-8"), rules) == (EXIT_DATA, False)
@@ -394,7 +455,7 @@ def test_profile_trace_matches_first_rule_and_pattern_alerts(small_corpus):
     rules = load_rules_file(default_rules_path())
     seen = set()
     for path, _, _, _ in read_corpus_index(small_corpus):
-        profile = cli.profile_trace(path, 5_000_000, rules)
+        profile = cli.profile_trace(path, rules)
         manifest, events = load_trace(path)
         report = run_trace(Engine(EngineConfig(quarantine=False), rules=rules), manifest, events)
         first = {}
@@ -408,7 +469,7 @@ def test_profile_trace_matches_first_rule_and_pattern_alerts(small_corpus):
 
 def test_detect_and_eval_agree_on_ml_first_alert(small_corpus):
     rules = load_rules_file(default_rules_path())
-    profiles = load_corpus_profiles(small_corpus, 5_000_000, rules)
+    profiles = load_corpus_profiles(small_corpus, rules)
     model = train_from_profiles(profiles)
     flagged = 0
     for p in profiles:

@@ -1,7 +1,11 @@
-"""Data model: event validation, pairing rules, pattern letters."""
+"""Data model: pairing rules and pattern letters, checked through the strict
+decoder: an event is valid when its wire line reads back equal to it."""
 
 import itertools
 
+import pytest
+
+from peeler.errors import ParseError, SchemaError
 from peeler.events import (
     ATTRS_FOR,
     Event,
@@ -14,9 +18,8 @@ from peeler.events import (
     Provider,
     ThreadAttrs,
     PATTERN_LETTERS,
-    VALID_PAIRS,
-    validate_event,
 )
+from peeler.trace_io import event_to_line, line_to_event
 from helpers import ev_create, ev_proc_start
 
 _SAMPLE_ATTRS = {
@@ -29,43 +32,59 @@ _SAMPLE_ATTRS = {
 }
 
 
+def _round_trip(e):
+    return line_to_event(event_to_line(e))
+
+
+def _rejected(e):
+    """True when the decoder refuses e's wire line or reads back another event."""
+    try:
+        return _round_trip(e) != e
+    except (ParseError, SchemaError):
+        return True
+
+
 def test_schema_conforming_process_start_is_valid():
-    assert validate_event(ev_proc_start(10, 0, cmdline="app.exe")) == []
+    e = ev_proc_start(10, 0, cmdline="app.exe")
+    assert _round_trip(e) == e
 
 
 def test_forbidden_provider_etype_pairing():
     e = Event(1, 1, Provider.IMAGE, EventType.READ, 0, _SAMPLE_ATTRS[ImageAttrs])
-    violations = validate_event(e)
-    assert violations and "invalid for provider" in violations[0]
+    with pytest.raises(ParseError, match="invalid for provider"):
+        _round_trip(e)
 
 
 def test_attrs_variant_mismatch():
     e = Event(1, 1, Provider.FILE, EventType.READ, 0, FileNameAttrs(0xA, "f"))
-    violations = validate_event(e)
-    assert violations and "variant" in violations[0]
+    with pytest.raises(ParseError, match="missing attribute key 'file_key'"):
+        _round_trip(e)
+    # a Rename's wire keys are a subset of FileRwAttrs': the extra key is lost
+    e = Event(1, 1, Provider.FILE, EventType.RENAME, 0, FileRwAttrs(0xA, 0xB, 512))
+    assert _round_trip(e) == Event(1, 1, Provider.FILE, EventType.RENAME, 0, FileRenDelAttrs(0xA, 0xB))
 
 
 def test_exactly_table_schema_triples_validate():
     # Enumerate every (provider, etype, attrs variant) triple; exactly the
-    # 12 schema rows must validate, each with its own variant only.
+    # 12 schema rows must round-trip, each with its own variant only.
     ok = set()
     for prov, et, attrs_cls in itertools.product(Provider, EventType, _SAMPLE_ATTRS):
-        e = Event(1, 1, prov, et, 0, _SAMPLE_ATTRS[attrs_cls])
-        if validate_event(e) == []:
+        if not _rejected(Event(1, 1, prov, et, 0, _SAMPLE_ATTRS[attrs_cls])):
             ok.add((prov, et, attrs_cls))
     assert ok == {(p, t, cls) for (p, t), cls in ATTRS_FOR.items()}
-    assert len(VALID_PAIRS) == 12
+    assert len(ok) == 12
 
 
 def test_negative_fields_flagged():
-    e = Event(-1, 1, Provider.FILE, EventType.READ, -5, FileRwAttrs(1, 2, 3))
-    violations = validate_event(e)
-    assert any("pid" in v for v in violations)
-    assert any("timestamp" in v for v in violations)
+    for pid, tid, ts, field in [(-1, 1, 5, "pid"), (1, -1, 5, "tid"), (1, 1, -5, "ts")]:
+        e = Event(pid, tid, Provider.FILE, EventType.READ, ts, FileRwAttrs(1, 2, 3))
+        with pytest.raises(ParseError, match=f"{field} must be an integer"):
+            _round_trip(e)
 
 
 def test_empty_file_name_flagged():
-    assert validate_event(ev_create(1, 0, 0xA, "")) == ["attrs.file_name: empty"]
+    with pytest.raises(SchemaError, match="attrs.file_name: empty"):
+        _round_trip(ev_create(1, 0, 0xA, ""))
 
 
 def test_pattern_letters():
@@ -78,6 +97,6 @@ def test_pattern_letters():
 
 
 def test_pattern_letter_defined_exactly_on_file_events():
-    file_types = {t for (p, t) in VALID_PAIRS if p is Provider.FILE}
+    file_types = {t for (p, t) in ATTRS_FOR if p is Provider.FILE}
     assert set(PATTERN_LETTERS) == file_types
     assert len(file_types) == 6

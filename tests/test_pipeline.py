@@ -20,7 +20,14 @@ from peeler.synth import (
     synth_trace,
     synth_trace_detailed,
 )
-from peeler.trace_io import TraceLabel, TraceManifest, Window, save_trace, window_partition
+from peeler.trace_io import (
+    WINDOW_LEN,
+    TraceLabel,
+    TraceManifest,
+    Window,
+    save_trace,
+    window_partition,
+)
 from figures import cerber_post_overwrite
 from helpers import ev_proc_start, ev_read
 from oracles import ref_window_partition
@@ -156,14 +163,15 @@ class _RecordingEngine(Engine):
 
 
 def test_huge_timestamp_gap_is_one_jump(tmp_path):
-    far = 2_500_000 + 2**62
-    events = [ev_read(1, 100, 0xA, 0xB), ev_read(1, 2_500_000, 0xA, 0xB), ev_read(1, far, 0xA, 0xB)]
-    far_index = far // 1_000_000
-    expected = [(0, 0, 1_000_000), (2, 2_000_000, 3_000_000),
-                (far_index, far_index * 1_000_000, (far_index + 1) * 1_000_000)]
+    # a gap of 2^62 us, with the last stamp below the 2^64 a trace file holds
+    far = 12_500_000 + 2**62
+    events = [ev_read(1, 500, 0xA, 0xB), ev_read(1, 12_500_000, 0xA, 0xB), ev_read(1, far, 0xA, 0xB)]
+    far_index = far // WINDOW_LEN
+    expected = [(0, 0, WINDOW_LEN), (2, 2 * WINDOW_LEN, 3 * WINDOW_LEN),
+                (far_index, far_index * WINDOW_LEN, (far_index + 1) * WINDOW_LEN)]
     assert expected[2][1] <= far < expected[2][2]
 
-    engine = _RecordingEngine(EngineConfig(window_len=1_000_000))
+    engine = _RecordingEngine(EngineConfig())
     start = time.perf_counter()
     run_trace(engine, _manifest(events), events)
     assert time.perf_counter() - start < 0.5
@@ -173,7 +181,7 @@ def test_huge_timestamp_gap_is_one_jump(tmp_path):
     save_trace(path, _manifest(events), events)
     rules = load_rules_file(default_rules_path())
     start = time.perf_counter()
-    profile = profile_trace(path, 1_000_000, rules)
+    profile = profile_trace(path, rules)
     assert time.perf_counter() - start < 0.5
     assert profile.window_ends.tolist() == [end for _, _, end in expected]
     assert profile.window_counts.tolist() == [1, 1, 1]
@@ -182,7 +190,7 @@ def test_huge_timestamp_gap_is_one_jump(tmp_path):
 def _reference_run(engine, events):
     """Test driver: walk every window of the reference partition, empty ones
     included, and classify each non-empty one."""
-    for w in ref_window_partition(events, engine.config.window_len):
+    for w in ref_window_partition(events, WINDOW_LEN):
         for e in w.events:
             engine.process_event(e)
         if w.events:

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import peeler
 
 SOURCES = sorted(Path(peeler.__file__).parent.glob("*.py"))
@@ -33,3 +35,24 @@ def test_every_parameter_is_read():
         for name, line, param in _unused_parameters(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unused == []
+
+
+def _readme_commands():
+    """Each `peeler ...` command in README's code blocks, continuations joined."""
+    readme = Path(__file__).parents[1] / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    text = "\n".join(blocks).replace("\\\n", " ")
+    return [line.split()[1:] for line in text.splitlines() if line.startswith("peeler ")]
+
+
+def test_readme_cli_examples_parse():
+    from peeler.cli import _build_parser
+
+    commands = _readme_commands()
+    assert len(commands) >= 6
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail("README advertises an invalid command: peeler " + " ".join(argv))

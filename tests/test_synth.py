@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from peeler.events import validate_event
 from peeler.features import build_process_tree, extract_mlr_features
 from peeler.fileio import FileIoMatcher, PatternKind
 from peeler.synth import (
@@ -21,7 +20,7 @@ from peeler.synth import (
     synth_trace,
     synth_trace_detailed,
 )
-from peeler.trace_io import load_trace, write_trace
+from peeler.trace_io import event_to_line, line_to_event, load_trace, write_trace
 from peeler.commands import CommandMatcher, load_rules_file, default_rules_path
 from oracles import ACCEPTOR_REGEXES, brute_force_alerts
 
@@ -65,7 +64,7 @@ def test_all_events_valid_and_ordered(archetype, extra):
     assert manifest.duration >= events[-1].timestamp
     prev = -1
     for e in events:
-        assert validate_event(e) == []
+        assert line_to_event(event_to_line(e)) == e
         assert e.timestamp >= prev
         prev = e.timestamp
 
