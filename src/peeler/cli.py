@@ -43,7 +43,7 @@ from .synth import (
     synth_corpus,
     synth_trace,
 )
-from .trace_io import WINDOW_LEN, TraceLabel, load_trace, save_trace, window_partition
+from .trace_io import WINDOW_LEN, TraceLabel, iter_trace, save_trace, window_partition
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -88,25 +88,27 @@ class TraceProfile:
 
 
 def profile_trace(path: str, rules: RuleSet) -> TraceProfile:
-    manifest, events = load_trace(path)
     engine = Engine(EngineConfig(quarantine=False), rules=rules)
     rule_ts = None
     pattern_ts = None
     ends, counts, x_mlr, x_svm = [], [], [], []
-    for w in window_partition(events, WINDOW_LEN):
-        for e in w.events:
-            alert = engine.process_event(e)
-            if alert is None:
-                continue
-            if alert.detector is Detector.COMMAND_RULE and rule_ts is None:
-                rule_ts = alert.event_timestamp
-            elif alert.detector is Detector.FILE_IO_PATTERN and pattern_ts is None:
-                pattern_ts = alert.event_timestamp
-        mlr, svm = window_features(w.events)
-        ends.append(w.end)
-        counts.append(len(w.events))
-        x_mlr.append(mlr.as_vector())
-        x_svm.append(svm.as_vector())
+    with open(path, "rb") as f:
+        stream = iter_trace(f)
+        manifest = next(stream)
+        for w in window_partition(stream, WINDOW_LEN):
+            for e in w.events:
+                alert = engine.process_event(e)
+                if alert is None:
+                    continue
+                if alert.detector is Detector.COMMAND_RULE and rule_ts is None:
+                    rule_ts = alert.event_timestamp
+                elif alert.detector is Detector.FILE_IO_PATTERN and pattern_ts is None:
+                    pattern_ts = alert.event_timestamp
+            mlr, svm = window_features(w.events)
+            ends.append(w.end)
+            counts.append(len(w.events))
+            x_mlr.append(mlr.as_vector())
+            x_svm.append(svm.as_vector())
     return TraceProfile(
         path=path,
         label=manifest.label,
@@ -441,11 +443,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_detect(args) -> int:
-    manifest, events = load_trace(args.trace)
     config = EngineConfig(quarantine=not args.no_quarantine)
-    rules = load_rules_file(args.rules or default_rules_path())
-    model = load_model_file(args.model) if args.model else None
-    report = run_trace(Engine(config, rules=rules, model=model), manifest, events)
+    with open(args.trace, "rb") as f:
+        stream = iter_trace(f)
+        manifest = next(stream)
+        rules = load_rules_file(args.rules or default_rules_path())
+        model = load_model_file(args.model) if args.model else None
+        # run_trace pulls the events off the file: one window of them is alive at a time
+        report = run_trace(Engine(config, rules=rules, model=model), manifest, stream)
     print(f"trace    : {args.trace}")
     print(f"label    : {manifest.label.value} ({manifest.family})")
     print(f"events   : {report.events_processed}  ({report.events_per_second:,.0f}/s)")

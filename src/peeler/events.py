@@ -2,7 +2,10 @@
 
 Events are normalized records from four kernel providers (Process, File,
 Image, Thread). Every detector in the engine consumes this one event shape;
-trace files are just serialized lists of these records.
+trace files are just serialized lists of these records. The records are
+mutable slotted dataclasses, not frozen ones: the decoder builds two per
+trace line, and a frozen one costs about twice as much to build. Nothing
+hashes them.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ class EventType(Enum):
     UNLOAD = "Unload"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ProcessAttrs:
     """Payload of Process Start/End. parent_id 0 means "no parent known"."""
 
@@ -46,7 +49,7 @@ class ProcessAttrs:
     command_line: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FileRwAttrs:
     """Payload of File Read/Write."""
 
@@ -55,7 +58,7 @@ class FileRwAttrs:
     io_size: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FileRenDelAttrs:
     """Payload of File Rename/Delete."""
 
@@ -63,7 +66,7 @@ class FileRenDelAttrs:
     file_object: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FileNameAttrs:
     """Payload of File FileCreate/FileDelete. file_name is a full path."""
 
@@ -71,14 +74,14 @@ class FileNameAttrs:
     file_name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ThreadAttrs:
     """Payload of Thread Start/End. parent_id is the creating process."""
 
     parent_id: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ImageAttrs:
     """Payload of Image Load/Unload."""
 
@@ -107,7 +110,7 @@ ATTRS_FOR = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Event:
     """One kernel event.
 

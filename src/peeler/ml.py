@@ -291,10 +291,21 @@ def save_model(fc: FusedClassifier, sink: BinaryIO) -> None:
 
 
 def _num(s: str) -> float:
+    """A finite float spelled as _fmt writes it: the shortest round-trip repr."""
     x = float(s)
+    if repr(x) != s:
+        raise ValueError(f"{s!r} is not written as {x!r}")
     if not np.isfinite(x):
         raise ValueError(f"{s!r} is not finite")
     return x
+
+
+def _count(s: str) -> int:
+    """A non-negative integer spelled as save_model writes it: plain decimal digits."""
+    n = int(s)
+    if n < 0 or str(n) != s:
+        raise ValueError(f"{s!r} is not a count in plain decimal digits")
+    return n
 
 
 def _positive(s: str) -> float:
@@ -381,9 +392,10 @@ def _scaler_from(m: _ModelText, section: str, width: int) -> Scaler:
 
 
 def load_model(source: BinaryIO) -> FusedClassifier:
-    """Read a model file. Every number must be finite, every row as wide as
-    the scorers read and every flag 0 or 1; anything else is a ParseError
-    that names the file line it rejects."""
+    """Read a model file. Every number must be finite and spelled as
+    save_model writes it, every row as wide as the scorers read and every
+    flag 0 or 1; anything else is a ParseError that names the file line it
+    rejects."""
     lines = decode_utf8(source.read()).split("\n")
     first = lines[0]
     if not first.startswith(MODEL_MAGIC + " "):
@@ -398,7 +410,7 @@ def load_model(source: BinaryIO) -> FusedClassifier:
         scaler=_scaler_from(m, "scaler.mlr", MLR_WIDTH),
         l2=m.get("mlr", "l2"),
         converged=m.get("mlr", "converged", _flag),
-        n_iter=m.get("mlr", "n_iter", int),
+        n_iter=m.get("mlr", "n_iter", _count),
         weights=np.vstack([m.get("mlr", f"weights.{cls}", _row(MLR_WIDTH + 1)) for cls in CLASSES]),
     )
     svm_scaler = _scaler_from(m, "scaler.svm", SVM_WIDTH)
@@ -410,7 +422,7 @@ def load_model(source: BinaryIO) -> FusedClassifier:
         gamma=m.get("svm", "gamma"),
         bias=m.get("svm", "bias"),
         converged=m.get("svm", "converged", _flag),
-        passes=m.get("svm", "passes", int),
+        passes=m.get("svm", "passes", _count),
         dual_objective=m.get("svm", "dual_objective"),
         dual_coefs=m.get("svm", "coef", _row(n_sv)),
         support_vectors=np.vstack(svs) if svs else np.zeros((0, SVM_WIDTH)),

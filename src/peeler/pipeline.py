@@ -123,7 +123,12 @@ class Engine:
 
 
 def run_trace(engine: Engine, manifest: TraceManifest, events: Iterable[Event]) -> DetectionReport:
-    """Immediate-mode run of one trace through a fresh engine."""
+    """Immediate-mode run of one trace through a fresh engine.
+
+    events may be a list or a stream such as trace_io.iter_trace's. The
+    reported rate times the whole loop, so it includes the time the stream
+    takes to produce each event.
+    """
     if engine.events_processed:
         raise ValueError("engine has already consumed a stream")
     start = time.perf_counter()

@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .errors import ParseError, decode_utf8
 from .events import (
     Event,
     EventType,
@@ -732,13 +733,24 @@ def synth_corpus(
 
 
 def read_corpus_index(corpus_dir: str) -> List[Tuple[str, str, str, int]]:
-    """Rows of (path, label, family, seed) from a corpus index file."""
+    """Rows of (path, label, family, seed) from a corpus index file.
+
+    A row that is not four `|`-separated fields, a seed that is not a
+    decimal integer in [0, 2^64), or bytes that are not UTF-8 are a
+    ParseError naming the file line.
+    """
+    with open(os.path.join(corpus_dir, "index.txt"), "rb") as f:
+        text = decode_utf8(f.read())
     rows = []
-    with open(os.path.join(corpus_dir, "index.txt"), encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            name, label, family, seed = (p.strip() for p in line.split("|"))
-            rows.append((os.path.join(corpus_dir, name), label, family, int(seed)))
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        fields = [p.strip() for p in line.split("|")]
+        if len(fields) != 4:
+            raise ParseError(lineno, f"expected 4 '|'-separated fields, got {len(fields)}")
+        name, label, family, seed = fields
+        # at most 20 digits, so int() stays cheap whatever the row holds
+        if not (seed.isascii() and seed.isdigit() and len(seed) <= 20 and int(seed) < 1 << 64):
+            raise ParseError(lineno, f"seed {seed!r} is not an integer in [0, 2^64)")
+        rows.append((os.path.join(corpus_dir, name), label, family, int(seed)))
     return rows

@@ -16,6 +16,12 @@ plain integers on ingestion. Decoding is strict by JSON type: integer
 fields take only JSON integers (not booleans or floats) in [0, 2^64), and
 string fields only strings.
 
+iter_trace decodes a file as it reads it, one line at a time, and yields
+the manifest, then the events; read_trace collects them into a list. Each
+line goes to the C JSON scanner directly, and one dict keyed by the wire's
+(prov, etype) strings picks its payload parser. detect, train and eval feed
+the stream to window_partition, so they hold one window of events.
+
 window_partition cuts a stream lazily into tumbling windows aligned at t=0
 and yields only the non-empty ones; the engine (pipeline.run_trace) and the
 eval profiles (cli.profile_trace) both consume it, always at WINDOW_LEN.
@@ -26,9 +32,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import BinaryIO, Iterable, Iterator, List, Tuple
+from typing import BinaryIO, Iterable, Iterator, List, NoReturn, Tuple, Union
 
-from .errors import ParseError, SchemaError, decode_utf8
+from .errors import ParseError, SchemaError
 from .events import (
     ATTRS_FOR,
     Event,
@@ -170,52 +176,103 @@ def event_to_line(e: Event) -> str:
     return json.dumps(d, separators=(",", ":"), ensure_ascii=False)
 
 
-def _parse_attrs(provider: Provider, etype: EventType, obj: dict, lineno: int):
-    cls = ATTRS_FOR.get((provider, etype))
-    if cls is None:
-        raise ParseError(lineno, f"etype {etype.value} invalid for provider {provider.value}")
-    try:
-        if cls is FileRwAttrs:
-            return FileRwAttrs(
-                file_key=_key_in(obj["file_key"], "file_key", lineno),
-                file_object=_key_in(obj["file_object"], "file_object", lineno),
-                io_size=_u64(obj["io_size"], "io_size", lineno),
-            )
-        if cls is FileNameAttrs:
-            file_object = _key_in(obj["file_object"], "file_object", lineno)
-            file_name = _str(obj["file_name"], "file_name", lineno)
-            if not file_name:
-                raise SchemaError(f"line {lineno}: invalid event: attrs.file_name: empty")
-            return FileNameAttrs(file_object=file_object, file_name=file_name)
-        if cls is FileRenDelAttrs:
-            return FileRenDelAttrs(
-                file_key=_key_in(obj["file_key"], "file_key", lineno),
-                file_object=_key_in(obj["file_object"], "file_object", lineno),
-            )
-        if cls is ProcessAttrs:
-            return ProcessAttrs(
-                session_id=_u64(obj["session_id"], "session_id", lineno),
-                parent_id=_u64(obj["parent_id"], "parent_id", lineno),
-                image_file_name=_str(obj["image"], "image", lineno),
-                command_line=_str(obj["cmdline"], "cmdline", lineno),
-            )
-        if cls is ThreadAttrs:
-            return ThreadAttrs(parent_id=_u64(obj["parent_id"], "parent_id", lineno))
-        return ImageAttrs(
-            image_size=_u64(obj["image_size"], "image_size", lineno),
-            file_name=_str(obj["file_name"], "file_name", lineno),
-        )
-    except KeyError as exc:
-        raise ParseError(lineno, f"missing attribute key {exc.args[0]!r}") from None
+def _process(obj: dict, lineno: int) -> ProcessAttrs:
+    return ProcessAttrs(
+        _u64(obj["session_id"], "session_id", lineno),
+        _u64(obj["parent_id"], "parent_id", lineno),
+        _str(obj["image"], "image", lineno),
+        _str(obj["cmdline"], "cmdline", lineno),
+    )
+
+
+def _file_rw(obj: dict, lineno: int) -> FileRwAttrs:
+    return FileRwAttrs(
+        _key_in(obj["file_key"], "file_key", lineno),
+        _key_in(obj["file_object"], "file_object", lineno),
+        _u64(obj["io_size"], "io_size", lineno),
+    )
+
+
+def _file_ren_del(obj: dict, lineno: int) -> FileRenDelAttrs:
+    return FileRenDelAttrs(
+        _key_in(obj["file_key"], "file_key", lineno),
+        _key_in(obj["file_object"], "file_object", lineno),
+    )
+
+
+def _file_name(obj: dict, lineno: int) -> FileNameAttrs:
+    file_object = _key_in(obj["file_object"], "file_object", lineno)
+    file_name = _str(obj["file_name"], "file_name", lineno)
+    if not file_name:
+        raise SchemaError(f"line {lineno}: invalid event: attrs.file_name: empty")
+    return FileNameAttrs(file_object, file_name)
+
+
+def _thread(obj: dict, lineno: int) -> ThreadAttrs:
+    return ThreadAttrs(_u64(obj["parent_id"], "parent_id", lineno))
+
+
+def _image(obj: dict, lineno: int) -> ImageAttrs:
+    return ImageAttrs(
+        _u64(obj["image_size"], "image_size", lineno),
+        _str(obj["file_name"], "file_name", lineno),
+    )
+
+
+_PARSE_ATTRS = {
+    ProcessAttrs: _process,
+    FileRwAttrs: _file_rw,
+    FileRenDelAttrs: _file_ren_del,
+    FileNameAttrs: _file_name,
+    ThreadAttrs: _thread,
+    ImageAttrs: _image,
+}
+
+# (prov, etype) as the wire spells them -> the two members and the payload
+# parser: one lookup of two strings, whose hashes are cached, per line
+_PAIRS = {(p.value, t.value): (p, t, _PARSE_ATTRS[cls]) for (p, t), cls in ATTRS_FOR.items()}
+
+_scan_once = json.JSONDecoder().scan_once
 
 
 def _json_loads(text: str, lineno: int, what: str):
+    """json.loads(text), with its fault as a ParseError naming the line.
+
+    The C scanner reads the usual line, one value that fills it, without
+    json.loads's Python wrapper. Anything else (whitespace around the value,
+    trailing data, an empty line or a fault) goes to json.loads, which
+    accepts or rejects it as before.
+    """
+    try:
+        value, end = _scan_once(text, 0)
+        if end == len(text):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(lineno, f"{what}: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # integer digit limit, nesting depth
         raise ParseError(lineno, f"{what}: {exc}") from None
+
+
+def _reject_head(obj, lineno: int) -> NoReturn:
+    """Raise the first fault of a line whose object, prov/etype pair or
+    pid/tid/ts failed line_to_event's one test, in the order they are checked."""
+    if type(obj) is not dict:
+        raise ParseError(lineno, "event line is not an object")
+    try:
+        provider = _PROVIDER_BY_NAME[obj["prov"]]
+        etype = _ETYPE_BY_NAME[obj["etype"]]
+        head = [(name, obj[name]) for name in ("pid", "tid", "ts")]
+    except KeyError as exc:
+        raise ParseError(lineno, f"missing or unknown key/value {exc.args[0]!r}") from None
+    except TypeError:  # a list or object where prov/etype belongs
+        raise ParseError(lineno, "prov and etype must be strings") from None
+    for name, value in head:
+        _u64(value, name, lineno)
+    raise ParseError(lineno, f"etype {etype.value} invalid for provider {provider.value}")
 
 
 def line_to_event(line: str, lineno: int = 0) -> Event:
@@ -225,25 +282,20 @@ def line_to_event(line: str, lineno: int = 0) -> Event:
     or FileDelete with an empty file name.
     """
     obj = _json_loads(line, lineno, "invalid JSON")
-    if type(obj) is not dict:
-        raise ParseError(lineno, "event line is not an object")
     try:
-        provider = _PROVIDER_BY_NAME[obj["prov"]]
-        etype = _ETYPE_BY_NAME[obj["etype"]]
-        pid = obj["pid"]
-        tid = obj["tid"]
-        ts = obj["ts"]
-    except KeyError as exc:
-        raise ParseError(lineno, f"missing or unknown key/value {exc.args[0]!r}") from None
-    except TypeError:  # a list or object where prov/etype belongs
-        raise ParseError(lineno, "prov and etype must be strings") from None
-    # one inline test for the three fields every event has; _u64 names the culprit
+        provider, etype, parse = _PAIRS[obj["prov"], obj["etype"]]
+        pid, tid, ts = obj["pid"], obj["tid"], obj["ts"]
+    except (KeyError, TypeError):  # not an object, a key missing or an unknown pair
+        pid = None
+    # one inline test for the fields every event has; _reject_head names the culprit
     if not (type(pid) is int and type(tid) is int and type(ts) is int
             and 0 <= pid < _U64 and 0 <= tid < _U64 and 0 <= ts < _U64):
-        for name in ("pid", "tid", "ts"):
-            _u64(obj[name], name, lineno)
-    attrs = _parse_attrs(provider, etype, obj, lineno)
-    return Event(pid=pid, tid=tid, provider=provider, etype=etype, timestamp=ts, attrs=attrs)
+        _reject_head(obj, lineno)
+    try:
+        attrs = parse(obj, lineno)
+    except KeyError as exc:
+        raise ParseError(lineno, f"missing attribute key {exc.args[0]!r}") from None
+    return Event(pid, tid, provider, etype, ts, attrs)
 
 
 def _manifest_to_json(m: TraceManifest) -> str:
@@ -284,21 +336,31 @@ def write_trace(manifest: TraceManifest, events: List[Event], sink: BinaryIO) ->
     sink.write("".join(out).encode("utf-8"))
 
 
-def read_trace(source: BinaryIO) -> Tuple[TraceManifest, List[Event]]:
-    """Read and validate a whole trace.
+def _line_text(raw: bytes, lineno: int) -> str:
+    """One line of a trace file as text, without its line break."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(lineno, "invalid UTF-8") from None
+    return text[:-1] if text[-1:] == "\n" else text
 
-    Raises ParseError for malformed lines (invalid UTF-8 or JSON, a missing
-    key, a value of the wrong JSON type or out of range) and SchemaError for
-    invariant violations (an empty FileCreate/FileDelete file name,
-    non-monotonic timestamps, count/duration mismatch). Both abort the read.
+
+def iter_trace(source: BinaryIO) -> Iterator[Union[TraceManifest, Event]]:
+    """Decode a trace as it is read: yield its manifest, then its events.
+
+    The file is read one line at a time, so a consumer that keeps no events
+    holds one line in memory. Raises ParseError for a malformed line
+    (invalid UTF-8 or JSON, a missing key, a value of the wrong JSON type
+    or out of range) and SchemaError for an invariant violation (an empty
+    FileCreate/FileDelete file name, a non-monotonic timestamp), each where
+    the line is reached; so the first fault in line order is the one
+    reported. The checks against the manifest (event count, duration) run
+    after the last line, so they raise after every event has been yielded.
     """
-    text = decode_utf8(source.read())
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
+    first = source.readline()
+    if not first:
         raise ParseError(1, "empty trace file")
-    header = lines[0]
+    header = _line_text(first, 1)
     if not header.startswith(HEADER_MAGIC + " "):
         raise ParseError(1, "missing trace header magic")
     rest = header[len(HEADER_MAGIC) + 1 :]
@@ -306,23 +368,29 @@ def read_trace(source: BinaryIO) -> Tuple[TraceManifest, List[Event]]:
     if version != FORMAT_VERSION:
         raise ParseError(1, f"unsupported trace format version {version!r}")
     manifest = _manifest_from_json(manifest_json, 1)
+    yield manifest
 
-    events: List[Event] = []
+    count = 0
     prev_ts = -1
-    for i, line in enumerate(lines[1:], start=2):
-        e = line_to_event(line, i)
+    for lineno, raw in enumerate(source, start=2):
+        e = line_to_event(_line_text(raw, lineno), lineno)
         if e.timestamp < prev_ts:
-            raise SchemaError(f"line {i}: non-monotonic timestamp")
+            raise SchemaError(f"line {lineno}: non-monotonic timestamp")
         prev_ts = e.timestamp
-        events.append(e)
+        count += 1
+        yield e
 
-    if manifest.event_count != len(events):
-        raise SchemaError(
-            f"manifest event_count {manifest.event_count} != body event count {len(events)}"
-        )
-    if events and manifest.duration < events[-1].timestamp:
+    if manifest.event_count != count:
+        raise SchemaError(f"manifest event_count {manifest.event_count} != body event count {count}")
+    if count and manifest.duration < prev_ts:
         raise SchemaError("manifest duration precedes last event timestamp")
-    return manifest, events
+
+
+def read_trace(source: BinaryIO) -> Tuple[TraceManifest, List[Event]]:
+    """Read and validate a whole trace: iter_trace, collected."""
+    stream = iter_trace(source)
+    manifest = next(stream)
+    return manifest, list(stream)
 
 
 def load_trace(path) -> Tuple[TraceManifest, List[Event]]:

@@ -7,19 +7,44 @@ straightforward two-pass formulas. The softmax loss/gradient and the SVM dual
 solver references are the original per-row and per-element loops that the
 vectorized kernels must reproduce bit for bit. The window reference builds
 every window up to the last event, empty ones included, by direct indexing.
+The trace reference is the whole-file decoder that the streaming one
+replaced: decode all bytes, split the lines, json.loads each, and pick the
+payload type by enum pair.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from peeler.events import Event, EventType, Provider
+from peeler.errors import ParseError, SchemaError, decode_utf8
+from peeler.events import (
+    ATTRS_FOR,
+    Event,
+    EventType,
+    FileNameAttrs,
+    FileRenDelAttrs,
+    FileRwAttrs,
+    ImageAttrs,
+    ProcessAttrs,
+    Provider,
+    ThreadAttrs,
+)
 from peeler.fileio import PatternKind
-from peeler.trace_io import Window
+from peeler.trace_io import (
+    FORMAT_VERSION,
+    HEADER_MAGIC,
+    TraceLabel,
+    TraceManifest,
+    Window,
+    _key_in,
+    _str,
+    _u64,
+)
 
 ACCEPTOR_REGEXES = [
     (PatternKind.MEM_TO_FILE_POST_OVERWRITE, re.compile(r"C(?:R+W+R*)+NDC"), False),
@@ -299,3 +324,131 @@ def ref_smo_solve(gram, y, c, tol, max_passes):
     alpha = beta * y
     passes = (it + n - 1) // n if n > 0 else 0
     return alpha, b, passes, converged
+
+
+# --- whole-file trace decoder -------------------------------------------------
+
+_REF_PROVIDER = {p.value: p for p in Provider}
+_REF_ETYPE = {t.value: t for t in EventType}
+
+
+def _ref_json_loads(text: str, lineno: int, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(lineno, f"{what}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(lineno, f"{what}: {exc}") from None
+
+
+def _ref_parse_attrs(provider: Provider, etype: EventType, obj: dict, lineno: int):
+    cls = ATTRS_FOR.get((provider, etype))
+    if cls is None:
+        raise ParseError(lineno, f"etype {etype.value} invalid for provider {provider.value}")
+    try:
+        if cls is FileRwAttrs:
+            return FileRwAttrs(
+                file_key=_key_in(obj["file_key"], "file_key", lineno),
+                file_object=_key_in(obj["file_object"], "file_object", lineno),
+                io_size=_u64(obj["io_size"], "io_size", lineno),
+            )
+        if cls is FileNameAttrs:
+            file_object = _key_in(obj["file_object"], "file_object", lineno)
+            file_name = _str(obj["file_name"], "file_name", lineno)
+            if not file_name:
+                raise SchemaError(f"line {lineno}: invalid event: attrs.file_name: empty")
+            return FileNameAttrs(file_object=file_object, file_name=file_name)
+        if cls is FileRenDelAttrs:
+            return FileRenDelAttrs(
+                file_key=_key_in(obj["file_key"], "file_key", lineno),
+                file_object=_key_in(obj["file_object"], "file_object", lineno),
+            )
+        if cls is ProcessAttrs:
+            return ProcessAttrs(
+                session_id=_u64(obj["session_id"], "session_id", lineno),
+                parent_id=_u64(obj["parent_id"], "parent_id", lineno),
+                image_file_name=_str(obj["image"], "image", lineno),
+                command_line=_str(obj["cmdline"], "cmdline", lineno),
+            )
+        if cls is ThreadAttrs:
+            return ThreadAttrs(parent_id=_u64(obj["parent_id"], "parent_id", lineno))
+        return ImageAttrs(
+            image_size=_u64(obj["image_size"], "image_size", lineno),
+            file_name=_str(obj["file_name"], "file_name", lineno),
+        )
+    except KeyError as exc:
+        raise ParseError(lineno, f"missing attribute key {exc.args[0]!r}") from None
+
+
+def _ref_line_to_event(line: str, lineno: int) -> Event:
+    obj = _ref_json_loads(line, lineno, "invalid JSON")
+    if type(obj) is not dict:
+        raise ParseError(lineno, "event line is not an object")
+    try:
+        provider = _REF_PROVIDER[obj["prov"]]
+        etype = _REF_ETYPE[obj["etype"]]
+        pid = obj["pid"]
+        tid = obj["tid"]
+        ts = obj["ts"]
+    except KeyError as exc:
+        raise ParseError(lineno, f"missing or unknown key/value {exc.args[0]!r}") from None
+    except TypeError:
+        raise ParseError(lineno, "prov and etype must be strings") from None
+    for name in ("pid", "tid", "ts"):
+        _u64(obj[name], name, lineno)
+    attrs = _ref_parse_attrs(provider, etype, obj, lineno)
+    return Event(pid=pid, tid=tid, provider=provider, etype=etype, timestamp=ts, attrs=attrs)
+
+
+def _ref_manifest(text: str, lineno: int) -> TraceManifest:
+    d = _ref_json_loads(text, lineno, "invalid manifest JSON")
+    if type(d) is not dict:
+        raise ParseError(lineno, "manifest is not an object")
+    try:
+        return TraceManifest(
+            label=TraceLabel(_str(d["label"], "label", lineno)),
+            family=_str(d["family"], "family", lineno),
+            seed=_u64(d["seed"], "seed", lineno),
+            event_count=_u64(d["event_count"], "event_count", lineno),
+            duration=_u64(d["duration"], "duration", lineno),
+            attack_onset=_u64(d.get("attack_onset", 0), "attack_onset", lineno),
+        )
+    except KeyError as exc:
+        raise ParseError(lineno, f"manifest missing key {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise ParseError(lineno, f"bad manifest value: {exc}") from None
+
+
+def ref_read_trace(source) -> Tuple[TraceManifest, List[Event]]:
+    """Decode a whole trace at once: the file, then its lines, then events."""
+    text = decode_utf8(source.read())
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError(1, "empty trace file")
+    header = lines[0]
+    if not header.startswith(HEADER_MAGIC + " "):
+        raise ParseError(1, "missing trace header magic")
+    rest = header[len(HEADER_MAGIC) + 1 :]
+    version, _, manifest_json = rest.partition(" ")
+    if version != FORMAT_VERSION:
+        raise ParseError(1, f"unsupported trace format version {version!r}")
+    manifest = _ref_manifest(manifest_json, 1)
+
+    events: List[Event] = []
+    prev_ts = -1
+    for i, line in enumerate(lines[1:], start=2):
+        e = _ref_line_to_event(line, i)
+        if e.timestamp < prev_ts:
+            raise SchemaError(f"line {i}: non-monotonic timestamp")
+        prev_ts = e.timestamp
+        events.append(e)
+
+    if manifest.event_count != len(events):
+        raise SchemaError(
+            f"manifest event_count {manifest.event_count} != body event count {len(events)}"
+        )
+    if events and manifest.duration < events[-1].timestamp:
+        raise SchemaError("manifest duration precedes last event timestamp")
+    return manifest, events

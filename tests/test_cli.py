@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ from peeler.ml import (
 )
 from peeler.pipeline import Engine, EngineConfig, run_trace
 from peeler.synth import SynthConfig, default_corpus_spec, read_corpus_index, synth_corpus
-from peeler.trace_io import TraceLabel, load_trace, window_partition
+from peeler.trace_io import TraceLabel, iter_trace, load_trace, window_partition
 from peeler.fileio import PatternKind
 from oracles import ref_mlr_loss_grad, ref_smo_solve
 
@@ -136,11 +137,11 @@ def test_eval_trains_per_repeat_and_is_deterministic(small_corpus, capsys):
 def test_eval_correlations_prints_table(small_corpus, capsys, monkeypatch):
     decoded = []
 
-    def counting_load_trace(path):
-        decoded.append(path)
-        return load_trace(path)
+    def counting_iter_trace(source):
+        decoded.append(source.name)
+        return iter_trace(source)
 
-    monkeypatch.setattr(cli, "load_trace", counting_load_trace)
+    monkeypatch.setattr(cli, "iter_trace", counting_iter_trace)
     assert main(["eval", "--corpus", small_corpus, "--repeats", "1", "--seed", "3",
                  "--correlations"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -354,6 +355,68 @@ def test_hostile_trace_is_data_error(name, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# faults the decoder can only see after the last line (a count or a
+# duration checked against the manifest) or on the last line itself
+END_OF_STREAM_EDITS = {
+    "event_count_over": (b'"event_count":3', b'"event_count":4'),
+    "event_count_under": (b'"event_count":3', b'"event_count":2'),
+    "duration_before_last_ts": (b'"duration":1500', b'"duration":1499'),
+    "last_line_non_monotonic": (b'"ts":1500', b'"ts":1100'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(END_OF_STREAM_EDITS))
+def test_end_of_stream_fault_is_data_error(name, tmp_path, capsys):
+    old, new = END_OF_STREAM_EDITS[name]
+    assert _VALID_TRACE.count(old) == 1
+    path, report = tmp_path / "t.pt", tmp_path / "r.json"
+    path.write_bytes(_VALID_TRACE.replace(old, new))
+    assert main(["detect", "--trace", str(path), "--json-report", str(report)]) == EXIT_DATA
+    assert not report.exists()
+    assert "error:" in capsys.readouterr().err
+
+
+# (the second index row -> its replacement) -> each must be a data error naming line 2
+HOSTILE_INDEX_EDITS = {
+    "three_fields": lambda row: row.rsplit(b"|", 1)[0],
+    "five_fields": lambda row: row + b" | extra",
+    "seed_not_integer": lambda row: row.rsplit(b"|", 1)[0] + b"| 7x",
+    "seed_float": lambda row: row.rsplit(b"|", 1)[0] + b"| 7.0",
+    "seed_signed": lambda row: row.rsplit(b"|", 1)[0] + b"| +7",
+    "seed_over_64_bits": lambda row: row.rsplit(b"|", 1)[0] + b"| 18446744073709551616",
+    "invalid_utf8": lambda row: row.replace(b"|", b"\xff|", 1),
+}
+
+
+def _corpus_with_index(small_corpus, tmp_path, edit=None):
+    """A copy of the small corpus whose index has its second row edited."""
+    corpus = tmp_path / "corpus"
+    shutil.copytree(small_corpus, corpus)
+    rows = (corpus / "index.txt").read_bytes().split(b"\n")
+    if edit is not None:
+        rows[1] = edit(rows[1])
+    (corpus / "index.txt").write_bytes(b"\n".join(rows))
+    return str(corpus)
+
+
+def test_valid_corpus_template_evaluates(small_corpus, tmp_path, capsys):
+    corpus, out = _corpus_with_index(small_corpus, tmp_path), tmp_path / "out.json"
+    argv = ["eval", "--corpus", corpus, "--repeats", "1", "--json-report", str(out)]
+    assert main(argv) == EXIT_OK and out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("name", sorted(HOSTILE_INDEX_EDITS))
+def test_hostile_corpus_is_data_error(name, command, small_corpus, tmp_path, capsys):
+    corpus = _corpus_with_index(small_corpus, tmp_path, HOSTILE_INDEX_EDITS[name])
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--corpus", corpus, "--out", str(out)],
+            "eval": ["eval", "--corpus", corpus, "--repeats", "1", "--json-report", str(out)]}
+    assert main(argv[command]) == EXIT_DATA
+    assert not out.exists()
+    assert "error: line 2: " in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def valid_model_text(small_corpus):
     rules = load_rules_file(default_rules_path())
@@ -396,6 +459,12 @@ HOSTILE_MODEL_EDITS = {
     "svm_converged_yes": ("svm", "converged", lambda v: "yes"),
     "gamma_repeated": ("svm", "gamma", lambda v: v + "\ngamma = 99.0"),
     "fusion_repeated": ("fusion", "threshold", lambda v: f"{v}\n[fusion]\nthreshold = {v}"),
+    "n_iter_underscore": ("mlr", "n_iter", lambda v: "5_00"),
+    "n_iter_signed": ("mlr", "n_iter", lambda v: "+" + v),
+    "l2_underscore": ("mlr", "l2", lambda v: "0.00_1"),
+    "l2_exponent": ("mlr", "l2", lambda v: "1e-3"),
+    "passes_negative": ("svm", "passes", lambda v: "-2"),
+    "passes_leading_zero": ("svm", "passes", lambda v: "0" + v),
 }
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,18 +12,21 @@ import pytest
 from peeler.commands import default_rules_path, load_rules_file
 from peeler.errors import ParseError, SchemaError
 from peeler.pipeline import Engine, EngineConfig, run_trace
+from peeler.synth import SynthConfig, synth_trace
 from peeler.trace_io import (
     TraceLabel,
     TraceManifest,
     Window,
     event_to_line,
+    iter_trace,
     line_to_event,
     read_trace,
     window_partition,
     write_trace,
 )
 from helpers import ev_proc_start, ev_read, ev_write, random_events
-from oracles import ref_window_partition
+from oracles import ref_read_trace, ref_window_partition
+from test_cli import HOSTILE_EDITS, _VALID_TRACE
 
 
 def _manifest(events, label=TraceLabel.BENIGN, family="test", seed=1):
@@ -231,3 +235,108 @@ def test_mutated_lines_raise_only_parse_or_schema_errors():
             continue
         run_trace(Engine(EngineConfig(), rules=rules), manifest, decoded)
     assert 150 <= rejected < 300
+
+
+def _decoded(read, data: bytes):
+    """What a decoder makes of a file: its manifest and events, or its
+    exception's type and message."""
+    try:
+        return read(io.BytesIO(data))
+    except (ParseError, SchemaError) as exc:
+        return type(exc), str(exc)
+
+
+def test_decoder_matches_reference_on_fuzz_and_hostile_input():
+    # the 300 files of test_mutated_lines_raise_only_parse_or_schema_errors
+    rng = np.random.default_rng(97)
+    events = random_events(rng, 30)
+    buf = io.BytesIO()
+    write_trace(_manifest(events), events, buf)
+    lines = buf.getvalue().split(b"\n")[:-1]
+    files = []
+    for _ in range(300):
+        mutated = list(lines)
+        i = int(rng.integers(len(lines)))
+        mutated[i] = _mutate_line(lines[i], rng)
+        files.append(b"\n".join(mutated) + b"\n")
+    files += [_VALID_TRACE.replace(old, new) for old, new in HOSTILE_EDITS.values()]
+    outcomes = set()
+    for data in files:
+        decoded = _decoded(read_trace, data)
+        assert decoded == _decoded(ref_read_trace, data), data[:200]
+        outcomes.add(decoded[0] if type(decoded[0]) is type else TraceManifest)
+    assert outcomes == {ParseError, SchemaError, TraceManifest}
+
+
+PADDINGS = {
+    "crlf": lambda line: line + b"\r",
+    "spaces": lambda line: b"  " + line + b" ",
+    "tabs_and_cr": lambda line: b"\t" + line + b"\t\r",
+    "bom": lambda line: b"\xef\xbb\xbf" + line,
+    "trailing_data": lambda line: line + b" 0",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PADDINGS))
+def test_padded_lines_decode_as_reference(name):
+    # JSON whitespace around an event or the manifest is accepted, a BOM or
+    # trailing data is not, exactly as json.loads has it
+    lines = _VALID_TRACE.split(b"\n")[:-1]
+    pad = PADDINGS[name]
+    files = [b"\n".join([pad(lines[0])] + lines[1:]) + b"\n",
+             b"\n".join(lines[:2] + [pad(lines[2])] + lines[3:]) + b"\n",
+             b"\n".join(lines[:1] + [pad(line) for line in lines[1:]])]  # no final break
+    for data in files:
+        assert _decoded(read_trace, data) == _decoded(ref_read_trace, data)
+    accepted = type(_decoded(read_trace, files[2])[0]) is TraceManifest
+    assert accepted == (name in ("crlf", "spaces", "tabs_and_cr"))
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"\n", b"\n\n", _VALID_TRACE + b"\n", _VALID_TRACE + b"garbage",
+    _VALID_TRACE[:-1], _VALID_TRACE.replace(b"\n", b"\n\n", 1),
+])
+def test_blank_and_short_files_decode_as_reference(data):
+    assert _decoded(read_trace, data) == _decoded(ref_read_trace, data)
+
+
+def test_first_fault_in_line_order_is_reported():
+    # a JSON fault on line 2 and invalid UTF-8 on line 4: the stream reaches
+    # line 2 first (the whole-file reference decoded all bytes first)
+    lines = _VALID_TRACE.split(b"\n")
+    lines[1] = lines[1][:-1]
+    lines[3] = lines[3].replace(b"4096", b"\xff")
+    with pytest.raises(ParseError) as exc:
+        read_trace(io.BytesIO(b"\n".join(lines)))
+    assert exc.value.line == 2 and "invalid JSON" in exc.value.reason
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_run_holds_no_event_list():
+    manifest, events = synth_trace(SynthConfig(
+        seed=3, archetype="benign_desktop", duration=900_000_000, intensity=20.0))
+    assert len(events) > 80_000
+    buf = io.BytesIO()
+    write_trace(manifest, events, buf)
+    data = buf.getvalue()
+    del events
+    rules = load_rules_file(default_rules_path())
+
+    def streamed():
+        stream = iter_trace(io.BytesIO(data))
+        run_trace(Engine(EngineConfig(), rules=rules), next(stream), stream)
+
+    def listed():
+        run_trace(Engine(EngineConfig(), rules=rules), *read_trace(io.BytesIO(data)))
+
+    decoded = _peak_bytes(lambda: read_trace(io.BytesIO(data)))
+    # both runs hold the engine's state; only the listed one holds every event
+    assert _peak_bytes(listed) - _peak_bytes(streamed) > decoded / 2
