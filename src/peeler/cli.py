@@ -89,33 +89,27 @@ class TraceProfile:
 
 def profile_trace(path: str, rules: RuleSet) -> TraceProfile:
     engine = Engine(EngineConfig(quarantine=False), rules=rules)
-    rule_ts = None
-    pattern_ts = None
     ends, counts, x_mlr, x_svm = [], [], [], []
     with open(path, "rb") as f:
         stream = iter_trace(f)
         manifest = next(stream)
-        for w in window_partition(stream, WINDOW_LEN):
-            for e in w.events:
-                alert = engine.process_event(e)
-                if alert is None:
-                    continue
-                if alert.detector is Detector.COMMAND_RULE and rule_ts is None:
-                    rule_ts = alert.event_timestamp
-                elif alert.detector is Detector.FILE_IO_PATTERN and pattern_ts is None:
-                    pattern_ts = alert.event_timestamp
-            mlr, svm = window_features(w.events)
+        for w in window_partition(stream, WINDOW_LEN, engine.process_event):
+            mlr, svm = window_features(w)
             ends.append(w.end)
-            counts.append(len(w.events))
+            counts.append(w.count)
             x_mlr.append(mlr.as_vector())
             x_svm.append(svm.as_vector())
+    # without quarantine the engine records every alert, in the order it fired
+    first_ts: Dict[Detector, int] = {}
+    for alert in engine.alerts:
+        first_ts.setdefault(alert.detector, alert.event_timestamp)
     return TraceProfile(
         path=path,
         label=manifest.label,
         family=manifest.family,
         attack_onset=manifest.attack_onset,
-        rule_alert_ts=rule_ts,
-        pattern_alert_ts=pattern_ts,
+        rule_alert_ts=first_ts.get(Detector.COMMAND_RULE),
+        pattern_alert_ts=first_ts.get(Detector.FILE_IO_PATTERN),
         window_ends=np.array(ends, dtype=np.int64),
         window_counts=np.array(counts, dtype=np.int64),
         X_mlr=np.vstack(x_mlr) if x_mlr else np.zeros((0, 5)),

@@ -4,19 +4,20 @@ Two feature views feed the classifiers: the process-tree shape of a window
 (spawn-heavy screen lockers stand out) and raw per-window event-type counts
 (crypto I/O storms stand out). Trees are rebuilt per window from that
 window's events only, so windows stay independent samples. Every function
-here takes the window's event sequence (Window.events); its two feature
-vectors are the one row per window that detect scores and eval keeps.
+here reads a trace_io.Window, whose counts and maps fold in the window's
+events as they arrive; the list-taking helpers fold a sequence of events
+into one Window first. The two feature vectors are the one row per window
+that detect scores and eval keeps.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .events import Event, EventType, Provider
+from .events import Event
 from .trace_io import TraceLabel, TraceManifest, Window
 
 UNKNOWN_IMAGE = "?"
@@ -102,8 +103,18 @@ class SvmFeatures:
         )
 
 
-def build_process_tree(events: Iterable[Event]) -> ProcessTree:
-    """Build the process forest of one window's events.
+def _window(source: Union[Window, Iterable[Event]]) -> Window:
+    """source itself when it is a Window, else its events folded into one."""
+    if isinstance(source, Window):
+        return source
+    window = Window(0, 0, 0)
+    for e in source:
+        window.add(e)
+    return window
+
+
+def build_process_tree(source: Union[Window, Iterable[Event]]) -> ProcessTree:
+    """Build the process forest of one window (or of a sequence of events).
 
     One node per pid with a Process Start event, plus stub nodes for parents
     referenced by parent_id but not started in the window (image name taken
@@ -112,50 +123,40 @@ def build_process_tree(events: Iterable[Event]) -> ProcessTree:
     attributed to the node's pid. A parent edge that would close a cycle is
     dropped (the child becomes a root) and recorded as a warning.
     """
-    images: Dict[int, str] = {}
-    started: Dict[int, int] = {}
-    threads: Counter = Counter()
-
-    for e in events:
-        if e.provider is Provider.PROCESS:
-            attrs = e.attrs
-            if attrs.image_file_name and e.pid not in images:
-                images[e.pid] = attrs.image_file_name
-            if e.etype is EventType.START and e.pid not in started:
-                started[e.pid] = attrs.parent_id
-        elif e.provider is Provider.THREAD and e.etype is EventType.START:
-            threads[e.pid] += 1
-
+    w = _window(source)
+    images = w.images
+    threads = w.threads
+    started = w.started
     nodes: Dict[int, ProcessNode] = {}
     for pid, parent in started.items():
-        nodes[pid] = ProcessNode(pid, parent, images.get(pid, UNKNOWN_IMAGE))
-    for pid, parent in started.items():
+        nodes[pid] = ProcessNode(pid, parent, images.get(pid, UNKNOWN_IMAGE), threads.get(pid, 0))
+    for parent in started.values():
         if parent != 0 and parent not in nodes:
-            nodes[parent] = ProcessNode(parent, 0, images.get(parent, UNKNOWN_IMAGE))
-    for pid, node in nodes.items():
-        node.thread_count = threads.get(pid, 0)
+            nodes[parent] = ProcessNode(
+                parent, 0, images.get(parent, UNKNOWN_IMAGE), threads.get(parent, 0))
 
     tree = ProcessTree(roots=[])
-    parent_of: Dict[int, int] = {}
+    # union-find over the edges kept so far: up leads towards the root of a
+    # pid's tree. pid has no edge of its own when its edge is tried, so it is
+    # a root, and pid -> parent closes a cycle exactly when the root of
+    # parent's tree is pid.
+    up: Dict[int, int] = {}
     for pid, node in nodes.items():
         parent = node.parent_pid
-        if parent == 0 or parent == pid or parent not in nodes:
+        if parent == 0 or parent == pid:
             tree.roots.append(node)
             continue
-        # walk the already-assigned ancestry; refuse the edge if it loops back
-        cursor = parent
-        cyclic = False
-        while cursor in parent_of:
-            cursor = parent_of[cursor]
-            if cursor == pid:
-                cyclic = True
-                break
-        if cyclic:
-            tree.warnings.append(f"cycle broken at pid {pid} -> parent {parent}")
+        root = parent
+        while root in up:
+            root = up[root]
+        while parent != root:  # path compression
+            up[parent], parent = root, up[parent]
+        if root == pid:
+            tree.warnings.append(f"cycle broken at pid {pid} -> parent {node.parent_pid}")
             tree.roots.append(node)
         else:
-            parent_of[pid] = parent
-            nodes[parent].children.append(node)
+            up[pid] = root
+            nodes[node.parent_pid].children.append(node)
     return tree
 
 
@@ -184,28 +185,19 @@ def extract_mlr_features(tree: ProcessTree) -> MlrFeatures:
     return MlrFeatures(n_processes, n_threads, max_depth, n_leaves, len(names))
 
 
-_SVM_KEYS = (
-    (Provider.PROCESS, EventType.START),
-    (Provider.PROCESS, EventType.END),
-    (Provider.IMAGE, EventType.LOAD),
-    (Provider.IMAGE, EventType.UNLOAD),
-    (Provider.FILE, EventType.READ),
-    (Provider.FILE, EventType.WRITE),
-    (Provider.THREAD, EventType.START),
-    (Provider.THREAD, EventType.END),
-)
+def extract_svm_features(source: Union[Window, Iterable[Event]]) -> SvmFeatures:
+    """The eight tracked (provider, etype) counts of one window (or of a
+    sequence of events)."""
+    w = _window(source)
+    return SvmFeatures(
+        w.n_process_start, w.n_process_end, w.n_image_load, w.n_image_unload,
+        w.n_file_read, w.n_file_write, w.n_thread_start, w.n_thread_end,
+    )
 
 
-def extract_svm_features(events: Iterable[Event]) -> SvmFeatures:
-    """Count the eight tracked (provider, etype) pairs in one window's events."""
-    counts: Counter = Counter()
-    for e in events:
-        counts[(e.provider, e.etype)] += 1
-    return SvmFeatures(*(counts.get(k, 0) for k in _SVM_KEYS))
-
-
-def window_features(events: Sequence[Event]) -> Tuple[MlrFeatures, SvmFeatures]:
-    return extract_mlr_features(build_process_tree(events)), extract_svm_features(events)
+def window_features(source: Union[Window, Iterable[Event]]) -> Tuple[MlrFeatures, SvmFeatures]:
+    w = _window(source)
+    return extract_mlr_features(build_process_tree(w)), extract_svm_features(w)
 
 
 def pearson_flagged(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, bool]:
@@ -276,7 +268,7 @@ def correlation_report(
     """Per-window count correlations for the four tracked event pairs,
     computed separately over ransomware-labeled and benign-labeled traces."""
     return correlations_from_rows(
-        (manifest.label, (extract_svm_features(w.events).as_vector() for w in windows))
+        (manifest.label, (extract_svm_features(w).as_vector() for w in windows))
         for manifest, windows in corpus
     )
 

@@ -15,14 +15,16 @@ languages of a file's event list, matched anchored at the list's first event.
 The four acceptor tables are compiled at import into one product DFA over
 their reachable joint states, with each state's alert kind precomputed, so
 matching is one table step per event and each list carries one state. All
-four acceptors anchor on C, so a list whose first letter is R/W/N/D enters
-the all-dead state at once and is never matched again.
+four acceptors anchor on C, so a lineage whose first letter is R/W/N/D is
+dead from its first event and is never matched: it gets no events list,
+only a tombstone that keeps its keys registered (so its later events stay
+dead) and its last-seen stamps (so it is evicted like a list).
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from .events import (
     Alert,
@@ -153,19 +155,18 @@ def match_letters(letters: str, multi_file: bool) -> Optional[PatternKind]:
 
 
 class FileEventsList:
-    """One user file: its identity, its letters and its matching state.
+    """One user file that began with a FileCreate: its identity, its letters
+    and its matching state.
 
-    A file accumulates several FileObject keys (per-open handles), names
-    (renames) and file_keys (a stable per-file join key); the sets only grow
-    for the lifetime of the list. The letters and contributing pids stop growing
-    once the list has matched or is dead in all four acceptors, since
-    neither can change an alert after that.
+    A file accumulates several FileObject keys (per-open handles) and names
+    (renames). The identity sets, the letters and the contributing pids
+    stop growing once the list has matched or is dead in all four
+    acceptors, since none of them can change an alert after that.
     """
 
     __slots__ = (
         "file_objects",
         "file_names",
-        "file_keys",
         "contributing_pids",
         "_letters",
         "state",
@@ -177,7 +178,6 @@ class FileEventsList:
     def __init__(self) -> None:
         self.file_objects: Set[int] = set()
         self.file_names: Set[str] = set()
-        self.file_keys: Set[int] = set()
         self.contributing_pids: Set[int] = set()
         self._letters: List[str] = []
         self.state = 0  # product DFA state; 0 is the start
@@ -195,10 +195,21 @@ class FileEventsList:
         return _COMPONENTS[self.state]
 
 
+class _Tombstone:
+    """A lineage whose first letter is not C, which no acceptor can match:
+    only its last-seen stamps are kept, for eviction."""
+
+    __slots__ = ("last_seen_count", "last_seen_ts")
+    state = _DEAD
+    matched = None
+
+
 def _parent_dir(path: str) -> str:
     p = path.lower().replace("\\", "/").rstrip("/")
     return p.rpartition("/")[0]
 
+
+_Record = Union[FileEventsList, _Tombstone]
 
 _EXEMPT_IMAGES = frozenset({"system", "explorer.exe"})
 _SYSTEM_PID = 4
@@ -240,12 +251,17 @@ SWEEP_INTERVAL = 65_536
 
 
 class FileIoMatcher:
-    """Streaming matcher state. Confine one instance to one consumer task."""
+    """Streaming matcher state. Confine one instance to one consumer task.
+
+    The three key maps point each FileObject, file_key and file name at its
+    lineage's record: a FileEventsList, or a tombstone for a dead-born
+    lineage. lists() gives the FileEventsLists.
+    """
 
     def __init__(self) -> None:
-        self._by_object: Dict[int, FileEventsList] = {}
-        self._by_key: Dict[int, FileEventsList] = {}
-        self._by_name: Dict[str, FileEventsList] = {}
+        self._by_object: Dict[int, _Record] = {}
+        self._by_key: Dict[int, _Record] = {}
+        self._by_name: Dict[str, _Record] = {}
         self._lists: List[FileEventsList] = []
         self._pid_images: Dict[int, str] = {}
         self._count = 0
@@ -256,45 +272,6 @@ class FileIoMatcher:
 
     def lists(self) -> List[FileEventsList]:
         return list(self._lists)
-
-    def _new_list(self) -> FileEventsList:
-        lst = FileEventsList()
-        self._lists.append(lst)
-        return lst
-
-    def _resolve(self, e: Event) -> FileEventsList:
-        attrs = e.attrs
-        et = e.etype
-        if et is EventType.FILE_CREATE or et is EventType.FILE_DELETE:
-            obj = attrs.file_object
-            name = attrs.file_name
-            lst = self._by_object.get(obj)
-            if lst is None:
-                lst = self._by_name.get(name)
-            if lst is None:
-                lst = self._new_list()
-            lst.file_objects.add(obj)
-            self._by_object[obj] = lst
-            lst.file_names.add(name)
-            self._by_name[name] = lst
-            return lst
-        # Read/Write/Rename/Delete carry (file_key, file_object): the
-        # file_key joins against the create event's FileObject first, then
-        # against previously seen file_keys, then the event's own FileObject.
-        fk = attrs.file_key
-        obj = attrs.file_object
-        lst = self._by_object.get(fk)
-        if lst is None:
-            lst = self._by_key.get(fk)
-        if lst is None:
-            lst = self._by_object.get(obj)
-        if lst is None:
-            lst = self._new_list()
-        lst.file_keys.add(fk)
-        self._by_key[fk] = lst
-        lst.file_objects.add(obj)
-        self._by_object[obj] = lst
-        return lst
 
     def ingest(self, e: Event) -> Optional[Alert]:
         """Fold one event into matcher state; returns an alert on detection.
@@ -314,16 +291,47 @@ class FileIoMatcher:
         if self._count % SWEEP_INTERVAL == 0:
             self._sweep(e.timestamp)
 
-        # A dead list stays registered, so a later event on its lineage
-        # resolves to it and stays dead.
-        lst = self._resolve(e)
+        # Resolve the event's lineage and register its keys. A
+        # FileCreate/FileDelete joins on its FileObject, then its file name.
+        # Read/Write/Rename/Delete carry (file_key, file_object): the
+        # file_key joins against the create event's FileObject first, then
+        # against previously seen file_keys, then the event's own FileObject.
+        # A record stays registered when it dies, so a later event on its
+        # lineage resolves to it and stays dead.
+        attrs = e.attrs
+        et = e.etype
+        obj = attrs.file_object
+        by_object = self._by_object
+        name = None
+        if et is EventType.FILE_CREATE or et is EventType.FILE_DELETE:
+            name = attrs.file_name
+            lst = by_object.get(obj)
+            if lst is None:
+                lst = self._by_name.get(name)
+                if lst is None:
+                    lst = self._new_record(et)
+            self._by_name[name] = lst
+        else:
+            fk = attrs.file_key
+            lst = by_object.get(fk)
+            if lst is None:
+                lst = self._by_key.get(fk)
+                if lst is None:
+                    lst = by_object.get(obj)
+                    if lst is None:
+                        lst = self._new_record(et)
+            self._by_key[fk] = lst
+        by_object[obj] = lst
         lst.last_seen_count = self._count
         lst.last_seen_ts = e.timestamp
         state = lst.state
         if state == _DEAD or lst.matched is not None:
             return None
 
-        letter = PATTERN_LETTERS[e.etype]
+        lst.file_objects.add(obj)
+        if name is not None:
+            lst.file_names.add(name)
+        letter = PATTERN_LETTERS[et]
         lst._letters.append(letter)
         lst.contributing_pids.add(e.pid)
         lst.state = state = _STEP[state][letter]
@@ -339,6 +347,14 @@ class FileIoMatcher:
             emitted_timestamp=e.timestamp,
         )
 
+    def _new_record(self, et: EventType) -> _Record:
+        """The record of a lineage whose first event has type et."""
+        if et is not EventType.FILE_CREATE:
+            return _Tombstone()
+        lst = FileEventsList()
+        self._lists.append(lst)
+        return lst
+
     def _offending_pid(self, lst: FileEventsList, e: Event) -> int:
         candidates = [p for p in lst.contributing_pids if not is_exempt(p, self._pid_images)]
         if len(candidates) == 1:
@@ -346,23 +362,23 @@ class FileIoMatcher:
         return e.pid
 
     def _sweep(self, now_ts: int) -> None:
-        keep: List[FileEventsList] = []
-        for lst in self._lists:
-            idle_events = self._count - lst.last_seen_count
-            idle_us = now_ts - lst.last_seen_ts
-            if idle_events > MAX_IDLE_EVENTS or idle_us > MAX_IDLE_US:
-                self._unregister(lst)
-            else:
-                keep.append(lst)
-        self._lists = keep
-
-    def _unregister(self, lst: FileEventsList) -> None:
-        for obj in lst.file_objects:
-            if self._by_object.get(obj) is lst:
-                del self._by_object[obj]
-        for fk in lst.file_keys:
-            if self._by_key.get(fk) is lst:
-                del self._by_key[fk]
-        for name in lst.file_names:
-            if self._by_name.get(name) is lst:
-                del self._by_name[name]
+        """Drop every record idle for more than MAX_IDLE_EVENTS File events or
+        MAX_IDLE_US of trace time, with every key that points at it."""
+        min_count = self._count - MAX_IDLE_EVENTS
+        min_ts = now_ts - MAX_IDLE_US
+        self._by_object = {
+            k: r for k, r in self._by_object.items()
+            if r.last_seen_count >= min_count and r.last_seen_ts >= min_ts
+        }
+        self._by_key = {
+            k: r for k, r in self._by_key.items()
+            if r.last_seen_count >= min_count and r.last_seen_ts >= min_ts
+        }
+        self._by_name = {
+            k: r for k, r in self._by_name.items()
+            if r.last_seen_count >= min_count and r.last_seen_ts >= min_ts
+        }
+        self._lists = [
+            r for r in self._lists
+            if r.last_seen_count >= min_count and r.last_seen_ts >= min_ts
+        ]

@@ -3,15 +3,17 @@ closed windows, and collects alerts.
 
 The engine holds no window state: run_trace cuts the stream with
 trace_io.window_partition at the fixed trace_io.WINDOW_LEN, the same
-windowing that train and eval use, so a model always scores windows of the
-length it was trained on. It feeds each window's events to process_event
-and then hands the window to flush_window. Command rules and the file I/O
-matcher see every event as it arrives and can alert mid-window; the ML stage
-fires only when a window closes. Each call returns its one alert or None,
-since a File event reaches only the matcher, a Process Start only the rules
-and a window only the classifier. A pid that has alerted is quarantined
-(further alerts suppressed) when quarantine is on; the stream itself is
-never stopped, so one run measures every detector.
+windowing loop that train and eval use, so a model always scores windows of
+the length it was trained on. The loop folds each event into its window's
+counts and passes it on to process_event, and hands each window to
+flush_window once its last event is in; no event outlives its own step.
+Command rules and the file I/O matcher see every event as it arrives and
+can alert mid-window; the ML stage fires only when a window closes. Each
+call returns its one alert or None, since a File event reaches only the
+matcher, a Process Start only the rules and a window only the classifier.
+A pid that has alerted is quarantined (further alerts suppressed) when
+quarantine is on; the stream itself is never stopped, so one run measures
+every detector.
 """
 
 from __future__ import annotations
@@ -99,23 +101,23 @@ class Engine:
 
         The alert is attributed to the pid contributing the most window
         events (system/explorer excluded), with the top contenders recorded
-        in the trigger text.
+        in the trigger text; with none left, to the pid of the window's
+        first event.
         """
-        events = window.events
-        if self.model is None or not events:
+        pid_events = window.pid_events
+        if self.model is None or not pid_events:
             return None
-        mlr, svm = window_features(events)
+        mlr, svm = window_features(window)
         score, verdict = fuse(self.model, mlr.as_vector(), svm.as_vector())
         if verdict != "ransomware":
             return None
-        pid_counts = Counter(e.pid for e in events)
         pid_images = self.matcher.pid_images
-        ranked = [(n, p) for p, n in pid_counts.items() if not is_exempt(p, pid_images)]
+        ranked = [(n, p) for p, n in pid_events.items() if not is_exempt(p, pid_images)]
         ranked.sort(key=lambda t: (-t[0], t[1]))
         top = [p for _, p in ranked[:3]]
         return self._emit(Alert(
             detector=Detector.ML_CLASSIFIER,
-            pid=top[0] if top else events[0].pid,
+            pid=top[0] if top else next(iter(pid_events)),
             trigger=f"score={score:.4f} top_pids={top}",
             event_timestamp=window.end,
             emitted_timestamp=window.end,
@@ -132,10 +134,7 @@ def run_trace(engine: Engine, manifest: TraceManifest, events: Iterable[Event]) 
     if engine.events_processed:
         raise ValueError("engine has already consumed a stream")
     start = time.perf_counter()
-    process = engine.process_event
-    for window in window_partition(events, WINDOW_LEN):
-        for e in window.events:
-            process(e)
+    for window in window_partition(events, WINDOW_LEN, engine.process_event):
         engine.flush_window(window)
     elapsed = time.perf_counter() - start
     alerts = engine.alerts

@@ -20,19 +20,22 @@ iter_trace decodes a file as it reads it, one line at a time, and yields
 the manifest, then the events; read_trace collects them into a list. Each
 line goes to the C JSON scanner directly, and one dict keyed by the wire's
 (prov, etype) strings picks its payload parser. detect, train and eval feed
-the stream to window_partition, so they hold one window of events.
+the stream to window_partition, so no event outlives its own step.
 
 window_partition cuts a stream lazily into tumbling windows aligned at t=0
-and yields only the non-empty ones; the engine (pipeline.run_trace) and the
-eval profiles (cli.profile_trace) both consume it, always at WINDOW_LEN.
+and yields only the non-empty ones. A Window keeps no events: it folds each
+one into the counts and maps the classifier reads, and passes it on to an
+optional per-event callable. The engine (pipeline.run_trace, which passes
+Engine.process_event) and the eval profiles (cli.profile_trace) both run
+this one loop, always at WINDOW_LEN.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Iterable, Iterator, List, NoReturn, Tuple, Union
+from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
 
 from .errors import ParseError, SchemaError
 from .events import (
@@ -86,14 +89,81 @@ class TraceManifest:
     attack_onset: int = 0
 
 
-@dataclass
-class Window:
-    """One tumbling window of the event stream: start <= ts < end."""
+_PROCESS, _FILE, _IMAGE, _THREAD = Provider.PROCESS, Provider.FILE, Provider.IMAGE, Provider.THREAD
+_START, _END, _READ, _WRITE = EventType.START, EventType.END, EventType.READ, EventType.WRITE
+_LOAD, _UNLOAD = EventType.LOAD, EventType.UNLOAD
 
-    index: int
-    start: int
-    end: int
-    events: List[Event] = field(default_factory=list)
+
+class Window:
+    """One tumbling window of the event stream, start <= ts < end, and all
+    that the classifier and its alert read of the window's events.
+
+    The events are folded in as they arrive (add) and not kept:
+    pid_events counts each pid's events, in order of each pid's first event;
+    started maps each pid's first Process Start to its parent_id; images
+    holds each pid's first non-empty Process image; threads counts each
+    pid's Thread Starts; and one counter per SvmFeatures field counts its
+    (provider, etype) pair.
+    """
+
+    __slots__ = (
+        "index", "start", "end", "pid_events", "started", "images", "threads",
+        "n_process_start", "n_process_end", "n_image_load", "n_image_unload",
+        "n_file_read", "n_file_write", "n_thread_start", "n_thread_end",
+    )
+
+    def __init__(self, index: int, start: int, end: int) -> None:
+        self.index = index
+        self.start = start
+        self.end = end
+        self.pid_events: Dict[int, int] = {}
+        self.started: Dict[int, int] = {}
+        self.images: Dict[int, str] = {}
+        self.threads: Dict[int, int] = {}
+        self.n_process_start = self.n_process_end = 0
+        self.n_image_load = self.n_image_unload = 0
+        self.n_file_read = self.n_file_write = 0
+        self.n_thread_start = self.n_thread_end = 0
+
+    @property
+    def count(self) -> int:
+        """Events folded into the window."""
+        return sum(self.pid_events.values())
+
+    def add(self, e: Event) -> None:
+        """Fold one event into the window's counts and maps."""
+        pid = e.pid
+        counts = self.pid_events
+        counts[pid] = counts.get(pid, 0) + 1
+        prov = e.provider
+        et = e.etype
+        if prov is _FILE:
+            if et is _READ:
+                self.n_file_read += 1
+            elif et is _WRITE:
+                self.n_file_write += 1
+        elif prov is _THREAD:
+            if et is _START:
+                self.n_thread_start += 1
+                threads = self.threads
+                threads[pid] = threads.get(pid, 0) + 1
+            elif et is _END:
+                self.n_thread_end += 1
+        elif prov is _IMAGE:
+            if et is _LOAD:
+                self.n_image_load += 1
+            elif et is _UNLOAD:
+                self.n_image_unload += 1
+        elif prov is _PROCESS:
+            attrs = e.attrs
+            if attrs.image_file_name and pid not in self.images:
+                self.images[pid] = attrs.image_file_name
+            if et is _START:
+                self.n_process_start += 1
+                if pid not in self.started:
+                    self.started[pid] = attrs.parent_id
+            elif et is _END:
+                self.n_process_end += 1
 
 
 _PROVIDER_BY_NAME = {p.value: p for p in Provider}
@@ -403,21 +473,26 @@ def save_trace(path, manifest: TraceManifest, events: List[Event]) -> None:
         write_trace(manifest, events, f)
 
 
-def window_partition(events: Iterable[Event], window_len: int) -> Iterator[Window]:
+def window_partition(
+    events: Iterable[Event], window_len: int, process: Optional[Callable[[Event], object]] = None
+) -> Iterator[Window]:
     """Split a timestamp-ordered stream into tumbling windows from t=0.
 
-    Lazily yields the non-empty windows in order. Windows are half-open
-    [start, start+window_len) with index start // window_len, so a gap in
-    the timestamps skips indices and costs nothing whatever its length.
-    Raises ValueError on a non-positive window_len (at the call) and
+    Lazily yields the non-empty windows in order, each with its events
+    folded in (Window.add). When process is given, each event is passed to
+    it after it is folded in, so a window is yielded after process has seen
+    its last event and before it sees the next window's first. Windows are
+    half-open [start, start+window_len) with index start // window_len, so a
+    gap in the timestamps skips indices and costs nothing whatever its
+    length. Raises ValueError on a non-positive window_len (at the call) and
     SchemaError on a timestamp below its predecessor's or below 0.
     """
     if window_len <= 0:
         raise ValueError("window_len must be > 0")
-    return _windows(events, window_len)
+    return _windows(events, window_len, process)
 
 
-def _windows(events: Iterable[Event], window_len: int) -> Iterator[Window]:
+def _windows(events: Iterable[Event], window_len: int, process) -> Iterator[Window]:
     window = None
     end = prev = 0
     for e in events:
@@ -430,8 +505,10 @@ def _windows(events: Iterable[Event], window_len: int) -> Iterator[Window]:
                 yield window
             index = ts // window_len
             end = (index + 1) * window_len
-            window = Window(index, end - window_len, end, [])
-            add = window.events.append
+            window = Window(index, end - window_len, end)
+            add = window.add
         add(e)
+        if process is not None:
+            process(e)
     if window is not None:
         yield window

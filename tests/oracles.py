@@ -6,7 +6,13 @@ it shares no code with the streaming matcher. Numeric references use
 straightforward two-pass formulas. The softmax loss/gradient and the SVM dual
 solver references are the original per-row and per-element loops that the
 vectorized kernels must reproduce bit for bit. The window reference builds
-every window up to the last event, empty ones included, by direct indexing.
+every window up to the last event, empty ones included, by direct indexing,
+and keeps each window's events. The feature references are the list-based
+counters that the per-window accumulator (trace_io.Window) replaced: an
+event-pair Counter, and a process tree whose cycle check walks the ancestry
+built so far. The reference file I/O matcher is the one that tombstones
+replaced: every lineage gets an events list with all its identity sets, and
+a sweep unregisters an evicted list key by key.
 The trace reference is the whole-file decoder that the streaming one
 replaced: decode all bytes, split the lines, json.loads each, and pick the
 payload type by enum pair.
@@ -17,13 +23,19 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Dict, List, Tuple
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
+from peeler import fileio
 from peeler.errors import ParseError, SchemaError, decode_utf8
 from peeler.events import (
     ATTRS_FOR,
+    PATTERN_LETTERS,
+    Alert,
+    Detector,
     Event,
     EventType,
     FileNameAttrs,
@@ -34,7 +46,8 @@ from peeler.events import (
     Provider,
     ThreadAttrs,
 )
-from peeler.fileio import PatternKind
+from peeler.features import UNKNOWN_IMAGE, ProcessNode, ProcessTree, SvmFeatures
+from peeler.fileio import _DEAD, _HIT, _STEP, PatternKind, is_exempt, stage3_filter
 from peeler.trace_io import (
     FORMAT_VERSION,
     HEADER_MAGIC,
@@ -143,16 +156,219 @@ def brute_force_alerts(events: List[Event]) -> List[Tuple[int, PatternKind]]:
     return fired
 
 
-def ref_window_partition(events: List[Event], window_len: int) -> List[Window]:
+@dataclass
+class RefWindow:
+    """One reference window and the events in it."""
+
+    index: int
+    start: int
+    end: int
+    events: List[Event] = field(default_factory=list)
+
+    def folded(self) -> Window:
+        """The program's Window of the same bounds with these events folded in."""
+        window = Window(self.index, self.start, self.end)
+        for e in self.events:
+            window.add(e)
+        return window
+
+
+def ref_window_partition(events: List[Event], window_len: int) -> List[RefWindow]:
     """Tumbling windows [i*window_len, (i+1)*window_len) from t=0 up to the
     last event, contiguous and exhaustive: interior empty windows included."""
     if not events:
         return []
     n = events[-1].timestamp // window_len + 1
-    windows = [Window(index=i, start=i * window_len, end=(i + 1) * window_len) for i in range(n)]
+    windows = [RefWindow(index=i, start=i * window_len, end=(i + 1) * window_len) for i in range(n)]
     for e in events:
         windows[e.timestamp // window_len].events.append(e)
     return windows
+
+
+_REF_SVM_KEYS = (
+    (Provider.PROCESS, EventType.START),
+    (Provider.PROCESS, EventType.END),
+    (Provider.IMAGE, EventType.LOAD),
+    (Provider.IMAGE, EventType.UNLOAD),
+    (Provider.FILE, EventType.READ),
+    (Provider.FILE, EventType.WRITE),
+    (Provider.THREAD, EventType.START),
+    (Provider.THREAD, EventType.END),
+)
+
+
+def ref_extract_svm_features(events: Iterable[Event]) -> SvmFeatures:
+    """Count the eight tracked (provider, etype) pairs in a list of events."""
+    counts: Counter = Counter()
+    for e in events:
+        counts[(e.provider, e.etype)] += 1
+    return SvmFeatures(*(counts.get(k, 0) for k in _REF_SVM_KEYS))
+
+
+def ref_build_process_tree(events: Iterable[Event]) -> ProcessTree:
+    """The process forest of a list of events; a parent edge is refused as
+    a cycle when walking the ancestry assigned so far from the parent leads
+    back to the child."""
+    images: Dict[int, str] = {}
+    started: Dict[int, int] = {}
+    threads: Counter = Counter()
+
+    for e in events:
+        if e.provider is Provider.PROCESS:
+            attrs = e.attrs
+            if attrs.image_file_name and e.pid not in images:
+                images[e.pid] = attrs.image_file_name
+            if e.etype is EventType.START and e.pid not in started:
+                started[e.pid] = attrs.parent_id
+        elif e.provider is Provider.THREAD and e.etype is EventType.START:
+            threads[e.pid] += 1
+
+    nodes: Dict[int, ProcessNode] = {}
+    for pid, parent in started.items():
+        nodes[pid] = ProcessNode(pid, parent, images.get(pid, UNKNOWN_IMAGE))
+    for pid, parent in started.items():
+        if parent != 0 and parent not in nodes:
+            nodes[parent] = ProcessNode(parent, 0, images.get(parent, UNKNOWN_IMAGE))
+    for pid, node in nodes.items():
+        node.thread_count = threads.get(pid, 0)
+
+    tree = ProcessTree(roots=[])
+    parent_of: Dict[int, int] = {}
+    for pid, node in nodes.items():
+        parent = node.parent_pid
+        if parent == 0 or parent == pid or parent not in nodes:
+            tree.roots.append(node)
+            continue
+        cursor = parent
+        cyclic = False
+        while cursor in parent_of:
+            cursor = parent_of[cursor]
+            if cursor == pid:
+                cyclic = True
+                break
+        if cyclic:
+            tree.warnings.append(f"cycle broken at pid {pid} -> parent {parent}")
+            tree.roots.append(node)
+        else:
+            parent_of[pid] = parent
+            nodes[parent].children.append(node)
+    return tree
+
+
+class RefFileEventsList:
+    """A reference lineage record: every identity set, whatever its first letter."""
+
+    def __init__(self) -> None:
+        self.file_objects: Set[int] = set()
+        self.file_names: Set[str] = set()
+        self.file_keys: Set[int] = set()
+        self.contributing_pids: Set[int] = set()
+        self.letters: List[str] = []
+        self.state = 0
+        self.matched: Optional[PatternKind] = None
+        self.last_seen_count = 0
+        self.last_seen_ts = 0
+
+
+class RefFileIoMatcher:
+    """The streaming matcher with one events list per lineage, dead-born
+    ones included, evicted key by key. It reads the eviction constants of
+    peeler.fileio at each call, so a test that patches them patches both."""
+
+    def __init__(self) -> None:
+        self._by_object: Dict[int, RefFileEventsList] = {}
+        self._by_key: Dict[int, RefFileEventsList] = {}
+        self._by_name: Dict[str, RefFileEventsList] = {}
+        self._lists: List[RefFileEventsList] = []
+        self._pid_images: Dict[int, str] = {}
+        self._count = 0
+
+    def _new_list(self) -> RefFileEventsList:
+        lst = RefFileEventsList()
+        self._lists.append(lst)
+        return lst
+
+    def _resolve(self, e: Event) -> RefFileEventsList:
+        attrs = e.attrs
+        if e.etype in (EventType.FILE_CREATE, EventType.FILE_DELETE):
+            obj, name = attrs.file_object, attrs.file_name
+            lst = self._by_object.get(obj)
+            if lst is None:
+                lst = self._by_name.get(name)
+            if lst is None:
+                lst = self._new_list()
+            lst.file_objects.add(obj)
+            self._by_object[obj] = lst
+            lst.file_names.add(name)
+            self._by_name[name] = lst
+            return lst
+        fk, obj = attrs.file_key, attrs.file_object
+        lst = self._by_object.get(fk)
+        if lst is None:
+            lst = self._by_key.get(fk)
+        if lst is None:
+            lst = self._by_object.get(obj)
+        if lst is None:
+            lst = self._new_list()
+        lst.file_keys.add(fk)
+        self._by_key[fk] = lst
+        lst.file_objects.add(obj)
+        self._by_object[obj] = lst
+        return lst
+
+    def ingest(self, e: Event) -> Optional[Alert]:
+        if e.provider is not Provider.FILE:
+            if e.provider is Provider.PROCESS:
+                image = e.attrs.image_file_name
+                if image:
+                    self._pid_images[e.pid] = image.replace("\\", "/").rpartition("/")[2].lower()
+            return None
+        self._count += 1
+        if self._count % fileio.SWEEP_INTERVAL == 0:
+            self._sweep(e.timestamp)
+        lst = self._resolve(e)
+        lst.last_seen_count = self._count
+        lst.last_seen_ts = e.timestamp
+        if lst.state == _DEAD or lst.matched is not None:
+            return None
+        letter = PATTERN_LETTERS[e.etype]
+        lst.letters.append(letter)
+        lst.contributing_pids.add(e.pid)
+        lst.state = _STEP[lst.state][letter]
+        hit = _HIT[lst.state][len(lst.file_objects) >= 2]
+        if hit is None or not stage3_filter(lst, self._pid_images):
+            return None
+        lst.matched = hit
+        candidates = [p for p in lst.contributing_pids if not is_exempt(p, self._pid_images)]
+        return Alert(
+            detector=Detector.FILE_IO_PATTERN,
+            pid=candidates[0] if len(candidates) == 1 else e.pid,
+            trigger=hit.value,
+            event_timestamp=e.timestamp,
+            emitted_timestamp=e.timestamp,
+        )
+
+    def _sweep(self, now_ts: int) -> None:
+        keep: List[RefFileEventsList] = []
+        for lst in self._lists:
+            idle_events = self._count - lst.last_seen_count
+            idle_us = now_ts - lst.last_seen_ts
+            if idle_events > fileio.MAX_IDLE_EVENTS or idle_us > fileio.MAX_IDLE_US:
+                self._unregister(lst)
+            else:
+                keep.append(lst)
+        self._lists = keep
+
+    def _unregister(self, lst: RefFileEventsList) -> None:
+        for obj in lst.file_objects:
+            if self._by_object.get(obj) is lst:
+                del self._by_object[obj]
+        for fk in lst.file_keys:
+            if self._by_key.get(fk) is lst:
+                del self._by_key[fk]
+        for name in lst.file_names:
+            if self._by_name.get(name) is lst:
+                del self._by_name[name]
 
 
 def ref_pearson(xs, ys) -> float:

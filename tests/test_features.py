@@ -1,5 +1,7 @@
 """Process trees, feature vectors, Pearson, and the correlation report."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from helpers import (
     ev_write,
     random_events,
 )
-from oracles import ref_pearson
+from oracles import ref_build_process_tree, ref_extract_svm_features, ref_pearson
 from tree_fixtures import APP_PROFILES, REPORTED_DEPTHS, app_profile_events
 
 
@@ -128,6 +130,52 @@ def test_tree_nodes_at_least_distinct_start_pids():
         assert tree.node_count() >= len(start_pids)
 
 
+def _tree_shape(tree):
+    """Roots, each node with its fields and children, and warnings, in order."""
+    nodes = [(n.pid, n.parent_pid, n.image_name, n.thread_count, [c.pid for c in n.children])
+             for n in tree.walk()]
+    return [r.pid for r in tree.roots], nodes, tree.warnings
+
+
+def test_tree_equals_reference_on_random_graphs():
+    rng = np.random.default_rng(31)
+    makers = (ev_proc_start, ev_proc_start, ev_proc_start, ev_proc_end, ev_thread_start)
+    for _ in range(20_000):
+        n = int(rng.integers(1, 13))
+        events = []
+        for ts in range(int(rng.integers(1, 2 * n + 2))):
+            pid = int(rng.integers(1, n + 1))
+            make = makers[int(rng.integers(len(makers)))]
+            if make is ev_thread_start:
+                events.append(make(pid, ts))
+            else:
+                image = ["", "a.exe", "B.exe"][int(rng.integers(3))]
+                events.append(make(pid, ts, image=image, parent=int(rng.integers(0, n + 1))))
+        assert _tree_shape(build_process_tree(events)) == _tree_shape(ref_build_process_tree(events))
+
+
+def test_long_start_chain_builds_in_linear_time():
+    n = 100_000
+    events = [ev_proc_start(pid, pid, image="s.exe", parent=pid - 1) for pid in range(1, n + 1)]
+    # a child started before its parent, and a parent edge back into the chain
+    events += [ev_proc_start(n + 2, n + 1, parent=n + 3), ev_proc_start(n + 3, n + 2, parent=n + 2)]
+    events.append(ev_proc_start(n + 10, n + 3, parent=n))
+    start = time.perf_counter()
+    tree = build_process_tree(events)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, elapsed
+    assert tree.node_count() == n + 3
+    assert tree.warnings == [f"cycle broken at pid {n + 3} -> parent {n + 2}"]
+    assert extract_mlr_features(tree).max_depth == n + 1
+
+
+def test_svm_counts_equal_reference_on_random_events():
+    rng = np.random.default_rng(37)
+    for _ in range(50):
+        events = random_events(rng, int(rng.integers(0, 300)))
+        assert extract_svm_features(events) == ref_extract_svm_features(events)
+
+
 def test_svm_counts_empty_window():
     assert extract_svm_features([]).as_vector().tolist() == [0.0] * 8
 
@@ -152,7 +200,7 @@ def test_window_sums_equal_whole_trace_counts():
     events = random_events(rng, 500)
     whole = extract_svm_features(events).as_vector()
     windows = window_partition(events, 250_000)
-    summed = np.sum([extract_svm_features(w.events).as_vector() for w in windows], axis=0)
+    summed = np.sum([extract_svm_features(w).as_vector() for w in windows], axis=0)
     assert np.array_equal(whole, summed)
 
 

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from peeler import fileio
-from peeler.events import Detector
+from peeler.events import Detector, EventType
 from peeler.fileio import (
     _FTFD_T,
     _FTFRD_T,
     _POST_T,
     _PRE_T,
+    _COMPONENTS,
     _STEP,
     FileEventsList,
     FileIoMatcher,
@@ -19,6 +20,7 @@ from peeler.fileio import (
     match_letters,
     stage3_filter,
 )
+from peeler.synth import SynthConfig, synth_trace
 from figures import (
     FIGURE_TRANSCRIPTS,
     cerber_post_overwrite,
@@ -33,7 +35,7 @@ from helpers import (
     ev_rename,
     ev_write,
 )
-from oracles import ACCEPTOR_REGEXES, brute_force_alerts
+from oracles import ACCEPTOR_REGEXES, RefFileIoMatcher, brute_force_alerts
 from stream_gen import gen_random_stream
 
 
@@ -103,7 +105,7 @@ def test_create_then_read_share_identity():
     matcher, _ = run_matcher([ev_create(1, 0, 0xA, "c:/u/d/D_186.wav"), ev_read(1, 1, 0xA, 0xB)])
     [lst] = matcher.lists()
     assert lst.file_objects == {0xA, 0xB}
-    assert lst.file_keys == {0xA}
+    assert matcher._by_key == {0xA: lst}
     assert lst.letters == "CR"
 
 
@@ -332,11 +334,14 @@ def test_lineage_starting_with_read_is_dead_for_good():
     events = [ev_read(2816, 0, 0x77, a)] + cerber_post_overwrite(t0=10)
     matcher, fired = run_matcher(events)
     assert fired == [] == brute_force_alerts(events)
-    [lst] = [l for l in matcher.lists() if a in l.file_objects]
-    assert "c:/users/u/music/D_186.wav" in lst.file_names
-    assert lst.letters == "R"
-    assert lst.dfa == (-1, -1, -1, -1)
-    assert lst.matched is None
+    # the FileObject and the file name the flow creates later resolve to
+    # one record, which is dead and unmatched
+    dead = matcher._by_object[a]
+    assert matcher._by_key[0x77] is dead
+    assert matcher._by_name["c:/users/u/music/D_186.wav"] is dead
+    assert _COMPONENTS[dead.state] == (-1, -1, -1, -1)
+    assert dead.matched is None
+    assert matcher.lists() == []
 
 
 # --- oracle equivalence ------------------------------------------------------
@@ -368,3 +373,42 @@ def test_random_streams_do_fire_and_do_suppress():
         outcomes[bool(brute_force_alerts(gen_random_stream(seed)))] += 1
     assert outcomes[True] >= 40
     assert outcomes[False] >= 40
+
+
+def _maps(matcher):
+    return matcher._by_object, matcher._by_key, matcher._by_name
+
+
+@pytest.mark.parametrize("idle_events,idle_us,interval", [(6, 10**12, 3), (10**9, 4000, 2), (12, 9000, 5)])
+def test_matcher_equals_reference_under_frequent_sweeps(monkeypatch, idle_events, idle_us, interval):
+    monkeypatch.setattr(fileio, "MAX_IDLE_EVENTS", idle_events)
+    monkeypatch.setattr(fileio, "MAX_IDLE_US", idle_us)
+    monkeypatch.setattr(fileio, "SWEEP_INTERVAL", interval)
+    for seed in range(150):
+        matcher, reference = FileIoMatcher(), RefFileIoMatcher()
+        for i, e in enumerate(gen_random_stream(seed)):
+            assert matcher.ingest(e) == reference.ingest(e), (seed, i)
+            for got, want in zip(_maps(matcher), _maps(reference)):
+                assert got.keys() == want.keys(), (seed, i)
+                for key, record in got.items():
+                    assert (record.state, record.matched) == (want[key].state, want[key].matched)
+
+
+def test_lists_made_at_most_file_creates(monkeypatch):
+    made = []
+
+    class Counted(FileEventsList):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(fileio, "FileEventsList", Counted)
+    _, events = synth_trace(SynthConfig(seed=3, archetype="benign_desktop",
+                                        duration=300_000_000, intensity=20.0))
+    matcher = FileIoMatcher()
+    for e in events:
+        matcher.ingest(e)
+    creates = sum(e.etype is EventType.FILE_CREATE for e in events)
+    assert 0 < len(made) <= creates

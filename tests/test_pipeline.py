@@ -157,7 +157,7 @@ class _RecordingEngine(Engine):
         self.windows = []
 
     def flush_window(self, window):
-        self.windows.append((window.index, window.start, window.end, len(window.events),
+        self.windows.append((window.index, window.start, window.end, window.count,
                              len(self.alerts)))
         return super().flush_window(window)
 
@@ -194,7 +194,7 @@ def _reference_run(engine, events):
         for e in w.events:
             engine.process_event(e)
         if w.events:
-            engine.flush_window(w)
+            engine.flush_window(w.folded())
     return engine.alerts
 
 
@@ -220,11 +220,13 @@ def test_window_jump_matches_step_loop():
 
 def test_empty_window_skipped_without_model():
     engine = Engine(EngineConfig())
-    assert engine.flush_window(Window(0, 0, 5_000_000, [ev_read(1, 10, 0xA, 0xB)])) is None
+    window = Window(0, 0, 5_000_000)
+    window.add(ev_read(1, 10, 0xA, 0xB))
+    assert engine.flush_window(window) is None
     events = [ev_read(1, ts, 0xA, 0xB) for ts in (0, 12_000_000, 12_000_001, 40_000_000)]
     windows = list(window_partition(events, 5_000_000))
     assert [w.index for w in windows] == [0, 2, 8]
-    assert all(w.events for w in windows)
+    assert all(w.count for w in windows)
 
 
 def test_run_trace_rejects_out_of_order_timestamps():
@@ -248,9 +250,9 @@ def _tiny_model(seed=30):
         cfg = SynthConfig(seed=seed + i, archetype=arch, duration=60_000_000, **extra)
         _, events = synth_trace(cfg)
         for w in window_partition(events, 5_000_000):
-            if len(w.events) < 10 and label == 1:
+            if w.count < 10 and label == 1:
                 continue
-            mlr, svm = window_features(w.events)
+            mlr, svm = window_features(w)
             X_mlr.append(mlr.as_vector())
             X_svm.append(svm.as_vector())
             y.append(label)
@@ -302,3 +304,14 @@ def test_ml_alert_skips_system_and_explorer_pids():
     assert alert.detector is Detector.ML_CLASSIFIER
     assert alert.pid == 30
     assert alert.trigger.endswith(" top_pids=[30, 31]")
+
+
+def test_ml_alert_without_eligible_pid_blames_first_event():
+    always = dataclasses.replace(_tiny_model(), threshold=0.0)
+    events = [ev_read(4, 0, 0xA, 0xB), ev_proc_start(20, 5, image="C:\\Windows\\explorer.exe")]
+    events += [ev_read(20, 10 + i, 0xC, 0xD) for i in range(5)]
+    report = run_trace(Engine(EngineConfig(), model=always), _manifest(events), events)
+    [alert] = report.alerts
+    assert alert.detector is Detector.ML_CLASSIFIER
+    assert alert.pid == 4
+    assert alert.trigger.endswith(" top_pids=[]")

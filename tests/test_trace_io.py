@@ -151,7 +151,7 @@ def test_window_boundary_is_half_open():
     events = [ev_read(1, 0, 0xA, 0xB), ev_read(1, 4_900_000, 0xA, 0xB), ev_read(1, 5_000_000, 0xA, 0xB)]
     windows = list(window_partition(events, 5_000_000))
     assert len(windows) == 2
-    assert [len(w.events) for w in windows] == [2, 1]
+    assert [w.count for w in windows] == [2, 1]
     assert windows[1].start == 5_000_000 and windows[1].end == 10_000_000
 
 
@@ -182,14 +182,24 @@ def test_window_partition_is_disjoint_contiguous_exhaustive():
             if rng.random() < 0.02:
                 gap += int(rng.integers(1, 20 * wlen))
             events[i] = dataclasses.replace(e, timestamp=e.timestamp + gap)
-        windows = list(window_partition(events, wlen))
-        assert windows == [w for w in ref_window_partition(events, wlen) if w.events]
-        rejoined = [e for w in windows for e in w.events]
+        # each window is yielded after its last event reaches process and
+        # before the next window's first does, which cuts seen into windows
+        seen = []
+        windows, cuts = [], [0]
+        for w in window_partition(events, wlen, seen.append):
+            windows.append(w)
+            cuts.append(len(seen))
+        window_events = [seen[a:b] for a, b in zip(cuts, cuts[1:])]
+        expected = [w for w in ref_window_partition(events, wlen) if w.events]
+        assert [(w.index, w.start, w.end) for w in windows] == [
+            (w.index, w.start, w.end) for w in expected]
+        assert window_events == [w.events for w in expected]
+        rejoined = [e for evs in window_events for e in evs]
         assert rejoined == events
-        for w in windows:
-            assert w.events
+        for w, evs in zip(windows, window_events):
+            assert evs and w.count == len(evs)
             assert w.index == w.start // wlen and w.end == w.start + wlen
-            assert all(w.start <= e.timestamp < w.end for e in w.events)
+            assert all(w.start <= e.timestamp < w.end for e in evs)
         assert [w.index for w in windows] == sorted({w.index for w in windows})
 
 
