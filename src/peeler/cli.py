@@ -26,6 +26,7 @@ from .events import Detector
 from .features import correlations_from_rows, window_features
 from .fileio import PatternKind
 from .ml import (
+    MIN_TRAIN_SAMPLES,
     FusedClassifier,
     fuse_batch,
     load_model_file,
@@ -139,6 +140,8 @@ def train_from_profiles(profiles: Sequence[TraceProfile], threshold: float = 0.5
             X_svm.append(p.X_svm[i])
     if not y or len(set(y)) < 2:
         raise CorpusError("training set needs windows from both classes")
+    if len(y) < MIN_TRAIN_SAMPLES:
+        raise CorpusError(f"training set needs at least {MIN_TRAIN_SAMPLES} windows, got {len(y)}")
     ym = np.array(y)
     return FusedClassifier(
         mlr=train_mlr(np.vstack(X_mlr), ym),

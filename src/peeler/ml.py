@@ -37,6 +37,8 @@ SVM_C = 10.0
 SVM_TOL = 1e-3
 SVM_MAX_PASSES = 400
 DEFAULT_THRESHOLD = 0.5
+# The fewest rows train_mlr fits.
+MIN_TRAIN_SAMPLES = 4
 
 # Row widths of the two feature vectors; a model file must match them.
 MLR_WIDTH = len(MlrFeatures.__dataclass_fields__)
@@ -108,8 +110,8 @@ def train_mlr(X, y) -> MlrModel:
     Xm = _as_matrix(X)
     n = Xm.shape[0]
     ym = _as_labels(y, n)
-    if n < 4:
-        raise ValueError("need at least 4 training samples")
+    if n < MIN_TRAIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_TRAIN_SAMPLES} training samples")
     if len(np.unique(ym)) < 2:
         raise SingleClassError("training data has a single class")
     scaler = fit_scaler(Xm)

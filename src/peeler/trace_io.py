@@ -18,9 +18,12 @@ string fields only strings.
 
 iter_trace decodes a file as it reads it, one line at a time, and yields
 the manifest, then the events; read_trace collects them into a list. Each
-line goes to the C JSON scanner directly, and one dict keyed by the wire's
-(prov, etype) strings picks its payload parser. detect, train and eval feed
-the stream to window_partition, so no event outlives its own step.
+event line goes to orjson as the bytes it was read as, and one dict keyed by
+the wire's (prov, etype) strings picks its payload parser. A line that orjson
+or a check rejects, or that could nest deeper than json accepts, is decoded
+again by json, which accepts it or raises its fault; so json alone decides
+every fault and its message. detect, train and eval feed the stream to
+window_partition, so no event outlives its own step.
 
 window_partition cuts a stream lazily into tumbling windows aligned at t=0
 and yields only the non-empty ones. A Window keeps no events: it folds each
@@ -36,6 +39,8 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
+
+import orjson
 
 from .errors import ParseError, SchemaError
 from .events import (
@@ -302,23 +307,9 @@ _PARSE_ATTRS = {
 # parser: one lookup of two strings, whose hashes are cached, per line
 _PAIRS = {(p.value, t.value): (p, t, _PARSE_ATTRS[cls]) for (p, t), cls in ATTRS_FOR.items()}
 
-_scan_once = json.JSONDecoder().scan_once
-
 
 def _json_loads(text: str, lineno: int, what: str):
-    """json.loads(text), with its fault as a ParseError naming the line.
-
-    The C scanner reads the usual line, one value that fills it, without
-    json.loads's Python wrapper. Anything else (whitespace around the value,
-    trailing data, an empty line or a fault) goes to json.loads, which
-    accepts or rejects it as before.
-    """
-    try:
-        value, end = _scan_once(text, 0)
-        if end == len(text):
-            return value
-    except (StopIteration, ValueError, RecursionError):
-        pass
+    """json.loads(text), with its fault as a ParseError naming the line."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -329,7 +320,7 @@ def _json_loads(text: str, lineno: int, what: str):
 
 def _reject_head(obj, lineno: int) -> NoReturn:
     """Raise the first fault of a line whose object, prov/etype pair or
-    pid/tid/ts failed line_to_event's one test, in the order they are checked."""
+    pid/tid/ts failed _event's one test, in the order they are checked."""
     if type(obj) is not dict:
         raise ParseError(lineno, "event line is not an object")
     try:
@@ -345,13 +336,8 @@ def _reject_head(obj, lineno: int) -> NoReturn:
     raise ParseError(lineno, f"etype {etype.value} invalid for provider {provider.value}")
 
 
-def line_to_event(line: str, lineno: int = 0) -> Event:
-    """Parse one wire line back into an Event.
-
-    Raises ParseError for a malformed line and SchemaError for a FileCreate
-    or FileDelete with an empty file name.
-    """
-    obj = _json_loads(line, lineno, "invalid JSON")
+def _event(obj, lineno: int) -> Event:
+    """The Event that one decoded line's JSON value holds."""
     try:
         provider, etype, parse = _PAIRS[obj["prov"], obj["etype"]]
         pid, tid, ts = obj["pid"], obj["tid"], obj["ts"]
@@ -366,6 +352,27 @@ def line_to_event(line: str, lineno: int = 0) -> Event:
     except KeyError as exc:
         raise ParseError(lineno, f"missing attribute key {exc.args[0]!r}") from None
     return Event(pid, tid, provider, etype, ts, attrs)
+
+
+def line_to_event(raw: bytes, lineno: int = 0) -> Event:
+    """Parse one wire line, as read from the file, back into an Event.
+
+    orjson reads the line first. Where it and json could disagree, json
+    decides: a line that orjson rejects, that _event rejects, or that holds
+    more than one "{" or any "[" (orjson accepts nesting far deeper than
+    json, which raises) is decoded again by json.loads. orjson reads an
+    integer past 64 bits as a float, which _event rejects, and one of more
+    than 309 digits not at all, so json's digit limit (at least 640) still
+    decides. Raises ParseError for a malformed line and SchemaError for a
+    FileCreate or FileDelete with an empty file name.
+    """
+    try:
+        obj = orjson.loads(raw)
+        if raw.count(b"{") == 1 and raw.find(b"[") < 0:
+            return _event(obj, lineno)
+    except (orjson.JSONDecodeError, ParseError, SchemaError):
+        pass
+    return _event(_json_loads(_line_text(raw, lineno), lineno, "invalid JSON"), lineno)
 
 
 def _manifest_to_json(m: TraceManifest) -> str:
@@ -443,7 +450,7 @@ def iter_trace(source: BinaryIO) -> Iterator[Union[TraceManifest, Event]]:
     count = 0
     prev_ts = -1
     for lineno, raw in enumerate(source, start=2):
-        e = line_to_event(_line_text(raw, lineno), lineno)
+        e = line_to_event(raw, lineno)
         if e.timestamp < prev_ts:
             raise SchemaError(f"line {lineno}: non-monotonic timestamp")
         prev_ts = e.timestamp

@@ -405,16 +405,33 @@ def test_valid_corpus_template_evaluates(small_corpus, tmp_path, capsys):
     assert main(argv) == EXIT_OK and out.exists()
 
 
+def _two_trace_corpus(tmp_path):
+    """One 1-second crypto trace and one 1-second benign one: fewer windows
+    than training takes."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    synth = {"crypto.pt": ["--archetype", "crypto:post-overwrite", "--files", "1", "--seed", "1"],
+             "benign.pt": ["--archetype", "benign-crypto-like", "--seed", "2"]}
+    for name, argv in synth.items():
+        assert main(["synth", *argv, "--duration-ms", "1000", "--out", str(corpus / name)]) == EXIT_OK
+    (corpus / "index.txt").write_text("crypto.pt | crypto | Cerber | 1\nbenign.pt | benign | 7zip | 2\n")
+    return str(corpus)
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
-@pytest.mark.parametrize("name", sorted(HOSTILE_INDEX_EDITS))
+@pytest.mark.parametrize("name", sorted(HOSTILE_INDEX_EDITS) + ["too_few_windows"])
 def test_hostile_corpus_is_data_error(name, command, small_corpus, tmp_path, capsys):
-    corpus = _corpus_with_index(small_corpus, tmp_path, HOSTILE_INDEX_EDITS[name])
+    if name == "too_few_windows":
+        corpus, message = _two_trace_corpus(tmp_path), "error: training set needs at least 4 windows"
+    else:
+        corpus = _corpus_with_index(small_corpus, tmp_path, HOSTILE_INDEX_EDITS[name])
+        message = "error: line 2: "
     out = tmp_path / "out"
     argv = {"train": ["train", "--corpus", corpus, "--out", str(out)],
             "eval": ["eval", "--corpus", corpus, "--repeats", "1", "--json-report", str(out)]}
     assert main(argv[command]) == EXIT_DATA
     assert not out.exists()
-    assert "error: line 2: " in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

@@ -33,7 +33,7 @@ _SAMPLE_ATTRS = {
 
 
 def _round_trip(e):
-    return line_to_event(event_to_line(e))
+    return line_to_event(event_to_line(e).encode())
 
 
 def _rejected(e):

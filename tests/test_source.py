@@ -1,6 +1,8 @@
 """Static checks over the program's own source."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,29 @@ def test_every_parameter_is_read():
         for name, line, param in _unused_parameters(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert unused == []
+
+
+def _imported_packages(tree):
+    """The top-level package of each absolute import in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_every_imported_package_is_declared():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    dependencies = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_") for d in dependencies}
+    undeclared = sorted(
+        f"{path.name}: {package}"
+        for path in SOURCES
+        for package in set(_imported_packages(ast.parse(path.read_text(encoding="utf-8"))))
+        if package not in sys.stdlib_module_names and package != "peeler" and package not in declared
+    )
+    assert undeclared == []
 
 
 def _readme_commands():

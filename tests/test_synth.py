@@ -64,7 +64,7 @@ def test_all_events_valid_and_ordered(archetype, extra):
     assert manifest.duration >= events[-1].timestamp
     prev = -1
     for e in events:
-        assert line_to_event(event_to_line(e)) == e
+        assert line_to_event(event_to_line(e).encode()) == e
         assert e.timestamp >= prev
         prev = e.timestamp
 

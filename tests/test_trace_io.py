@@ -141,7 +141,7 @@ def test_golden_format_is_stable():
 
 
 def test_hex_and_int_keys_accepted_on_ingestion():
-    line = '{"ts":0,"pid":1,"tid":1,"prov":"File","etype":"Read","file_key":255,"file_object":"0xff","io_size":1}'
+    line = b'{"ts":0,"pid":1,"tid":1,"prov":"File","etype":"Read","file_key":255,"file_object":"0xff","io_size":1}'
     e = line_to_event(line)
     assert e.attrs.file_key == 255 and e.attrs.file_object == 255
     assert 'file_key":"0xff"' in event_to_line(e)
@@ -307,6 +307,79 @@ def test_padded_lines_decode_as_reference(name):
     _VALID_TRACE[:-1], _VALID_TRACE.replace(b"\n", b"\n\n", 1),
 ])
 def test_blank_and_short_files_decode_as_reference(data):
+    assert _decoded(read_trace, data) == _decoded(ref_read_trace, data)
+
+
+# one line of each payload shape, numbered as read_trace numbers them
+_EVERY_SHAPE = (
+    b'PEELER-TRACE v1 {"label":"benign","family":"test","seed":1,"event_count":6,'
+    b'"duration":6,"attack_onset":0}\n'
+    b'{"ts":1,"pid":10,"tid":100,"prov":"Process","etype":"Start","session_id":1,'
+    b'"parent_id":4,"image":"a.exe","cmdline":"a.exe /go"}\n'
+    b'{"ts":2,"pid":10,"tid":101,"prov":"Thread","etype":"Start","parent_id":10}\n'
+    b'{"ts":3,"pid":10,"tid":100,"prov":"Image","etype":"Load","image_size":4096,'
+    b'"file_name":"c:/a.dll"}\n'
+    b'{"ts":4,"pid":10,"tid":100,"prov":"File","etype":"FileCreate","file_object":"0xb10",'
+    b'"file_name":"c:/a.docx"}\n'
+    b'{"ts":5,"pid":10,"tid":100,"prov":"File","etype":"Read","file_key":"0xa",'
+    b'"file_object":"0xb10","io_size":4096}\n'
+    b'{"ts":6,"pid":10,"tid":100,"prov":"File","etype":"Rename","file_key":"0xa",'
+    b'"file_object":"0xb10"}\n'
+)
+_INT_FIELDS = [(2, "session_id"), (2, "parent_id"), (3, "parent_id"), (4, "image_size"),
+               (6, "ts"), (6, "pid"), (6, "tid"), (6, "file_key"), (6, "file_object"),
+               (6, "io_size")]
+_DEEP = b"[" * 2000 + b"]" * 2000
+
+
+def _set_value(lineno: int, key: str, literal: bytes) -> bytes:
+    """_EVERY_SHAPE with one key of one line set to a raw JSON literal; a key
+    the line lacks is added at its end."""
+    lines = _EVERY_SHAPE.split(b"\n")
+    obj = json.loads(lines[lineno - 1])
+    obj[key] = "@SLOT@"
+    lines[lineno - 1] = json.dumps(obj, separators=(",", ":")).encode().replace(b'"@SLOT@"', literal)
+    return b"\n".join(lines)
+
+
+def _edit(lineno: int, old: bytes, new: bytes) -> bytes:
+    lines = _EVERY_SHAPE.split(b"\n")
+    assert old in lines[lineno - 1]
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new)
+    return b"\n".join(lines)
+
+
+# inputs where orjson and json part ways: a value one reads and the other
+# rejects or reads otherwise, nesting past json's depth, or bytes that are
+# not UTF-8; each file must decode as the json-only reference has it
+DECODER_CASES = {
+    **{f"{key}_line{n}_{name}": _set_value(n, key, literal)
+       for n, key in _INT_FIELDS
+       for name, literal in (("2^64", b"%d" % 2**64), ("-2^63-1", b"%d" % (-2**63 - 1)))},
+    "extra_300_digits": _set_value(6, "extra", b"9" * 300),
+    "extra_5000_digits": _set_value(6, "extra", b"9" * 5000),
+    "extra_1e999": _set_value(6, "extra", b"1e999"),
+    "extra_nan": _set_value(6, "extra", b"NaN"),
+    "extra_infinity": _set_value(6, "extra", b"Infinity"),
+    "file_name_lone_surrogate": _set_value(5, "file_name", b'"\\ud800"'),
+    "file_name_cesu_surrogate": _set_value(5, "file_name", b'"c:/\xed\xa0\x80"'),
+    "file_name_overlong": _set_value(5, "file_name", b'"c:/\xc0\xaf"'),
+    "file_name_over_u10ffff": _set_value(5, "file_name", b'"c:/\xf4\x90\x80\x80"'),
+    "file_name_bom": _set_value(5, "file_name", b'"\xef\xbb\xbfc:/a.docx"'),
+    "bom_before_line": _edit(6, b'{"ts":5', b'\xef\xbb\xbf{"ts":5'),
+    "extra_deep_array": _set_value(6, "extra", _DEEP),
+    "pid_deep_array_overwritten": _edit(6, b'{"ts":5', b'{"pid":' + _DEEP + b',"ts":5'),
+    "prov_duplicate_last_valid": _edit(6, b'{"ts":5', b'{"prov":"Thread","ts":5'),
+    "prov_duplicate_last_invalid": _edit(6, b'"io_size":4096}', b'"io_size":4096,"prov":"Thread"}'),
+    "pid_minus_zero": _set_value(6, "pid", b"-0"),
+    "io_size_minus_zero": _set_value(6, "io_size", b"-0"),
+    "io_size_minus_zero_float": _set_value(6, "io_size", b"-0.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECODER_CASES))
+def test_decoder_matches_reference_where_orjson_and_json_differ(name):
+    data = DECODER_CASES[name]
     assert _decoded(read_trace, data) == _decoded(ref_read_trace, data)
 
 
