@@ -20,6 +20,8 @@ GOALS = ("stealth", "attack", "payment_guidance")
 
 _GLOB_CHARS = frozenset("*?[")
 
+_PROCESS, _START = Provider.PROCESS, EventType.START
+
 
 @dataclass(frozen=True)
 class CommandRule:
@@ -146,7 +148,7 @@ class CommandMatcher:
             self._by_utility.setdefault(rule.utility, []).append((rule, checks))
 
     def match(self, e: Event) -> Optional[Alert]:
-        if e.provider is not Provider.PROCESS or e.etype is not EventType.START:
+        if e.provider is not _PROCESS or e.etype is not _START:
             return None
         attrs = e.attrs
         if not isinstance(attrs, ProcessAttrs):

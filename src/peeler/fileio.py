@@ -140,6 +140,13 @@ def _build_product():
 
 _STEP, _COMPONENTS, _HIT, _DEAD = _build_product()
 
+# Members as module globals and letters keyed by each etype's wire string:
+# on CPython 3.11 a load through the Enum class goes through
+# EnumType.__getattr__, and a member's hash is a Python-level call.
+_FILE, _PROCESS = Provider.FILE, Provider.PROCESS
+_FILE_CREATE, _FILE_DELETE = EventType.FILE_CREATE, EventType.FILE_DELETE
+_LETTERS = {et._value_: letter for et, letter in PATTERN_LETTERS.items()}
+
 
 def match_letters(letters: str, multi_file: bool) -> Optional[PatternKind]:
     """Match a complete letter sequence against the four acceptors.
@@ -280,8 +287,9 @@ class FileIoMatcher:
         Start/End events feed the pid-to-image map used by the
         system/explorer exemption.
         """
-        if e.provider is not Provider.FILE:
-            if e.provider is Provider.PROCESS:
+        prov = e.provider
+        if prov is not _FILE:
+            if prov is _PROCESS:
                 image = e.attrs.image_file_name
                 if image:
                     self._pid_images[e.pid] = image.replace("\\", "/").rpartition("/")[2].lower()
@@ -303,7 +311,7 @@ class FileIoMatcher:
         obj = attrs.file_object
         by_object = self._by_object
         name = None
-        if et is EventType.FILE_CREATE or et is EventType.FILE_DELETE:
+        if et is _FILE_CREATE or et is _FILE_DELETE:
             name = attrs.file_name
             lst = by_object.get(obj)
             if lst is None:
@@ -331,7 +339,7 @@ class FileIoMatcher:
         lst.file_objects.add(obj)
         if name is not None:
             lst.file_names.add(name)
-        letter = PATTERN_LETTERS[et]
+        letter = _LETTERS[et._value_]
         lst._letters.append(letter)
         lst.contributing_pids.add(e.pid)
         lst.state = state = _STEP[state][letter]
@@ -349,7 +357,7 @@ class FileIoMatcher:
 
     def _new_record(self, et: EventType) -> _Record:
         """The record of a lineage whose first event has type et."""
-        if et is not EventType.FILE_CREATE:
+        if et is not _FILE_CREATE:
             return _Tombstone()
         lst = FileEventsList()
         self._lists.append(lst)

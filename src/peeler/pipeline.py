@@ -30,6 +30,9 @@ from .fileio import FileIoMatcher, is_exempt
 from .ml import FusedClassifier, fuse
 from .trace_io import WINDOW_LEN, TraceManifest, Window, window_partition
 
+# module globals: on CPython 3.11 Provider.FILE goes through EnumType.__getattr__
+_FILE, _PROCESS, _START = Provider.FILE, Provider.PROCESS, EventType.START
+
 
 @dataclass
 class EngineConfig:
@@ -88,11 +91,11 @@ class Engine:
         """Feed one event to the per-event detectors; returns its alert or None."""
         self.events_processed += 1
         prov = e.provider
-        if prov is Provider.FILE:
+        if prov is _FILE:
             return self._emit(self.matcher.ingest(e))
-        if prov is Provider.PROCESS:
+        if prov is _PROCESS:
             self.matcher.ingest(e)  # feeds the pid-image exemption map
-            if e.etype is EventType.START:
+            if e.etype is _START:
                 return self._emit(self.commands.match(e))
         return None
 

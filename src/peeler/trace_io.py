@@ -25,6 +25,13 @@ again by json, which accepts it or raises its fault; so json alone decides
 every fault and its message. detect, train and eval feed the stream to
 window_partition, so no event outlives its own step.
 
+write_trace is the mirror image: it writes the header, then one line per
+event as it takes the event from any iterable, so it holds one line, not the
+file. Each line is orjson's bytes of the same object that event_to_line
+passes to json.dumps; a line that orjson refuses (an int outside
+[-2^63, 2^64), a lone surrogate) is written by event_to_line, so json alone
+decides its bytes or its fault. Where both write, their bytes are equal.
+
 window_partition cuts a stream lazily into tumbling windows aligned at t=0
 and yields only the non-empty ones. A Window keeps no events: it folds each
 one into the counts and maps the classifier reads, and passes it on to an
@@ -237,18 +244,39 @@ def _attrs_to_fields(attrs) -> List[Tuple[str, object]]:
     return [("image_size", attrs.image_size), ("file_name", attrs.file_name)]
 
 
-def event_to_line(e: Event) -> str:
-    """Serialize one event as its canonical wire line (no newline)."""
+def _event_dict(e: Event) -> dict:
+    """The wire line's object: its keys in wire order."""
+    # _value_ is the member's own attribute; Enum.value is a Python-level property
     d = {
         "ts": e.timestamp,
         "pid": e.pid,
         "tid": e.tid,
-        "prov": e.provider.value,
-        "etype": e.etype.value,
+        "prov": e.provider._value_,
+        "etype": e.etype._value_,
     }
     for key, value in _attrs_to_fields(e.attrs):
         d[key] = value
-    return json.dumps(d, separators=(",", ":"), ensure_ascii=False)
+    return d
+
+
+def event_to_line(e: Event) -> str:
+    """Serialize one event as its canonical wire line (no newline)."""
+    return json.dumps(_event_dict(e), separators=(",", ":"), ensure_ascii=False)
+
+
+def _event_bytes(e: Event) -> bytes:
+    """One event's wire line, newline included, as UTF-8 bytes.
+
+    For the ints and strings an event holds, orjson writes the same bytes as
+    json.dumps(..., separators=(",", ":"), ensure_ascii=False), and raises
+    TypeError on an int outside [-2^63, 2^64) or a lone surrogate; such a
+    line is written by event_to_line, which decides its bytes or its fault.
+    """
+    d = _event_dict(e)
+    try:
+        return orjson.dumps(d, option=orjson.OPT_APPEND_NEWLINE)
+    except TypeError:
+        return (event_to_line(e) + "\n").encode("utf-8")
 
 
 def _process(obj: dict, lineno: int) -> ProcessAttrs:
@@ -406,11 +434,18 @@ def _manifest_from_json(text: str, lineno: int) -> TraceManifest:
         raise ParseError(lineno, f"bad manifest value: {exc}") from None
 
 
-def write_trace(manifest: TraceManifest, events: List[Event], sink: BinaryIO) -> None:
-    """Write a trace; output re-reads to equal content via read_trace."""
-    out = [f"{HEADER_MAGIC} {FORMAT_VERSION} {_manifest_to_json(manifest)}\n"]
-    out.extend(event_to_line(e) + "\n" for e in events)
-    sink.write("".join(out).encode("utf-8"))
+def write_trace(manifest: TraceManifest, events: Iterable[Event], sink: BinaryIO) -> None:
+    """Write a trace, one line at a time; output re-reads to equal content
+    via read_trace.
+
+    events may be any iterable, and only the line being written is held. An
+    event that cannot be written (a string with a lone surrogate raises
+    UnicodeEncodeError) fails when its line is reached, after the lines
+    before it are in sink; read back, that prefix fails the manifest's
+    event count check.
+    """
+    sink.write(f"{HEADER_MAGIC} {FORMAT_VERSION} {_manifest_to_json(manifest)}\n".encode("utf-8"))
+    sink.writelines(map(_event_bytes, events))
 
 
 def _line_text(raw: bytes, lineno: int) -> str:
@@ -475,7 +510,7 @@ def load_trace(path) -> Tuple[TraceManifest, List[Event]]:
         return read_trace(f)
 
 
-def save_trace(path, manifest: TraceManifest, events: List[Event]) -> None:
+def save_trace(path, manifest: TraceManifest, events: Iterable[Event]) -> None:
     with open(path, "wb") as f:
         write_trace(manifest, events, f)
 

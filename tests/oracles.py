@@ -13,9 +13,10 @@ event-pair Counter, and a process tree whose cycle check walks the ancestry
 built so far. The reference file I/O matcher is the one that tombstones
 replaced: every lineage gets an events list with all its identity sets, and
 a sweep unregisters an evicted list key by key.
-The trace reference is the whole-file decoder that the streaming one
-replaced: decode all bytes, split the lines, json.loads each, and pick the
-payload type by enum pair.
+The trace references are the whole-file decoder that the streaming one
+replaced (decode all bytes, split the lines, json.loads each, and pick the
+payload type by enum pair) and the whole-file writer that the streaming one
+replaced (json.dumps each event, join the lines, encode the file once).
 """
 
 from __future__ import annotations
@@ -668,3 +669,66 @@ def ref_read_trace(source) -> Tuple[TraceManifest, List[Event]]:
     if events and manifest.duration < events[-1].timestamp:
         raise SchemaError("manifest duration precedes last event timestamp")
     return manifest, events
+
+
+# --- whole-file trace writer --------------------------------------------------
+
+
+def _ref_key_out(value: int) -> str:
+    return "0x%x" % value
+
+
+def _ref_attrs_to_fields(attrs) -> List[Tuple[str, object]]:
+    if type(attrs) is FileRwAttrs:
+        return [
+            ("file_key", _ref_key_out(attrs.file_key)),
+            ("file_object", _ref_key_out(attrs.file_object)),
+            ("io_size", attrs.io_size),
+        ]
+    if type(attrs) is FileNameAttrs:
+        return [("file_object", _ref_key_out(attrs.file_object)), ("file_name", attrs.file_name)]
+    if type(attrs) is FileRenDelAttrs:
+        return [("file_key", _ref_key_out(attrs.file_key)), ("file_object", _ref_key_out(attrs.file_object))]
+    if type(attrs) is ProcessAttrs:
+        return [
+            ("session_id", attrs.session_id),
+            ("parent_id", attrs.parent_id),
+            ("image", attrs.image_file_name),
+            ("cmdline", attrs.command_line),
+        ]
+    if type(attrs) is ThreadAttrs:
+        return [("parent_id", attrs.parent_id)]
+    return [("image_size", attrs.image_size), ("file_name", attrs.file_name)]
+
+
+def ref_event_to_line(e: Event) -> str:
+    """Serialize one event as its canonical wire line (no newline)."""
+    d = {
+        "ts": e.timestamp,
+        "pid": e.pid,
+        "tid": e.tid,
+        "prov": e.provider.value,
+        "etype": e.etype.value,
+    }
+    for key, value in _ref_attrs_to_fields(e.attrs):
+        d[key] = value
+    return json.dumps(d, separators=(",", ":"), ensure_ascii=False)
+
+
+def _ref_manifest_to_json(m: TraceManifest) -> str:
+    d = {
+        "label": m.label.value,
+        "family": m.family,
+        "seed": m.seed,
+        "event_count": m.event_count,
+        "duration": m.duration,
+        "attack_onset": m.attack_onset,
+    }
+    return json.dumps(d, separators=(",", ":"), ensure_ascii=False)
+
+
+def ref_write_trace(manifest: TraceManifest, events: List[Event], sink) -> None:
+    """Write a whole trace at once: every line, joined, encoded in one go."""
+    out = [f"{HEADER_MAGIC} {FORMAT_VERSION} {_ref_manifest_to_json(manifest)}\n"]
+    out.extend(ref_event_to_line(e) + "\n" for e in events)
+    sink.write("".join(out).encode("utf-8"))

@@ -62,6 +62,51 @@ def test_every_imported_package_is_declared():
     assert undeclared == []
 
 
+# Functions that run once per event, by module. On CPython 3.11 a member
+# loaded through its Enum class (Provider.FILE) goes through
+# EnumType.__getattr__, and a dict lookup keyed by a member calls
+# Enum.__hash__, a Python function; per-event code uses module globals and
+# wire-string keys instead.
+PER_EVENT = {
+    "trace_io.py": ("Window.add", "_windows", "line_to_event", "_event", "_event_dict", "_event_bytes"),
+    "pipeline.py": ("Engine.process_event",),
+    "fileio.py": ("FileIoMatcher.ingest", "FileIoMatcher._new_record"),
+    "commands.py": ("CommandMatcher.match",),
+}
+
+
+def _functions(tree):
+    """Each top-level function and method of a module, as (qualified name, node)."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node
+
+
+def _enum_slow_paths(function):
+    """(line, expression) for each Enum class attribute load or PATTERN_LETTERS subscript."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in ("Provider", "EventType"):
+            yield node.lineno, f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
+                and node.value.id == "PATTERN_LETTERS":
+            yield node.lineno, "PATTERN_LETTERS[...]"
+
+
+def test_per_event_functions_skip_enum_class_lookups():
+    package = Path(peeler.__file__).parent
+    found = []
+    for module, names in PER_EVENT.items():
+        functions = dict(_functions(ast.parse((package / module).read_text(encoding="utf-8"))))
+        for name in names:
+            found += [f"{module}:{line} {name}: {expr}" for line, expr in _enum_slow_paths(functions[name])]
+    assert found == []
+
+
 def _readme_commands():
     """Each `peeler ...` command in README's code blocks, continuations joined."""
     readme = Path(__file__).parents[1] / "README.md"

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,19 @@ import pytest
 from peeler.commands import default_rules_path, load_rules_file
 from peeler.errors import ParseError, SchemaError
 from peeler.pipeline import Engine, EngineConfig, run_trace
-from peeler.synth import SynthConfig, synth_trace
+from peeler.events import (
+    Event,
+    EventType,
+    FileNameAttrs,
+    FileRenDelAttrs,
+    FileRwAttrs,
+    ImageAttrs,
+    ProcessAttrs,
+    Provider,
+    ThreadAttrs,
+)
+from peeler.fileio import PatternKind
+from peeler.synth import DEFAULT_LOCKER_PROFILE, DEFAULT_SPAWNER_PROFILE, SynthConfig, synth_trace
 from peeler.trace_io import (
     TraceLabel,
     TraceManifest,
@@ -25,7 +38,7 @@ from peeler.trace_io import (
     write_trace,
 )
 from helpers import ev_proc_start, ev_read, ev_write, random_events
-from oracles import ref_read_trace, ref_window_partition
+from oracles import ref_event_to_line, ref_read_trace, ref_window_partition, ref_write_trace
 from test_cli import HOSTILE_EDITS, _VALID_TRACE
 
 
@@ -129,14 +142,17 @@ GOLDEN = (
 )
 
 
-def test_golden_format_is_stable():
+def _golden_trace():
     events = [
         ev_proc_start(10, 1000, image="mal.exe", cmdline="mal.exe /go", parent=4),
         ev_read(10, 1500, 0xFFFFB203AFD146F0, 0xB10),
     ]
-    manifest = TraceManifest(TraceLabel.CRYPTO, "Cerber", 7, 2, 1500)
+    return TraceManifest(TraceLabel.CRYPTO, "Cerber", 7, 2, 1500), events
+
+
+def test_golden_format_is_stable():
     buf = io.BytesIO()
-    write_trace(manifest, events, buf)
+    write_trace(*_golden_trace(), buf)
     assert buf.getvalue().decode("utf-8") == GOLDEN
 
 
@@ -423,3 +439,103 @@ def test_streamed_run_holds_no_event_list():
     decoded = _peak_bytes(lambda: read_trace(io.BytesIO(data)))
     # both runs hold the engine's state; only the listed one holds every event
     assert _peak_bytes(listed) - _peak_bytes(streamed) > decoded / 2
+
+
+def _every_field_event(i: int, text: str):
+    """One event of each payload shape, every int field i, every string text."""
+    return [
+        Event(i, i, Provider.PROCESS, EventType.START, i, ProcessAttrs(i, i, text, text)),
+        Event(i, i, Provider.PROCESS, EventType.END, i, ProcessAttrs(i, i, text, text)),
+        Event(i, i, Provider.FILE, EventType.READ, i, FileRwAttrs(i, i, i)),
+        Event(i, i, Provider.FILE, EventType.WRITE, i, FileRwAttrs(i, i, i)),
+        Event(i, i, Provider.FILE, EventType.RENAME, i, FileRenDelAttrs(i, i)),
+        Event(i, i, Provider.FILE, EventType.DELETE, i, FileRenDelAttrs(i, i)),
+        Event(i, i, Provider.FILE, EventType.FILE_CREATE, i, FileNameAttrs(i, text)),
+        Event(i, i, Provider.FILE, EventType.FILE_DELETE, i, FileNameAttrs(i, text)),
+        Event(i, i, Provider.THREAD, EventType.START, i, ThreadAttrs(i)),
+        Event(i, i, Provider.THREAD, EventType.END, i, ThreadAttrs(i)),
+        Event(i, i, Provider.IMAGE, EventType.LOAD, i, ImageAttrs(i, text)),
+        Event(i, i, Provider.IMAGE, EventType.UNLOAD, i, ImageAttrs(i, text)),
+    ]
+
+
+# every C0 control, the JSON escapes, DEL, the JavaScript line breaks, BMP
+# and astral characters
+_HARD_TEXT = (
+    "".join(map(chr, range(0x20))) + '"\\/\x7f\u2028\u2029 é中\ufeff\uffff'
+    + "\U0001f600\U00010000\U0010ffff"
+)
+
+
+def _writer_cases():
+    """(name, manifest, events) traces that the two writers must write alike."""
+    rng = np.random.default_rng(14)
+    for trial in range(200):
+        events = random_events(rng, int(rng.integers(0, 60)))
+        yield f"random-{trial}", _manifest(events, seed=int(rng.integers(2**63))), events
+    yield "golden", *_golden_trace()
+    archetypes = [("crypto", {"pattern": kind, "n_files": 6}) for kind in PatternKind] + [
+        ("locker", {"spawn_profile": DEFAULT_LOCKER_PROFILE}),
+        ("benign_crypto_like", {"n_files": 6}),
+        ("benign_spawner", {"spawn_profile": DEFAULT_SPAWNER_PROFILE}),
+        ("benign_desktop", {}),
+    ]
+    for archetype, extra in archetypes:
+        cfg = SynthConfig(seed=14, archetype=archetype, duration=10_000_000, **extra)
+        yield f"synth-{archetype}-{extra.get('pattern')}", *synth_trace(cfg)
+    events = _every_field_event(7, _HARD_TEXT)
+    yield "hard-text", _manifest(events, family=_HARD_TEXT), events
+    every = "".join(chr(c) for c in range(0x110000) if not 0xD800 <= c < 0xE000)
+    events = [e for i in range(0, len(every), 4096) for e in _every_field_event(i, every[i:i + 4096])]
+    yield "all-code-points", _manifest(events), events
+    for value in (0, 2**63 - 1, 2**63, 2**64 - 1, -1, -(2**63)):
+        events = _every_field_event(value, "x")
+        yield f"int-{value}", _manifest(events), events
+    # past what orjson writes: json decides the bytes or the fault
+    for value in (2**64, -(2**63) - 1):
+        events = _every_field_event(value, "x")
+        yield f"int-{value}", _manifest(events), events
+    events = _every_field_event(1, "c:/users/u/\ud800.docx")
+    yield "lone-surrogate", _manifest(events), events
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type with the reference's
+        return type(exc)
+
+
+def _written(write, manifest, events):
+    def run():
+        buf = io.BytesIO()
+        write(manifest, events, buf)
+        return buf.getvalue()
+
+    return _outcome(run)
+
+
+def test_writer_matches_reference():
+    outcomes = {}
+    for name, manifest, events in _writer_cases():
+        expected = _written(ref_write_trace, manifest, events)
+        assert _written(write_trace, manifest, events) == expected, name
+        assert _written(write_trace, manifest, iter(events)) == expected, name
+        for e in events:
+            assert _outcome(event_to_line, e) == _outcome(ref_event_to_line, e), name
+        outcomes[name] = expected
+    assert len(outcomes) == 200 + 1 + 8 + 2 + 6 + 2 + 1
+    assert outcomes["golden"] == GOLDEN.encode()
+    assert type(outcomes[f"int-{2**64}"]) is bytes
+    assert outcomes["lone-surrogate"] is UnicodeEncodeError
+
+
+def test_write_holds_no_output_copy():
+    manifest, events = synth_trace(SynthConfig(
+        seed=3, archetype="benign_desktop", duration=900_000_000, intensity=20.0))
+    assert len(events) > 80_000
+    with open(os.devnull, "wb") as sink:
+        peak = _peak_bytes(lambda: write_trace(manifest, events, sink))
+    # the whole-file writer holds the lines, their join and its encoding: ~36 MB
+    assert peak < 1 << 20
