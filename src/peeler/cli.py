@@ -23,7 +23,7 @@ import numpy as np
 from .commands import RuleSet, default_rules_path, load_rules_file
 from .errors import CorpusError, PeelerError
 from .events import Detector
-from .features import correlations_from_rows, window_features
+from .features import MLR_WIDTH, SVM_WIDTH, correlations_from_rows, window_features
 from .fileio import PatternKind
 from .ml import (
     MIN_TRAIN_SAMPLES,
@@ -36,8 +36,6 @@ from .ml import (
 )
 from .pipeline import Engine, EngineConfig, run_trace
 from .synth import (
-    DEFAULT_LOCKER_PROFILE,
-    DEFAULT_SPAWNER_PROFILE,
     SynthConfig,
     default_corpus_spec,
     read_corpus_index,
@@ -113,8 +111,8 @@ def profile_trace(path: str, rules: RuleSet) -> TraceProfile:
         pattern_alert_ts=first_ts.get(Detector.FILE_IO_PATTERN),
         window_ends=np.array(ends, dtype=np.int64),
         window_counts=np.array(counts, dtype=np.int64),
-        X_mlr=np.vstack(x_mlr) if x_mlr else np.zeros((0, 5)),
-        X_svm=np.vstack(x_svm) if x_svm else np.zeros((0, 8)),
+        X_mlr=np.vstack(x_mlr) if x_mlr else np.zeros((0, MLR_WIDTH)),
+        X_svm=np.vstack(x_svm) if x_svm else np.zeros((0, SVM_WIDTH)),
     )
 
 
@@ -126,7 +124,7 @@ def load_corpus_profiles(corpus_dir: str, rules: RuleSet) -> List[TraceProfile]:
 # --- training ----------------------------------------------------------------
 
 
-def train_from_profiles(profiles: Sequence[TraceProfile], threshold: float = 0.5) -> FusedClassifier:
+def train_from_profiles(profiles: Sequence[TraceProfile]) -> FusedClassifier:
     X_mlr, X_svm, y = [], [], []
     for p in profiles:
         for i in range(len(p.window_ends)):
@@ -146,33 +144,32 @@ def train_from_profiles(profiles: Sequence[TraceProfile], threshold: float = 0.5
     return FusedClassifier(
         mlr=train_mlr(np.vstack(X_mlr), ym),
         svm=train_svm(np.vstack(X_svm), ym),
-        threshold=threshold,
     )
 
 
-def _split_classes(profiles: Sequence[TraceProfile]) -> Tuple[List[TraceProfile], ...]:
-    """The ransomware and the benign profiles, in corpus order; both must exist."""
-    ransomware = [p for p in profiles if p.is_ransomware]
-    benign = [p for p in profiles if not p.is_ransomware]
-    if not ransomware or not benign:
-        raise CorpusError("corpus must contain both ransomware and benign traces")
-    return ransomware, benign
+def split_profiles(
+    profiles: Sequence[TraceProfile], train_frac: float, seed: int, repeat: int
+) -> Tuple[List[TraceProfile], List[TraceProfile]]:
+    """Repeat `repeat` of the stratified train/test split drawn from `seed`.
 
-
-def _draw_training_split(
-    n_ransomware: int, n_benign: int, train_frac: float, rng: np.random.Generator
-) -> Tuple[List[int], List[int]]:
-    """Indices of each class's training traces, in draw order.
-
-    Each class gives round(train_frac * n) traces, at least one, drawn
-    without replacement: ransomware first, then benign.
+    Each class gives round(train_frac * n) training traces, at least one,
+    drawn without replacement from SeedSequence([seed, repeat]): ransomware
+    first, then benign. Train comes back in draw order, test in corpus
+    order. `peeler train` is repeat 0, so it trains eval's first model.
     """
-    n_r = max(1, int(round(train_frac * n_ransomware)))
-    n_b = max(1, int(round(train_frac * n_benign)))
-    return (
-        rng.choice(n_ransomware, size=n_r, replace=False).tolist(),
-        rng.choice(n_benign, size=n_b, replace=False).tolist(),
+    classes = (
+        [i for i, p in enumerate(profiles) if p.is_ransomware],
+        [i for i, p in enumerate(profiles) if not p.is_ransomware],
     )
+    if not all(classes):
+        raise CorpusError("corpus must contain both ransomware and benign traces")
+    rng = np.random.default_rng(np.random.SeedSequence([seed, repeat]))
+    drawn: List[int] = []
+    for members in classes:
+        n_train = max(1, round(train_frac * len(members)))
+        drawn += [members[j] for j in rng.choice(len(members), size=n_train, replace=False)]
+    train = set(drawn)
+    return [profiles[i] for i in drawn], [p for i, p in enumerate(profiles) if i not in train]
 
 
 def ml_first_alert_ts(profile: TraceProfile, model: FusedClassifier) -> Optional[int]:
@@ -272,27 +269,21 @@ def evaluate_profiles(
     train_frac: float = 0.2,
     fixed_model: Optional[FusedClassifier] = None,
 ) -> EvalSummary:
-    """Repeated stratified train/test splits; metrics from pooled counts."""
-    ransomware, benign = _split_classes(profiles)
+    """Repeated stratified train/test splits; metrics from pooled counts.
 
+    A fixed model is judged on the whole corpus in every repeat.
+    """
     tp = fp = tn = fn = 0
     rows: List[TraceRow] = []
     crypto_lat: List[int] = []
     locker_lat: List[int] = []
 
     for r in range(repeats):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, r]))
+        train_set, test_set = split_profiles(profiles, train_frac, seed, r)
         if fixed_model is None:
-            draw = _draw_training_split(len(ransomware), len(benign), train_frac, rng)
-            train_r, train_b = map(set, draw)
-            train_set = [ransomware[i] for i in train_r] + [benign[i] for i in train_b]
-            test_set = [p for i, p in enumerate(ransomware) if i not in train_r] + [
-                p for i, p in enumerate(benign) if i not in train_b
-            ]
             model = train_from_profiles(train_set)
         else:
-            model = fixed_model
-            test_set = list(profiles)
+            model, test_set = fixed_model, profiles
 
         for p in test_set:
             verdict, detector, alert_ts = _judge(p, model)
@@ -381,7 +372,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--train-frac", type=float, default=0.2)
     p.add_argument("--rules", help="rules file (bundled set when omitted)")
-    p.add_argument("--threshold", type=float, default=0.5)
 
     p = sub.add_parser("eval", help="repeated train/test evaluation over a corpus")
     p.add_argument("--corpus", required=True)
@@ -411,14 +401,11 @@ def _parse_archetype(args) -> SynthConfig:
         archetype = "crypto"
     else:
         archetype = name.replace("-", "_")
-    profile = {"locker": DEFAULT_LOCKER_PROFILE,
-               "benign_spawner": DEFAULT_SPAWNER_PROFILE}.get(archetype)
     return SynthConfig(
         seed=args.seed,
         archetype=archetype,
         pattern=pattern,
         n_files=args.files,
-        spawn_profile=profile,
         duration=args.duration_ms * 1000,
         command_injection=args.inject_commands,
         intensity=args.intensity,
@@ -486,15 +473,13 @@ def _cmd_detect(args) -> int:
 def _cmd_train(args) -> int:
     rules = load_rules_file(args.rules or default_rules_path())
     profiles = load_corpus_profiles(args.corpus, rules)
-    ransomware, benign = _split_classes(profiles)
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0]))
-    train_r, train_b = _draw_training_split(len(ransomware), len(benign), args.train_frac, rng)
-    picks = [ransomware[i] for i in train_r] + [benign[i] for i in train_b]
-    model = train_from_profiles(picks, threshold=args.threshold)
+    train, _ = split_profiles(profiles, args.train_frac, args.seed, 0)
+    model = train_from_profiles(train)
     save_model_file(args.out, model)
+    n_ransomware = sum(p.is_ransomware for p in train)
     print(
-        f"trained on {len(picks)} traces "
-        f"({len(train_r)} ransomware, {len(train_b)} benign); model written to {args.out}"
+        f"trained on {len(train)} traces "
+        f"({n_ransomware} ransomware, {len(train) - n_ransomware} benign); model written to {args.out}"
     )
     print(f"mlr converged={model.mlr.converged} iters={model.mlr.n_iter}; "
           f"svm converged={model.svm.converged} passes={model.svm.passes} "

@@ -103,6 +103,11 @@ class SvmFeatures:
         )
 
 
+# Row widths of the two feature vectors; a model file must match them.
+MLR_WIDTH = len(MlrFeatures.__dataclass_fields__)
+SVM_WIDTH = len(SvmFeatures.__dataclass_fields__)
+
+
 def _window(source: Union[Window, Iterable[Event]]) -> Window:
     """source itself when it is a Window, else its events folded into one."""
     if isinstance(source, Window):
@@ -290,7 +295,7 @@ def correlations_from_rows(
 
     field_index = {name: i for i, name in enumerate(SvmFeatures.__dataclass_fields__)}
     stacked = {
-        key: (np.vstack(vecs) if vecs else np.zeros((0, 8))) for key, vecs in groups.items()
+        key: (np.vstack(vecs) if vecs else np.zeros((0, SVM_WIDTH))) for key, vecs in groups.items()
     }
 
     rows = []

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ParseError, SingleClassError, VersionMismatchError, decode_utf8
-from .features import MlrFeatures, SvmFeatures
+from .features import MLR_WIDTH, SVM_WIDTH
 
 MODEL_MAGIC = "PEELER-MODEL"
 MODEL_VERSION = "v1"
@@ -39,10 +39,6 @@ SVM_MAX_PASSES = 400
 DEFAULT_THRESHOLD = 0.5
 # The fewest rows train_mlr fits.
 MIN_TRAIN_SAMPLES = 4
-
-# Row widths of the two feature vectors; a model file must match them.
-MLR_WIDTH = len(MlrFeatures.__dataclass_fields__)
-SVM_WIDTH = len(SvmFeatures.__dataclass_fields__)
 
 
 def _as_matrix(X) -> np.ndarray:

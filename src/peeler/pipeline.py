@@ -79,10 +79,9 @@ class Engine:
         """Record alert unless quarantine suppresses it; returns what was recorded."""
         if alert is None:
             return None
-        if alert.pid in self.quarantined:
-            if self.config.quarantine:
+        if self.config.quarantine:
+            if alert.pid in self.quarantined:
                 return None
-        else:
             self.quarantined.add(alert.pid)
         self.alerts.append(alert)
         return alert

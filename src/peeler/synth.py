@@ -107,7 +107,7 @@ class SynthConfig:
     archetype: str
     pattern: Optional[PatternKind] = None
     n_files: int = 25
-    spawn_profile: Optional[SpawnProfile] = None
+    spawn_profile: Optional[SpawnProfile] = None  # None: the archetype's DEFAULT_*_PROFILE
     duration: int = 60_000_000
     command_injection: bool = False
     intensity: float = 1.0  # activity multiplier (desktop profile)
@@ -120,8 +120,6 @@ class SynthConfig:
                 raise ValueError("crypto archetype requires a pattern kind")
             if self.n_files < 1:
                 raise ValueError("crypto archetype requires n_files >= 1")
-        if self.archetype in ("locker", "benign_spawner") and self.spawn_profile is None:
-            raise ValueError(f"{self.archetype} archetype requires a spawn_profile")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
 
@@ -371,7 +369,7 @@ def _gen_locker(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event]
     alloc = _Alloc(rng)
     info = GenInfo()
     events: List[Event] = []
-    profile = cfg.spawn_profile
+    profile = cfg.spawn_profile or DEFAULT_LOCKER_PROFILE
 
     onset = int(rng.integers(500_000, 3_000_000))
     info.attack_onset = onset
@@ -484,7 +482,7 @@ def _gen_spawner(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event
     alloc = _Alloc(rng)
     info = GenInfo()
     events: List[Event] = []
-    profile = cfg.spawn_profile
+    profile = cfg.spawn_profile or DEFAULT_SPAWNER_PROFILE
 
     n_target = max(3, int(round(profile.n_processes * rng.uniform(0.85, 1.15))))
     threads_per_proc = max(1, round(profile.n_threads / max(profile.n_processes, 1)))
@@ -687,7 +685,6 @@ def default_corpus_spec(
             SynthConfig(
                 seed=0,
                 archetype="locker",
-                spawn_profile=DEFAULT_LOCKER_PROFILE,
                 duration=int(90_000_000 + 30_000_000 * (i % 3)),
             )
         )
@@ -696,7 +693,7 @@ def default_corpus_spec(
     for i in range(per):
         configs.append(SynthConfig(seed=0, archetype="benign_crypto_like", n_files=8 + 2 * (i % 5), duration=60_000_000))
     for i in range(per):
-        configs.append(SynthConfig(seed=0, archetype="benign_spawner", spawn_profile=DEFAULT_SPAWNER_PROFILE, duration=90_000_000))
+        configs.append(SynthConfig(seed=0, archetype="benign_spawner", duration=90_000_000))
     for i in range(n_benign - 2 * per):
         configs.append(SynthConfig(seed=0, archetype="benign_desktop", duration=120_000_000))
     return configs

@@ -36,13 +36,8 @@ def corpus_profiles(default_corpus_dir):
 
 @pytest.fixture(scope="session")
 def trained_model(corpus_profiles):
-    import numpy as np
+    """The model `peeler train --seed 42` writes: eval's repeat-0 model."""
+    from peeler.cli import split_profiles, train_from_profiles
 
-    from peeler.cli import train_from_profiles
-
-    rng = np.random.default_rng(np.random.SeedSequence([42, 0]))
-    ransomware = [p for p in corpus_profiles if p.is_ransomware]
-    benign = [p for p in corpus_profiles if not p.is_ransomware]
-    train = [ransomware[i] for i in rng.choice(len(ransomware), size=16, replace=False)]
-    train += [benign[i] for i in rng.choice(len(benign), size=24, replace=False)]
+    train, _ = split_profiles(corpus_profiles, train_frac=0.2, seed=42, repeat=0)
     return train_from_profiles(train)

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import shutil
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,7 @@ from peeler.cli import (
 from peeler.commands import default_rules_path, load_rules_file
 from peeler.events import Detector
 from peeler.features import correlation_report
-from peeler.errors import ParseError
+from peeler.errors import CorpusError, ParseError
 from peeler.ml import (
     FusedClassifier,
     MlrModel,
@@ -35,8 +37,8 @@ from peeler.ml import (
     save_model,
 )
 from peeler.pipeline import Engine, EngineConfig, run_trace
-from peeler.synth import SynthConfig, default_corpus_spec, read_corpus_index, synth_corpus
-from peeler.trace_io import TraceLabel, iter_trace, load_trace, window_partition
+from peeler.synth import SynthConfig, default_corpus_spec, read_corpus_index, synth_corpus, synth_trace
+from peeler.trace_io import TraceLabel, iter_trace, load_trace, save_trace, window_partition
 from peeler.fileio import PatternKind
 from oracles import ref_mlr_loss_grad, ref_smo_solve
 
@@ -104,6 +106,64 @@ def test_synth_cli_is_deterministic(tmp_path):
         assert main(["synth", "--archetype", "locker", "--seed", "3", "--out", out,
                      "--duration-ms", "30000"]) == EXIT_OK
     assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
+def test_synth_intensity_flag(tmp_path, capsys):
+    out = tmp_path / "t.pt"
+    assert main(["synth", "--archetype", "benign-desktop", "--seed", "5", "--duration-ms", "10000",
+                 "--intensity", "2.5", "--out", str(out)]) == EXIT_OK
+    cfg = SynthConfig(seed=5, archetype="benign_desktop", duration=10_000_000, intensity=2.5)
+    save_trace(str(tmp_path / "ref.pt"), *synth_trace(cfg))
+    assert out.read_bytes() == (tmp_path / "ref.pt").read_bytes()
+    busier, _ = load_trace(str(out))
+    assert busier.event_count > synth_trace(replace(cfg, intensity=1.0))[0].event_count
+
+
+def _command_rule_alerts(tmp_path, synth_flags):
+    trace, report = tmp_path / "t.pt", tmp_path / "r.json"
+    assert main(["synth", "--archetype", "locker", "--seed", "3", "--duration-ms", "20000",
+                 *synth_flags, "--out", str(trace)]) == EXIT_OK
+    assert main(["detect", "--trace", str(trace), "--json-report", str(report)]) == EXIT_OK
+    alerts = json.loads(report.read_text())["alerts"]
+    return [a for a in alerts if a["detector"] == Detector.COMMAND_RULE.value]
+
+
+def test_synth_inject_commands_flag_trips_rules(tmp_path, capsys):
+    assert _command_rule_alerts(tmp_path, []) == []
+    assert _command_rule_alerts(tmp_path, ["--inject-commands"])
+
+
+def test_detect_no_quarantine_flag(tmp_path, capsys):
+    trace = tmp_path / "t.pt"
+    assert main(["synth", "--archetype", "crypto:file-delete", "--files", "6", "--seed", "11",
+                 "--duration-ms", "20000", "--out", str(trace)]) == EXIT_OK
+
+    def alerts_per_pid(*flags):
+        report = tmp_path / "r.json"
+        assert main(["detect", "--trace", str(trace), *flags, "--json-report", str(report)]) == EXIT_OK
+        return Counter(a["pid"] for a in json.loads(report.read_text())["alerts"])
+
+    assert max(alerts_per_pid().values()) == 1
+    assert max(alerts_per_pid("--no-quarantine").values()) > 1
+
+
+def test_train_writes_evals_repeat_0_model(default_corpus_dir, corpus_profiles, tmp_path,
+                                           monkeypatch, capsys):
+    models = []
+
+    def recording(profiles):
+        models.append(train_from_profiles(profiles))
+        return models[-1]
+
+    monkeypatch.setattr(cli, "train_from_profiles", recording)
+    evaluate_profiles(corpus_profiles, repeats=1, seed=42, train_frac=0.2)
+    monkeypatch.undo()
+    out = tmp_path / "m.pm"
+    assert main(["train", "--corpus", default_corpus_dir, "--out", str(out),
+                 "--seed", "42", "--train-frac", "0.2"]) == EXIT_OK
+    buf = io.BytesIO()
+    save_model(models[0], buf)
+    assert out.read_bytes() == buf.getvalue()
 
 
 def test_train_then_eval_with_fixed_model(small_corpus, tmp_path, capsys):
@@ -215,6 +275,13 @@ def test_perfect_detector_stub_yields_perfect_metrics():
     assert summary.fpr == 0.0 and summary.fnr == 0.0
 
 
+def test_fixed_model_single_class_corpus_is_corpus_error():
+    profiles = [_stub_profile("b1", TraceLabel.BENIGN), _stub_profile("b2", TraceLabel.BENIGN)]
+    neutral = FusedClassifier(mlr=_neutral_mlr(), svm=_neutral_svm())
+    with pytest.raises(CorpusError):
+        evaluate_profiles(profiles, repeats=1, seed=1, fixed_model=neutral)
+
+
 def test_f1_is_harmonic_mean_of_precision_recall(small_corpus):
     rules = load_rules_file(default_rules_path())
     s = evaluate_profiles(load_corpus_profiles(small_corpus, rules), repeats=2, seed=4)
@@ -321,6 +388,7 @@ HOSTILE_EDITS = {
 REMOVED_FLAGS = {
     "detect_window_ms": ["detect", "--trace", "{trace}", "--json-report", "{out}", "--window-ms", "5000"],
     "train_window_ms": ["train", "--corpus", "{corpus}", "--out", "{out}", "--window-ms", "5000"],
+    "train_threshold": ["train", "--corpus", "{corpus}", "--out", "{out}", "--threshold", "0.5"],
     "eval_window_ms": ["eval", "--corpus", "{corpus}", "--repeats", "1", "--json-report", "{out}",
                        "--window-ms", "5000"],
     "synth_processes": ["synth", "--archetype", "benign-spawner", "--out", "{out}", "--processes", "10"],

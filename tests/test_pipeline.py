@@ -90,11 +90,15 @@ def test_quarantine_caps_alerts_per_pid():
                       pattern=PatternKind.MEM_TO_FILE_POST_OVERWRITE,
                       n_files=6, duration=20_000_000)
     manifest, events = synth_trace(cfg)
-    with_q = run_trace(Engine(EngineConfig(quarantine=True)), manifest, events)
-    without_q = run_trace(Engine(EngineConfig(quarantine=False)), manifest, events)
+    engine_q, engine_nq = Engine(EngineConfig(quarantine=True)), Engine(EngineConfig(quarantine=False))
+    with_q = run_trace(engine_q, manifest, events)
+    without_q = run_trace(engine_nq, manifest, events)
     pids = [a.pid for a in with_q.alerts]
     assert len(pids) == len(set(pids))
     assert len(without_q.alerts) >= 6 > len(with_q.alerts)
+    # only a quarantining engine keeps the set, one pid per alert
+    assert engine_q.quarantined == set(pids)
+    assert engine_nq.quarantined == set()
 
 
 def test_detector_independence():

@@ -1,5 +1,6 @@
 """Static checks over the program's own source."""
 
+import argparse
 import ast
 import re
 import sys
@@ -126,3 +127,26 @@ def test_readme_cli_examples_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail("README advertises an invalid command: peeler " + " ".join(argv))
+
+
+def _subcommand_options():
+    """(subcommand, option string) for every option of every `peeler` subcommand, help aside."""
+    from peeler.cli import _build_parser
+
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            for option in action.option_strings:
+                if option not in ("-h", "--help"):
+                    yield name, option
+
+
+def test_every_cli_option_is_tested():
+    tests = [p for p in sorted(Path(__file__).parent.glob("*.py")) if p.name != "test_source.py"]
+    text = "\n".join(p.read_text(encoding="utf-8") for p in tests)
+    untested = [
+        f"{name} {option}"
+        for name, option in _subcommand_options()
+        if f'"{option}"' not in text and f"'{option}'" not in text
+    ]
+    assert untested == []

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -137,8 +138,9 @@ def test_command_injection_emits_rule_matched_starts():
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         SynthConfig(seed=1, archetype="crypto").validate()  # no pattern
-    with pytest.raises(ValueError):
-        SynthConfig(seed=1, archetype="locker").validate()  # no profile
+    # a locker without a profile is the default locker
+    locker = SynthConfig(seed=1, archetype="locker", duration=10_000_000)
+    assert synth_trace(locker) == synth_trace(replace(locker, spawn_profile=DEFAULT_LOCKER_PROFILE))
     with pytest.raises(ValueError):
         SynthConfig(seed=1, archetype="warp").validate()
     with pytest.raises(ValueError):
