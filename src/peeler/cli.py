@@ -7,7 +7,8 @@ those rows. Detect, train and eval all cut windows at trace_io.WINDOW_LEN,
 which no option changes: a model is only valid at the window length its
 training rows were taken over.
 
-Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 internal error.
+Exit codes: 0 success, 1 usage error (the parser rejected an argument), 2 data
+error (a PeelerError or OSError), 3 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .ml import (
 )
 from .pipeline import Engine, EngineConfig, run_trace
 from .synth import (
+    ARCHETYPES,
     SynthConfig,
     default_corpus_spec,
     read_corpus_index,
@@ -51,6 +53,12 @@ PATTERN_NAMES = {
     "pre-overwrite": PatternKind.MEM_TO_FILE_PRE_OVERWRITE,
     "file-delete": PatternKind.FILE_TO_FILE_DELETE,
     "rename-delete": PatternKind.FILE_TO_FILE_RENAME_DELETE,
+}
+
+# `synth --archetype` name -> (SynthConfig archetype, crypto pattern)
+ARCHETYPE_NAMES = {
+    **{f"crypto:{name}": ("crypto", kind) for name, kind in PATTERN_NAMES.items()},
+    **{a.replace("_", "-"): (a, None) for a in ARCHETYPES if a != "crypto"},
 }
 
 # windows from attack traces need this many events to count as attack
@@ -342,22 +350,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _within(kind, lo, hi=float("inf")):
+    """An argparse type: the text as `kind` in [lo, hi], which no NaN is."""
+    def parse(text):
+        x = kind(text)
+        if not lo <= x <= hi:
+            raise argparse.ArgumentTypeError(f"{text} is not in [{lo}, {hi}]")
+        return x
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="peeler", description="Streaming ransomware detection engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic labeled trace or corpus")
-    p.add_argument("--archetype", help="crypto:post-overwrite|crypto:pre-overwrite|"
-                                       "crypto:file-delete|crypto:rename-delete|locker|"
-                                       "benign-crypto-like|benign-spawner|benign-desktop")
-    p.add_argument("--files", type=int, default=25, help="files to encrypt (crypto)")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--archetype", choices=ARCHETYPE_NAMES)
+    p.add_argument("--files", type=_within(int, 1), default=25, help="files to encrypt (crypto)")
+    p.add_argument("--seed", type=_within(int, 0, 2**64 - 1), default=7)
     p.add_argument("--out", help="output trace path")
-    p.add_argument("--duration-ms", type=int, default=60_000)
-    p.add_argument("--intensity", type=float, default=1.0)
+    p.add_argument("--duration-ms", type=_within(int, 1, (2**63 - 1) // 1000), default=60_000)
+    p.add_argument("--intensity", type=_within(float, 0, 1e6), default=1.0)
     p.add_argument("--inject-commands", action="store_true")
     p.add_argument("--default-corpus", metavar="DIR",
                    help="write the standard 40/40/120 evaluation corpus to DIR")
+    p.set_defaults(parser=p)
 
     p = sub.add_parser("detect", help="run the detection pipeline over a trace")
     p.add_argument("--trace", required=True)
@@ -369,17 +388,17 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train the fused classifier on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--train-frac", type=float, default=0.2)
+    p.add_argument("--seed", type=_within(int, 0, 2**64 - 1), default=42)
+    p.add_argument("--train-frac", type=_within(float, 0, 1), default=0.2)
     p.add_argument("--rules", help="rules file (bundled set when omitted)")
 
     p = sub.add_parser("eval", help="repeated train/test evaluation over a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--rules")
     p.add_argument("--model", help="evaluate a fixed model instead of retraining")
-    p.add_argument("--repeats", type=int, default=20)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--train-frac", type=float, default=0.2)
+    p.add_argument("--repeats", type=_within(int, 1), default=20)
+    p.add_argument("--seed", type=_within(int, 0, 2**64 - 1), default=42)
+    p.add_argument("--train-frac", type=_within(float, 0, 1), default=0.2)
     p.add_argument("--json-report", metavar="PATH")
     p.add_argument("--latency-table", metavar="PATH",
                    help="write per-trace detection latencies as delimited text")
@@ -388,20 +407,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_archetype(args) -> SynthConfig:
-    if not args.archetype:
-        raise ValueError("--archetype is required unless --default-corpus is used")
-    name = args.archetype.lower()
-    pattern = None
-    if name.startswith("crypto:"):
-        pname = name.split(":", 1)[1]
-        if pname not in PATTERN_NAMES:
-            raise ValueError(f"unknown crypto pattern {pname!r}")
-        pattern = PATTERN_NAMES[pname]
-        archetype = "crypto"
-    else:
-        archetype = name.replace("-", "_")
-    return SynthConfig(
+def _cmd_synth(args) -> int:
+    if args.default_corpus:
+        entries = synth_corpus(default_corpus_spec(), args.default_corpus, master_seed=args.seed)
+        print(f"wrote {len(entries)} traces to {args.default_corpus}")
+        return EXIT_OK
+    archetype, pattern = ARCHETYPE_NAMES[args.archetype]
+    manifest, events = synth_trace(SynthConfig(
         seed=args.seed,
         archetype=archetype,
         pattern=pattern,
@@ -409,18 +421,7 @@ def _parse_archetype(args) -> SynthConfig:
         duration=args.duration_ms * 1000,
         command_injection=args.inject_commands,
         intensity=args.intensity,
-    )
-
-
-def _cmd_synth(args) -> int:
-    if args.default_corpus:
-        entries = synth_corpus(default_corpus_spec(), args.default_corpus, master_seed=args.seed)
-        print(f"wrote {len(entries)} traces to {args.default_corpus}")
-        return EXIT_OK
-    if not args.out:
-        raise ValueError("--out is required")
-    cfg = _parse_archetype(args)
-    manifest, events = synth_trace(cfg)
+    ))
     save_trace(args.out, manifest, events)
     print(f"wrote {manifest.event_count} events ({manifest.label.value}/{manifest.family}) to {args.out}")
     return EXIT_OK
@@ -538,17 +539,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "synth" and not (args.default_corpus or args.archetype and args.out):
+            args.parser.error("synth needs --archetype and --out, or --default-corpus")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (PeelerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 

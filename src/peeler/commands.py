@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fnmatch import translate as _glob_translate
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
-from .errors import DuplicateRuleIdError, ParseError, decode_utf8
+from .errors import ParseError, decode_utf8
 from .events import Alert, Detector, Event, EventType, ProcessAttrs, Provider
 
 GOALS = ("stealth", "attack", "payment_guidance")
@@ -115,7 +115,7 @@ def load_rules(source: BinaryIO) -> RuleSet:
             continue
         rule = _parse_rule_line(line, lineno)
         if rule.id in seen:
-            raise DuplicateRuleIdError(f"line {lineno}: duplicate rule id {rule.id!r}")
+            raise ParseError(lineno, f"duplicate rule id {rule.id!r}")
         seen.add(rule.id)
         rules.append(rule)
     return RuleSet(rules=rules, version=version)

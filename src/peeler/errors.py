@@ -26,17 +26,5 @@ class SchemaError(PeelerError):
     """Structurally valid input that violates a data-model invariant."""
 
 
-class DuplicateRuleIdError(PeelerError):
-    """Two rules in one rules file share an id."""
-
-
-class VersionMismatchError(PeelerError):
-    """File carries a format version this reader does not support."""
-
-
-class SingleClassError(PeelerError):
-    """Training data contains only one class label."""
-
-
 class CorpusError(PeelerError):
     """Corpus is unusable for the requested operation (e.g. a label class is empty)."""

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from .errors import CorpusError
 from .events import Event
 from .trace_io import TraceLabel, TraceManifest, Window
 
@@ -291,7 +292,7 @@ def correlations_from_rows(
             continue
         groups[label.is_ransomware].extend(rows)
     if not groups[True] and not groups[False]:
-        raise ValueError("corpus is empty")
+        raise CorpusError("corpus is empty")
 
     field_index = {name: i for i, name in enumerate(SvmFeatures.__dataclass_fields__)}
     stacked = {

@@ -20,7 +20,7 @@ from typing import BinaryIO, List, Tuple
 import numpy as np
 
 from . import kernels
-from .errors import ParseError, SingleClassError, VersionMismatchError, decode_utf8
+from .errors import CorpusError, ParseError, decode_utf8
 from .features import MLR_WIDTH, SVM_WIDTH
 
 MODEL_MAGIC = "PEELER-MODEL"
@@ -109,7 +109,7 @@ def train_mlr(X, y) -> MlrModel:
     if n < MIN_TRAIN_SAMPLES:
         raise ValueError(f"need at least {MIN_TRAIN_SAMPLES} training samples")
     if len(np.unique(ym)) < 2:
-        raise SingleClassError("training data has a single class")
+        raise CorpusError("training data has a single class")
     scaler = fit_scaler(Xm)
     Xb = np.hstack([scaler.apply(Xm), np.ones((n, 1))])
     W = np.zeros((2, Xb.shape[1]))
@@ -185,7 +185,7 @@ def train_svm(X, y, gamma: float = None) -> SvmModel:
     n = Xm.shape[0]
     ym = _as_labels(y, n)
     if len(np.unique(ym)) < 2:
-        raise SingleClassError("training data has a single class")
+        raise CorpusError("training data has a single class")
     if gamma is None:
         gamma = 1.0 / Xm.shape[1]
     scaler = fit_scaler(Xm)
@@ -400,7 +400,7 @@ def load_model(source: BinaryIO) -> FusedClassifier:
         raise ParseError(1, "missing model header magic")
     version = first[len(MODEL_MAGIC) + 1 :].strip()
     if version != MODEL_VERSION:
-        raise VersionMismatchError(f"unsupported model version {version!r}")
+        raise ParseError(1, f"unsupported model version {version!r}")
     if lines[-1] == "":
         lines.pop()
     m = _ModelText(lines)

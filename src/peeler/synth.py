@@ -113,6 +113,9 @@ class SynthConfig:
     intensity: float = 1.0  # activity multiplier (desktop profile)
 
     def validate(self) -> None:
+        # the trace reader takes a manifest seed only in [0, 2^64)
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed {self.seed} is not an integer in [0, 2^64)")
         if self.archetype not in ARCHETYPES:
             raise ValueError(f"unknown archetype {self.archetype!r}")
         if self.archetype == "crypto":
@@ -732,9 +735,9 @@ def synth_corpus(
 def read_corpus_index(corpus_dir: str) -> List[Tuple[str, str, str, int]]:
     """Rows of (path, label, family, seed) from a corpus index file.
 
-    A row that is not four `|`-separated fields, a seed that is not a
-    decimal integer in [0, 2^64), or bytes that are not UTF-8 are a
-    ParseError naming the file line.
+    A row that is not four `|`-separated fields, a file name with a NUL, a
+    seed that is not a decimal integer in [0, 2^64), or bytes that are not
+    UTF-8 are a ParseError naming the file line.
     """
     with open(os.path.join(corpus_dir, "index.txt"), "rb") as f:
         text = decode_utf8(f.read())
@@ -746,6 +749,8 @@ def read_corpus_index(corpus_dir: str) -> List[Tuple[str, str, str, int]]:
         if len(fields) != 4:
             raise ParseError(lineno, f"expected 4 '|'-separated fields, got {len(fields)}")
         name, label, family, seed = fields
+        if "\0" in name:
+            raise ParseError(lineno, f"file name {name!r} holds a NUL byte")
         # at most 20 digits, so int() stays cheap whatever the row holds
         if not (seed.isascii() and seed.isdigit() and len(seed) <= 20 and int(seed) < 1 << 64):
             raise ParseError(lineno, f"seed {seed!r} is not an integer in [0, 2^64)")

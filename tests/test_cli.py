@@ -14,6 +14,7 @@ import pytest
 from peeler import cli, kernels
 from peeler.cli import (
     EXIT_DATA,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     TraceProfile,
@@ -38,7 +39,7 @@ from peeler.ml import (
 )
 from peeler.pipeline import Engine, EngineConfig, run_trace
 from peeler.synth import SynthConfig, default_corpus_spec, read_corpus_index, synth_corpus, synth_trace
-from peeler.trace_io import TraceLabel, iter_trace, load_trace, save_trace, window_partition
+from peeler.trace_io import TraceLabel, TraceManifest, iter_trace, load_trace, save_trace, window_partition
 from peeler.fileio import PatternKind
 from oracles import ref_mlr_loss_grad, ref_smo_solve
 
@@ -78,6 +79,78 @@ def test_no_arguments_is_usage_error(capsys):
 
 def test_unknown_pattern_is_usage_error(capsys):
     assert main(["synth", "--archetype", "crypto:quantum", "--out", "/tmp/x.pt"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--archetype", "locker"],
+    ["synth", "--out", "{out}"],
+    ["synth", "--seed", "3", "--out", "{out}"],
+])
+def test_synth_without_archetype_and_out_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "t.pt"
+    assert main([a.format(out=out) for a in argv]) == EXIT_USAGE
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage: peeler synth ")
+    assert "error: synth needs --archetype and --out, or --default-corpus" in err
+
+
+# archetype names are exact: other spellings of valid names are usage errors
+@pytest.mark.parametrize("name", ["Locker", "benign_desktop", "crypto:Post-Overwrite", "crypto"])
+def test_archetype_spelling_is_usage_error(name, tmp_path, capsys):
+    out = tmp_path / "t.pt"
+    assert main(["synth", "--archetype", name, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+    assert "argument --archetype: invalid choice" in capsys.readouterr().err
+
+
+_NUMBER_FAULTS = ["-1", "nan", "inf"]
+_SEED_FAULTS = [*_NUMBER_FAULTS, str(2**64)]
+_FRAC_FAULTS = [*_NUMBER_FAULTS, "1.5"]
+_COUNT_FAULTS = [*_NUMBER_FAULTS, "0"]
+# (command, option) -> values outside its domain, which the parser rejects
+# before any work starts: exit 1 and nothing written
+OUT_OF_DOMAIN = {
+    ("synth", "--seed"): _SEED_FAULTS,
+    ("synth", "--files"): _COUNT_FAULTS,
+    ("synth", "--duration-ms"): [*_COUNT_FAULTS, str((2**63 - 1) // 1000 + 1)],
+    ("synth", "--intensity"): [*_NUMBER_FAULTS, "1e7"],
+    ("train", "--seed"): _SEED_FAULTS,
+    ("train", "--train-frac"): _FRAC_FAULTS,
+    ("eval", "--seed"): _SEED_FAULTS,
+    ("eval", "--train-frac"): _FRAC_FAULTS,
+    ("eval", "--repeats"): _COUNT_FAULTS,
+}
+_OUT_OF_DOMAIN_ARGV = {
+    "synth": ["synth", "--archetype", "locker", "--out", "{out}"],
+    "train": ["train", "--corpus", "{corpus}", "--out", "{out}"],
+    "eval": ["eval", "--corpus", "{corpus}", "--json-report", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command, option, value", [
+    (command, option, value) for (command, option), values in OUT_OF_DOMAIN.items() for value in values
+])
+def test_out_of_domain_number_is_usage_error(command, option, value, tmp_path, capsys):
+    out, corpus = tmp_path / "out", tmp_path / "corpus"
+    argv = [a.format(out=out, corpus=corpus) for a in _OUT_OF_DOMAIN_ARGV[command]]
+    assert main([*argv, f"{option}={value}"]) == EXIT_USAGE
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {option}: " in captured.err
+
+
+def test_internal_value_error_is_internal_error(tmp_path, monkeypatch, capsys):
+    def failing_run_trace(*_):
+        raise ValueError("boom")
+
+    path = tmp_path / "t.pt"
+    path.write_bytes(_VALID_TRACE)
+    monkeypatch.setattr(cli, "run_trace", failing_run_trace)
+    assert main(["detect", "--trace", str(path)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == "internal error: ValueError('boom')\n"
 
 
 def test_missing_trace_is_data_error(capsys):
@@ -453,6 +526,7 @@ HOSTILE_INDEX_EDITS = {
     "seed_signed": lambda row: row.rsplit(b"|", 1)[0] + b"| +7",
     "seed_over_64_bits": lambda row: row.rsplit(b"|", 1)[0] + b"| 18446744073709551616",
     "invalid_utf8": lambda row: row.replace(b"|", b"\xff|", 1),
+    "name_nul": lambda row: row.replace(b" |", b"\0 |", 1),
 }
 
 
@@ -500,6 +574,20 @@ def test_hostile_corpus_is_data_error(name, command, small_corpus, tmp_path, cap
     assert main(argv[command]) == EXIT_DATA
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+def test_windowless_corpus_correlations_is_data_error(valid_model_text, tmp_path, capsys):
+    corpus, model = tmp_path / "corpus", tmp_path / "m.pm"
+    corpus.mkdir()
+    model.write_text(valid_model_text, encoding="utf-8")
+    for name, label in (("a.pt", TraceLabel.CRYPTO), ("b.pt", TraceLabel.BENIGN)):
+        save_trace(str(corpus / name), TraceManifest(label, "x", 1, 0, 0), [])
+    (corpus / "index.txt").write_text("a.pt | crypto | x | 1\nb.pt | benign | x | 1\n")
+    argv = ["eval", "--corpus", str(corpus), "--model", str(model), "--repeats", "1", "--correlations"]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out.startswith("repeats  : 1 (seed 42)\n")
+    assert captured.err == "error: corpus is empty\n"
 
 
 @pytest.fixture(scope="module")

@@ -12,7 +12,7 @@ from peeler.commands import (
     default_rules_path,
     normalize_command,
 )
-from peeler.errors import DuplicateRuleIdError, ParseError
+from peeler.errors import ParseError
 from peeler.events import Detector
 from command_corpus import ATTACK_COMMANDS, BENIGN_COMMANDS
 from helpers import ev_proc_start, ev_read
@@ -107,7 +107,7 @@ def test_empty_rules_file():
 
 def test_duplicate_rule_id_rejected():
     data = b"x | attack | net | stop | a\nx | attack | sc | stop | b\n"
-    with pytest.raises(DuplicateRuleIdError):
+    with pytest.raises(ParseError, match=r"^line 2: duplicate rule id 'x'$"):
         load_rules(io.BytesIO(data))
 
 

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from peeler.errors import CorpusError
 from peeler.events import EventType, Provider
 from peeler.features import (
     CORRELATION_PAIRS,
@@ -269,7 +270,7 @@ def test_correlation_report_single_window_degenerate():
 
 
 def test_correlation_report_empty_corpus_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(CorpusError, match="^corpus is empty$"):
         correlation_report([])
 
 

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from peeler.errors import ParseError, SingleClassError, VersionMismatchError
+from peeler.errors import CorpusError, ParseError
 from peeler.ml import (
     FusedClassifier,
     MlrModel,
@@ -90,7 +90,7 @@ def test_mlr_no_signal_predicts_prior():
 
 
 def test_mlr_single_class_rejected():
-    with pytest.raises(SingleClassError):
+    with pytest.raises(CorpusError, match="^training data has a single class$"):
         train_mlr(np.ones((4, 5)), np.array([1, 1, 1, 1]))
 
 
@@ -174,7 +174,7 @@ def test_svm_kkt_equality_and_box():
 
 
 def test_svm_single_class_rejected():
-    with pytest.raises(SingleClassError):
+    with pytest.raises(CorpusError, match="^training data has a single class$"):
         train_svm(np.ones((4, 8)), np.array([1, 1, 1, 1]))
 
 
@@ -350,7 +350,7 @@ def test_empty_model_stream_rejected():
 
 
 def test_version_mismatch_rejected():
-    with pytest.raises(VersionMismatchError):
+    with pytest.raises(ParseError, match=r"^line 1: unsupported model version 'v0'$"):
         load_model(io.BytesIO(b"PEELER-MODEL v0\n[mlr]\n"))
 
 

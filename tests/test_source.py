@@ -129,16 +129,22 @@ def test_readme_cli_examples_parse():
             pytest.fail("README advertises an invalid command: peeler " + " ".join(argv))
 
 
-def _subcommand_options():
-    """(subcommand, option string) for every option of every `peeler` subcommand, help aside."""
+def _subcommand_actions():
+    """(subcommand, action) for every action of every `peeler` subcommand."""
     from peeler.cli import _build_parser
 
     subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     for name, sub in subparsers.choices.items():
         for action in sub._actions:
-            for option in action.option_strings:
-                if option not in ("-h", "--help"):
-                    yield name, option
+            yield name, action
+
+
+def _subcommand_options():
+    """(subcommand, option string) for every option of every `peeler` subcommand, help aside."""
+    for name, action in _subcommand_actions():
+        for option in action.option_strings:
+            if option not in ("-h", "--help"):
+                yield name, option
 
 
 def test_every_cli_option_is_tested():
@@ -150,3 +156,31 @@ def test_every_cli_option_is_tested():
         if f'"{option}"' not in text and f"'{option}'" not in text
     ]
     assert untested == []
+
+
+def test_every_numeric_option_is_bounded():
+    # a bare int or float takes every value, NaN included; each numeric
+    # option states its domain with cli._within instead
+    bare = [f"{name} {action.option_strings[0]}" for name, action in _subcommand_actions()
+            if action.type in (int, float)]
+    assert bare == []
+
+
+def _names_value_error(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Tuple):
+        return any(_names_value_error(n) for n in node.elts)
+    return isinstance(node, ast.Name) and node.id == "ValueError"
+
+
+def test_cli_neither_raises_nor_catches_value_error():
+    # usage errors are the parser's; a ValueError inside a command is an internal error
+    tree = ast.parse((Path(peeler.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and _names_value_error(node.exc)
+        or isinstance(node, ast.ExceptHandler) and _names_value_error(node.type)
+    ]
+    assert found == []

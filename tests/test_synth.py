@@ -21,7 +21,7 @@ from peeler.synth import (
     synth_trace,
     synth_trace_detailed,
 )
-from peeler.trace_io import event_to_line, line_to_event, load_trace, write_trace
+from peeler.trace_io import event_to_line, line_to_event, load_trace, save_trace, write_trace
 from peeler.commands import CommandMatcher, load_rules_file, default_rules_path
 from oracles import ACCEPTOR_REGEXES, brute_force_alerts
 
@@ -145,6 +145,16 @@ def test_invalid_configs_rejected():
         SynthConfig(seed=1, archetype="warp").validate()
     with pytest.raises(ValueError):
         SynthConfig(seed=1, archetype="benign_desktop", duration=0).validate()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_the_readers_range_rejected(seed, tmp_path):
+    # a manifest seed outside [0, 2^64) is one the trace reader rejects
+    with pytest.raises(ValueError, match=r"is not an integer in \[0, 2\^64\)$"):
+        synth_trace(SynthConfig(seed=seed, archetype="locker", duration=10_000_000))
+    manifest, events = synth_trace(SynthConfig(seed=2**64 - 1, archetype="locker", duration=1_000_000))
+    save_trace(str(tmp_path / "t.pt"), manifest, events)
+    assert load_trace(str(tmp_path / "t.pt")) == (manifest, events)
 
 
 def test_default_corpus_spec_mix():
