@@ -24,7 +24,7 @@ dead) and its last-seen stamps (so it is evicted like a list).
 from __future__ import annotations
 
 from enum import Enum
-from typing import Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .events import (
     Alert,
@@ -166,13 +166,16 @@ class FileEventsList:
     and its matching state.
 
     A file accumulates several FileObject keys (per-open handles) and names
-    (renames). The identity sets, the letters and the contributing pids
-    stop growing once the list has matched or is dead in all four
-    acceptors, since none of them can change an alert after that.
+    (renames). Of the handles only the create's is kept, with multi_file set
+    once another one shows up: the file-to-file acceptors read no more. The
+    names, the flag, the letters and the contributing pids stop growing once
+    the list has matched or is dead in all four acceptors, since none of
+    them can change an alert after that.
     """
 
     __slots__ = (
-        "file_objects",
+        "file_object",
+        "multi_file",
         "file_names",
         "contributing_pids",
         "_letters",
@@ -182,8 +185,9 @@ class FileEventsList:
         "last_seen_ts",
     )
 
-    def __init__(self) -> None:
-        self.file_objects: Set[int] = set()
+    def __init__(self, file_object: int) -> None:
+        self.file_object = file_object
+        self.multi_file = False
         self.file_names: Set[str] = set()
         self.contributing_pids: Set[int] = set()
         self._letters: List[str] = []
@@ -222,30 +226,31 @@ _EXEMPT_IMAGES = frozenset({"system", "explorer.exe"})
 _SYSTEM_PID = 4
 
 
-def is_exempt(pid: int, pid_images: Mapping[int, str]) -> bool:
-    """True for the system process (pid 4 / image "system") and explorer.exe."""
-    return pid == _SYSTEM_PID or pid_images.get(pid, "") in _EXEMPT_IMAGES
+def is_exempt(pid: int, exempt_pids: Set[int]) -> bool:
+    """True for the system process (pid 4) and for the pids in exempt_pids,
+    those whose latest image is "system" or explorer.exe."""
+    return pid == _SYSTEM_PID or pid in exempt_pids
 
 
-def stage3_filter(lst: FileEventsList, pid_images: Mapping[int, str]) -> bool:
-    """False-positive suppression; True means keep the alert.
+def blame(lst: FileEventsList, pid: int, exempt_pids: Set[int]) -> Optional[int]:
+    """False-positive suppression and blame in one pass over the list.
 
-    Suppresses when the list's file names do not share one parent directory,
-    or when more than one process contributed events after exempting the
-    system process (pid 4 / image "system") and explorer.exe.
+    Returns None to suppress the hit when the list's file names do not share
+    one parent directory, or when more than one process contributed events
+    after exempting the system process and explorer.exe (is_exempt).
+    Otherwise returns the pid the alert names: the one non-exempt
+    contributor, or pid, the hit event's, when every contributor is exempt.
     """
     names = lst.file_names
-    if len(names) > 1:
-        parents = {_parent_dir(n) for n in names}
-        if len(parents) > 1:
-            return False
-    involved = 0
-    for pid in lst.contributing_pids:
-        if not is_exempt(pid, pid_images):
-            involved += 1
-            if involved > 1:
-                return False
-    return True
+    if len(names) > 1 and len({_parent_dir(n) for n in names}) > 1:
+        return None
+    blamed = None
+    for p in lst.contributing_pids:
+        if not is_exempt(p, exempt_pids):
+            if blamed is not None:
+                return None
+            blamed = p
+    return pid if blamed is None else blamed
 
 
 # Eviction policy for idle per-file state: a list idle for more than
@@ -262,7 +267,8 @@ class FileIoMatcher:
 
     The three key maps point each FileObject, file_key and file name at its
     lineage's record: a FileEventsList, or a tombstone for a dead-born
-    lineage. lists() gives the FileEventsLists.
+    lineage. lists() gives the FileEventsLists. exempt_pids holds the pids
+    whose latest image is "system" or explorer.exe, one entry per such pid.
     """
 
     def __init__(self) -> None:
@@ -270,12 +276,8 @@ class FileIoMatcher:
         self._by_key: Dict[int, _Record] = {}
         self._by_name: Dict[str, _Record] = {}
         self._lists: List[FileEventsList] = []
-        self._pid_images: Dict[int, str] = {}
+        self.exempt_pids: Set[int] = set()
         self._count = 0
-
-    @property
-    def pid_images(self) -> Mapping[int, str]:
-        return self._pid_images
 
     def lists(self) -> List[FileEventsList]:
         return list(self._lists)
@@ -283,16 +285,19 @@ class FileIoMatcher:
     def ingest(self, e: Event) -> Optional[Alert]:
         """Fold one event into matcher state; returns an alert on detection.
 
-        Non-File events are accepted and ignored, except that Process
-        Start/End events feed the pid-to-image map used by the
-        system/explorer exemption.
+        Non-File events are accepted and ignored, except that a Process
+        Start/End event that reports an image decides whether its pid is
+        exempt, until the next one for that pid.
         """
         prov = e.provider
         if prov is not _FILE:
             if prov is _PROCESS:
                 image = e.attrs.image_file_name
                 if image:
-                    self._pid_images[e.pid] = image.replace("\\", "/").rpartition("/")[2].lower()
+                    if image.replace("\\", "/").rpartition("/")[2].lower() in _EXEMPT_IMAGES:
+                        self.exempt_pids.add(e.pid)
+                    else:
+                        self.exempt_pids.discard(e.pid)
             return None
 
         self._count += 1
@@ -317,7 +322,7 @@ class FileIoMatcher:
             if lst is None:
                 lst = self._by_name.get(name)
                 if lst is None:
-                    lst = self._new_record(et)
+                    lst = self._new_record(et, obj)
             self._by_name[name] = lst
         else:
             fk = attrs.file_key
@@ -327,7 +332,7 @@ class FileIoMatcher:
                 if lst is None:
                     lst = by_object.get(obj)
                     if lst is None:
-                        lst = self._new_record(et)
+                        lst = self._new_record(et, obj)
             self._by_key[fk] = lst
         by_object[obj] = lst
         lst.last_seen_count = self._count
@@ -336,57 +341,48 @@ class FileIoMatcher:
         if state == _DEAD or lst.matched is not None:
             return None
 
-        lst.file_objects.add(obj)
+        if obj != lst.file_object:
+            lst.multi_file = True
         if name is not None:
             lst.file_names.add(name)
         letter = _LETTERS[et._value_]
         lst._letters.append(letter)
         lst.contributing_pids.add(e.pid)
         lst.state = state = _STEP[state][letter]
-        hit = _HIT[state][len(lst.file_objects) >= 2]
-        if hit is None or not stage3_filter(lst, self._pid_images):
+        hit = _HIT[state][lst.multi_file]
+        if hit is None:
+            return None
+        pid = blame(lst, e.pid, self.exempt_pids)
+        if pid is None:
             return None
         lst.matched = hit
         return Alert(
             detector=Detector.FILE_IO_PATTERN,
-            pid=self._offending_pid(lst, e),
+            pid=pid,
             trigger=hit.value,
             event_timestamp=e.timestamp,
             emitted_timestamp=e.timestamp,
         )
 
-    def _new_record(self, et: EventType) -> _Record:
-        """The record of a lineage whose first event has type et."""
+    def _new_record(self, et: EventType, obj: int) -> _Record:
+        """The record of a lineage whose first event has type et and FileObject obj."""
         if et is not _FILE_CREATE:
             return _Tombstone()
-        lst = FileEventsList()
+        lst = FileEventsList(obj)
         self._lists.append(lst)
         return lst
-
-    def _offending_pid(self, lst: FileEventsList, e: Event) -> int:
-        candidates = [p for p in lst.contributing_pids if not is_exempt(p, self._pid_images)]
-        if len(candidates) == 1:
-            return candidates[0]
-        return e.pid
 
     def _sweep(self, now_ts: int) -> None:
         """Drop every record idle for more than MAX_IDLE_EVENTS File events or
         MAX_IDLE_US of trace time, with every key that points at it."""
         min_count = self._count - MAX_IDLE_EVENTS
         min_ts = now_ts - MAX_IDLE_US
-        self._by_object = {
-            k: r for k, r in self._by_object.items()
-            if r.last_seen_count >= min_count and r.last_seen_ts >= min_ts
-        }
-        self._by_key = {
-            k: r for k, r in self._by_key.items()
-            if r.last_seen_count >= min_count and r.last_seen_ts >= min_ts
-        }
-        self._by_name = {
-            k: r for k, r in self._by_name.items()
-            if r.last_seen_count >= min_count and r.last_seen_ts >= min_ts
-        }
-        self._lists = [
-            r for r in self._lists
-            if r.last_seen_count >= min_count and r.last_seen_ts >= min_ts
-        ]
+
+        def fresh(records):
+            return {k: r for k, r in records.items()
+                    if r.last_seen_count >= min_count and r.last_seen_ts >= min_ts}
+
+        self._by_object = fresh(self._by_object)
+        self._by_key = fresh(self._by_key)
+        self._by_name = fresh(self._by_name)
+        self._lists = list(fresh(dict(enumerate(self._lists))).values())

@@ -93,7 +93,7 @@ class Engine:
         if prov is _FILE:
             return self._emit(self.matcher.ingest(e))
         if prov is _PROCESS:
-            self.matcher.ingest(e)  # feeds the pid-image exemption map
+            self.matcher.ingest(e)  # decides whether the pid is exempt
             if e.etype is _START:
                 return self._emit(self.commands.match(e))
         return None
@@ -113,8 +113,8 @@ class Engine:
         score, verdict = fuse(self.model, mlr.as_vector(), svm.as_vector())
         if verdict != "ransomware":
             return None
-        pid_images = self.matcher.pid_images
-        ranked = [(n, p) for p, n in pid_events.items() if not is_exempt(p, pid_images)]
+        exempt_pids = self.matcher.exempt_pids
+        ranked = [(n, p) for p, n in pid_events.items() if not is_exempt(p, exempt_pids)]
         ranked.sort(key=lambda t: (-t[0], t[1]))
         top = [p for _, p in ranked[:3]]
         return self._emit(Alert(

@@ -8,6 +8,11 @@ The goldens pin what peeler prints and writes today:
   without the model that `train --seed 42` writes. Each case keeps its
   `--json-report` without `events_per_second` and the trace path, and its
   stdout without those two lines.
+- one 200-file crypto trace, seed 11 over 60 s, of each of the other three
+  shapes (pre-overwrite, file-delete, rename-delete), with quarantine on and
+  off and without a model: the file I/O matcher's alerts of every acceptor,
+  among them the two file-to-file shapes, which read whether a file was
+  opened through more than one handle.
 - `train --seed 42` on the seed-42 default corpus: the model file and stdout.
 - `eval --repeats 3 --seed 7 --json-report --latency-table --correlations`
   on that corpus: the report, the latency table (trace paths cut to their
@@ -42,6 +47,13 @@ TRACES = {
                 "--duration-ms", "120000"],
 }
 
+# detected without a model only: what they pin is the file I/O matcher
+SHAPE_TRACES = {
+    f"crypto_{shape.replace('-', '_')}": ["--archetype", f"crypto:{shape}", "--files", "200",
+                                          "--seed", "11", "--duration-ms", "60000"]
+    for shape in ("pre-overwrite", "file-delete", "rename-delete")
+}
+
 
 def _run(argv: List[str]) -> str:
     """stdout of `peeler argv`, which must succeed."""
@@ -73,11 +85,12 @@ def outputs(corpus_dir: str, work: str) -> Dict[str, str]:
     golden["train_model.txt"] = Path(model).read_text(encoding="utf-8")
 
     report = os.path.join(work, "report.json")
-    for name, synth_argv in TRACES.items():
+    models = (("model", ["--model", model]), ("no_model", []))
+    for name, synth_argv in {**TRACES, **SHAPE_TRACES}.items():
         trace = os.path.join(work, f"{name}.pt")
         _run(["synth", *synth_argv, "--out", trace])
         for quarantine, q_argv in (("quarantine", []), ("no_quarantine", ["--no-quarantine"])):
-            for with_model, m_argv in (("model", ["--model", model]), ("no_model", [])):
+            for with_model, m_argv in models if name in TRACES else models[1:]:
                 case = f"detect_{name}_{quarantine}_{with_model}"
                 stdout = _run(["detect", "--trace", trace, *q_argv, *m_argv, "--json-report", report])
                 golden[f"{case}_stdout.txt"] = _without_lines(stdout, "trace    :", "events   :")

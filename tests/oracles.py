@@ -11,8 +11,10 @@ and keeps each window's events. The feature references are the list-based
 counters that the per-window accumulator (trace_io.Window) replaced: an
 event-pair Counter, and a process tree whose cycle check walks the ancestry
 built so far. The reference file I/O matcher is the one that tombstones
-replaced: every lineage gets an events list with all its identity sets, and
-a sweep unregisters an evicted list key by key.
+replaced: every lineage gets an events list with all its identity sets, a
+sweep unregisters an evicted list key by key, and a map of each pid's latest
+image feeds its own false-positive filter and blame, each a walk of its own
+over the contributing pids.
 The trace references are the whole-file decoder that the streaming one
 replaced (decode all bytes, split the lines, json.loads each, and pick the
 payload type by enum pair) and the whole-file writer that the streaming one
@@ -48,7 +50,7 @@ from peeler.events import (
     ThreadAttrs,
 )
 from peeler.features import UNKNOWN_IMAGE, ProcessNode, ProcessTree, SvmFeatures
-from peeler.fileio import _DEAD, _HIT, _STEP, PatternKind, is_exempt, stage3_filter
+from peeler.fileio import _DEAD, _HIT, _STEP, PatternKind
 from peeler.trace_io import (
     FORMAT_VERSION,
     HEADER_MAGIC,
@@ -271,6 +273,23 @@ class RefFileEventsList:
         self.last_seen_ts = 0
 
 
+def ref_is_exempt(pid: int, pid_images: Dict[int, str]) -> bool:
+    """True for the system process (pid 4 / image "system") and explorer.exe."""
+    return pid == 4 or pid_images.get(pid, "") in ("system", "explorer.exe")
+
+
+def ref_stage3_filter(lst: RefFileEventsList, pid_images: Dict[int, str]) -> bool:
+    """False-positive suppression; True means keep the alert.
+
+    Suppresses when the list's file names do not share one parent directory,
+    or when more than one process contributed events after exempting the
+    system process and explorer.exe.
+    """
+    if len({_dir_of(n) for n in lst.file_names}) > 1:
+        return False
+    return sum(not ref_is_exempt(p, pid_images) for p in lst.contributing_pids) <= 1
+
+
 class RefFileIoMatcher:
     """The streaming matcher with one events list per lineage, dead-born
     ones included, evicted key by key. It reads the eviction constants of
@@ -337,10 +356,10 @@ class RefFileIoMatcher:
         lst.contributing_pids.add(e.pid)
         lst.state = _STEP[lst.state][letter]
         hit = _HIT[lst.state][len(lst.file_objects) >= 2]
-        if hit is None or not stage3_filter(lst, self._pid_images):
+        if hit is None or not ref_stage3_filter(lst, self._pid_images):
             return None
         lst.matched = hit
-        candidates = [p for p in lst.contributing_pids if not is_exempt(p, self._pid_images)]
+        candidates = [p for p in lst.contributing_pids if not ref_is_exempt(p, self._pid_images)]
         return Alert(
             detector=Detector.FILE_IO_PATTERN,
             pid=candidates[0] if len(candidates) == 1 else e.pid,

@@ -12,13 +12,14 @@ from peeler.fileio import (
     _FTFRD_T,
     _POST_T,
     _PRE_T,
+    _ACCEPTORS,
     _COMPONENTS,
     _STEP,
     FileEventsList,
     FileIoMatcher,
     PatternKind,
+    blame,
     match_letters,
-    stage3_filter,
 )
 from peeler.synth import SynthConfig, synth_trace
 from figures import (
@@ -70,6 +71,20 @@ def test_mem_to_file_kinds_win_ties():
     assert match_letters("CRWNDC", multi_file=True) is PatternKind.MEM_TO_FILE_POST_OVERWRITE
 
 
+def test_only_post_overwrite_and_rename_delete_share_an_accepting_state():
+    # every other pair of acceptors never accepts in one product state, so
+    # no word tells apart an order of precedence between them: the only
+    # precedence that can change an alert is the one tested above
+    shared = [
+        {kind for (kind, _, accept, _), s in zip(_ACCEPTORS, comp) if s in accept}
+        for comp in _COMPONENTS
+    ]
+    assert len(_COMPONENTS) == 24
+    assert [kinds for kinds in shared if len(kinds) > 1] == [
+        {PatternKind.MEM_TO_FILE_POST_OVERWRITE, PatternKind.FILE_TO_FILE_RENAME_DELETE},
+    ]
+
+
 def _regex_reference(letters, multi_file):
     for kind, rx, needs_multi in ACCEPTOR_REGEXES:
         if needs_multi and not multi_file:
@@ -104,16 +119,16 @@ def test_match_letters_equals_regexes_random_long():
 def test_create_then_read_share_identity():
     matcher, _ = run_matcher([ev_create(1, 0, 0xA, "c:/u/d/D_186.wav"), ev_read(1, 1, 0xA, 0xB)])
     [lst] = matcher.lists()
-    assert lst.file_objects == {0xA, 0xB}
+    assert (lst.file_object, lst.multi_file) == (0xA, True)
     assert matcher._by_key == {0xA: lst}
     assert lst.letters == "CR"
 
 
 def test_distinct_creates_make_distinct_identities():
     matcher, _ = run_matcher([ev_create(1, 0, 0xA, "c:/u/d/x"), ev_create(1, 1, 0xB, "c:/u/d/y")])
-    assert [(l.file_objects, l.file_names) for l in matcher.lists()] == [
-        ({0xA}, {"c:/u/d/x"}),
-        ({0xB}, {"c:/u/d/y"}),
+    assert [(l.file_object, l.multi_file, l.file_names) for l in matcher.lists()] == [
+        (0xA, False, {"c:/u/d/x"}),
+        (0xB, False, {"c:/u/d/y"}),
     ]
 
 
@@ -180,7 +195,7 @@ def test_single_object_lineage_cannot_fire_file_to_file():
     ]
     matcher, fired = run_matcher(events)
     assert fired == []
-    assert all(len(l.file_objects) == 1 for l in matcher.lists())
+    assert not any(l.multi_file for l in matcher.lists())
 
 
 def test_compression_tool_flow_never_alerts():
@@ -209,7 +224,7 @@ def _matched_list(events):
 
 def test_stage3_same_dir_single_pid_keeps():
     lst, m = _matched_list(cerber_post_overwrite())
-    assert stage3_filter(lst, m.pid_images)
+    assert blame(lst, 4, m.exempt_pids) == 2816
 
 
 def test_stage3_system_pid_exempt():
@@ -317,7 +332,7 @@ def test_product_state_equals_component_walks():
         strings.append(s)
         strings.append(shapes[int(rng.integers(0, 4))][: int(rng.integers(1, 10))] + s)
     for letters in strings:
-        lst = FileEventsList()
+        lst = FileEventsList(0xA)
         for ch in letters:
             lst.state = _STEP[lst.state][ch]
         assert lst.dfa == _component_walks(letters), letters
@@ -366,6 +381,40 @@ def test_streaming_matcher_equals_oracle_on_random_streams():
     assert not disagreements, disagreements[:3]
 
 
+_IMAGES = ["explorer.exe", r"C:\Windows\explorer.exe", "System", r"C:\Windows\notepad.exe", "helper.exe"]
+
+
+def _with_image_flips(seed):
+    """gen_random_stream(seed) with Process Starts inserted that re-image its
+    pids, pid 4 among them, between exempt and ordinary images."""
+    events = gen_random_stream(seed)
+    rng = np.random.default_rng(10_000 + seed)
+    pids = sorted({e.pid for e in events} | {4, 9000, 9100})
+    for _ in range(int(rng.integers(1, 8))):
+        at = int(rng.integers(len(events) + 1))
+        ts = events[at - 1].timestamp if at else 0
+        pid = pids[int(rng.integers(len(pids)))]
+        events.insert(at, ev_proc_start(pid, ts, image=_IMAGES[int(rng.integers(len(_IMAGES)))]))
+    return events
+
+
+def test_exemption_follows_the_latest_image():
+    for seed in range(300):
+        events = _with_image_flips(seed)
+        matcher, reference = FileIoMatcher(), RefFileIoMatcher()
+        got = [matcher.ingest(e) for e in events]
+        assert got == [reference.ingest(e) for e in events], seed
+        fired = [(i, PatternKind(a.trigger)) for i, a in enumerate(got) if a is not None]
+        assert fired == brute_force_alerts(events), seed
+
+
+def test_ordinary_images_leave_no_exemption_state():
+    matcher = FileIoMatcher()
+    for pid in range(1000, 101_000):
+        matcher.ingest(ev_proc_start(pid, pid, image=r"C:\Windows\notepad.exe"))
+    assert matcher.exempt_pids == set()
+
+
 def test_random_streams_do_fire_and_do_suppress():
     # guard the generator itself: both outcomes must be represented
     outcomes = {True: 0, False: 0}
@@ -400,8 +449,8 @@ def test_lists_made_at_most_file_creates(monkeypatch):
     class Counted(FileEventsList):
         __slots__ = ()
 
-        def __init__(self):
-            super().__init__()
+        def __init__(self, file_object):
+            super().__init__(file_object)
             made.append(self)
 
     monkeypatch.setattr(fileio, "FileEventsList", Counted)

@@ -309,6 +309,14 @@ def test_ml_alert_skips_system_and_explorer_pids():
     assert alert.pid == 30
     assert alert.trigger.endswith(" top_pids=[30, 31]")
 
+    # the latest image decides: 20 leaves explorer.exe and 30 becomes it
+    events += [ev_proc_start(20, 50, image="C:\\Windows\\notepad.exe"), ev_proc_start(30, 51, image="explorer.exe")]
+    report = run_trace(Engine(EngineConfig(), model=always), _manifest(events), events)
+    [alert] = report.alerts
+    assert alert.detector is Detector.ML_CLASSIFIER
+    assert alert.pid == 20
+    assert alert.trigger.endswith(" top_pids=[20, 31]")
+
 
 def test_ml_alert_without_eligible_pid_blames_first_event():
     always = dataclasses.replace(_tiny_model(), threshold=0.0)
