@@ -23,6 +23,7 @@ dead) and its last-seen stamps (so it is evicted like a list).
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple, Union
 
@@ -162,43 +163,40 @@ def match_letters(letters: str, multi_file: bool) -> Optional[PatternKind]:
 
 
 class FileEventsList:
-    """One user file that began with a FileCreate: its identity, its letters
-    and its matching state.
+    """One user file that began with a FileCreate: its identity and its
+    matching state.
 
     A file accumulates several FileObject keys (per-open handles) and names
     (renames). Of the handles only the create's is kept, with multi_file set
-    once another one shows up: the file-to-file acceptors read no more. The
-    names, the flag, the letters and the contributing pids stop growing once
-    the list has matched or is dead in all four acceptors, since none of
-    them can change an alert after that.
+    once another one shows up: the file-to-file acceptors read no more. Of
+    the names only their shared parent directory is kept, None once two
+    differ: the directory filter reads no more. The letters are folded into
+    the product DFA state as they arrive, so per-file state does not grow
+    with its events. The flag, the directory and the contributing pids stop
+    changing once the list has matched or is dead in all four acceptors,
+    since none of them can change an alert after that.
     """
 
     __slots__ = (
         "file_object",
         "multi_file",
-        "file_names",
+        "directory",
         "contributing_pids",
-        "_letters",
         "state",
         "matched",
         "last_seen_count",
         "last_seen_ts",
     )
 
-    def __init__(self, file_object: int) -> None:
+    def __init__(self, file_object: int, directory: str) -> None:
         self.file_object = file_object
         self.multi_file = False
-        self.file_names: Set[str] = set()
+        self.directory: Optional[str] = directory
         self.contributing_pids: Set[int] = set()
-        self._letters: List[str] = []
         self.state = 0  # product DFA state; 0 is the start
         self.matched: Optional[PatternKind] = None
         self.last_seen_count = 0
         self.last_seen_ts = 0
-
-    @property
-    def letters(self) -> str:
-        return "".join(self._letters)
 
     @property
     def dfa(self) -> Tuple[int, int, int, int]:
@@ -236,13 +234,13 @@ def blame(lst: FileEventsList, pid: int, exempt_pids: Set[int]) -> Optional[int]
     """False-positive suppression and blame in one pass over the list.
 
     Returns None to suppress the hit when the list's file names do not share
-    one parent directory, or when more than one process contributed events
-    after exempting the system process and explorer.exe (is_exempt).
+    one parent directory (its directory is None), or when more than one
+    process contributed events after exempting the system process and
+    explorer.exe (is_exempt).
     Otherwise returns the pid the alert names: the one non-exempt
     contributor, or pid, the hit event's, when every contributor is exempt.
     """
-    names = lst.file_names
-    if len(names) > 1 and len({_parent_dir(n) for n in names}) > 1:
+    if lst.directory is None:
         return None
     blamed = None
     for p in lst.contributing_pids:
@@ -322,7 +320,7 @@ class FileIoMatcher:
             if lst is None:
                 lst = self._by_name.get(name)
                 if lst is None:
-                    lst = self._new_record(et, obj)
+                    lst = self._new_record(et, obj, name)
             self._by_name[name] = lst
         else:
             fk = attrs.file_key
@@ -332,7 +330,7 @@ class FileIoMatcher:
                 if lst is None:
                     lst = by_object.get(obj)
                     if lst is None:
-                        lst = self._new_record(et, obj)
+                        lst = _Tombstone()  # no acceptor begins with R, W, N or D
             self._by_key[fk] = lst
         by_object[obj] = lst
         lst.last_seen_count = self._count
@@ -343,12 +341,10 @@ class FileIoMatcher:
 
         if obj != lst.file_object:
             lst.multi_file = True
-        if name is not None:
-            lst.file_names.add(name)
-        letter = _LETTERS[et._value_]
-        lst._letters.append(letter)
+        if name is not None and lst.directory is not None and _parent_dir(name) != lst.directory:
+            lst.directory = None
         lst.contributing_pids.add(e.pid)
-        lst.state = state = _STEP[state][letter]
+        lst.state = state = _STEP[state][_LETTERS[et._value_]]
         hit = _HIT[state][lst.multi_file]
         if hit is None:
             return None
@@ -364,11 +360,13 @@ class FileIoMatcher:
             emitted_timestamp=e.timestamp,
         )
 
-    def _new_record(self, et: EventType, obj: int) -> _Record:
-        """The record of a lineage whose first event has type et and FileObject obj."""
+    def _new_record(self, et: EventType, obj: int, name: str) -> _Record:
+        """The record of a lineage whose first event, a FileCreate or a
+        FileDelete, has type et, FileObject obj and file name name."""
         if et is not _FILE_CREATE:
             return _Tombstone()
-        lst = FileEventsList(obj)
+        # interned: a trace's files share few directories
+        lst = FileEventsList(obj, sys.intern(_parent_dir(name)))
         self._lists.append(lst)
         return lst
 

@@ -19,9 +19,8 @@ every detector.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from .commands import CommandMatcher, RuleSet, default_rules_path, load_rules_file
 from .events import Alert, Detector, Event, EventType, Provider
@@ -42,7 +41,6 @@ class EngineConfig:
 @dataclass
 class DetectionReport:
     alerts: List[Alert]
-    detector_counts: Dict[Detector, int]
     first_alert_latency: Optional[int]
     events_processed: int
     events_per_second: float
@@ -140,13 +138,11 @@ def run_trace(engine: Engine, manifest: TraceManifest, events: Iterable[Event]) 
         engine.flush_window(window)
     elapsed = time.perf_counter() - start
     alerts = engine.alerts
-    counts = Counter(a.detector for a in alerts)
     latency = None
     if alerts and manifest.label.is_ransomware:
         latency = alerts[0].event_timestamp - manifest.attack_onset
     return DetectionReport(
         alerts=list(alerts),
-        detector_counts={d: counts.get(d, 0) for d in Detector},
         first_alert_latency=latency,
         events_processed=engine.events_processed,
         events_per_second=engine.events_processed / elapsed if elapsed > 0 else 0.0,

@@ -1,6 +1,8 @@
 """Streaming file I/O pattern matcher vs the brute-force oracle."""
 
+import copy
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from peeler.fileio import (
 from peeler.synth import SynthConfig, synth_trace
 from figures import (
     FIGURE_TRANSCRIPTS,
+    MUSIC,
     cerber_post_overwrite,
     infinitycrypt_file_to_file,
     locky_pre_overwrite,
@@ -119,17 +122,19 @@ def test_match_letters_equals_regexes_random_long():
 def test_create_then_read_share_identity():
     matcher, _ = run_matcher([ev_create(1, 0, 0xA, "c:/u/d/D_186.wav"), ev_read(1, 1, 0xA, 0xB)])
     [lst] = matcher.lists()
-    assert (lst.file_object, lst.multi_file) == (0xA, True)
+    assert (lst.file_object, lst.multi_file, lst.directory) == (0xA, True, "c:/u/d")
     assert matcher._by_key == {0xA: lst}
-    assert lst.letters == "CR"
+    assert lst.dfa == _component_walks("CR")
 
 
 def test_distinct_creates_make_distinct_identities():
     matcher, _ = run_matcher([ev_create(1, 0, 0xA, "c:/u/d/x"), ev_create(1, 1, 0xB, "c:/u/d/y")])
-    assert [(l.file_object, l.multi_file, l.file_names) for l in matcher.lists()] == [
-        (0xA, False, {"c:/u/d/x"}),
-        (0xB, False, {"c:/u/d/y"}),
+    x, y = matcher.lists()
+    assert [(l.file_object, l.multi_file, l.directory) for l in (x, y)] == [
+        (0xA, False, "c:/u/d"),
+        (0xB, False, "c:/u/d"),
     ]
+    assert matcher._by_name == {"c:/u/d/x": x, "c:/u/d/y": y}
 
 
 def test_rename_bridges_new_create_into_lineage():
@@ -139,8 +144,9 @@ def test_rename_bridges_new_create_into_lineage():
         ev_create(1, 2, 0xB, "x.enc"),
     ])
     [lst] = matcher.lists()
-    assert lst.file_names == {"x", "x.enc"}
-    assert lst.letters == "CNC"
+    assert matcher._by_name == {"x": lst, "x.enc": lst}
+    assert lst.directory == ""
+    assert lst.dfa == _component_walks("CNC")
 
 
 # --- ingest on the figure transcripts --------------------------------------
@@ -259,12 +265,49 @@ def test_stage3_explorer_not_exempt_when_image_unknown():
 
 
 def test_stage3_cross_directory_suppresses():
-    events = cerber_post_overwrite()
-    # the renamed file lands in a different directory
-    events[-2] = ev_fdelete(2816, events[-2].timestamp, 0xE00, "c:/users/u/music/D_186.wav")
-    events[-1] = ev_create(2816, events[-1].timestamp, 0xE00, "c:/other/place/D_186.enc")
-    _, fired = run_matcher(events)
+    cases = [
+        # the renamed file lands in a different directory
+        (f"{MUSIC}/D_186.wav", "c:/other/place/D_186.enc", False),
+        # the names leave the first directory, then come back to it
+        ("c:/other/place/D_186.wav", f"{MUSIC}/D_186.enc", False),
+        # the first directory, spelled with backslashes and in upper case
+        (r"C:\Users\U\Music\D_186.wav", r"C:\USERS\U\MUSIC\D_186.enc", True),
+    ]
+    for deleted, created, fires in cases:
+        events = cerber_post_overwrite()
+        events[-2] = ev_fdelete(2816, events[-2].timestamp, 0xE00, deleted)
+        events[-1] = ev_create(2816, events[-1].timestamp, 0xE00, created)
+        _, fired = run_matcher(events)
+        assert [(i, k) for i, k, _ in fired] == brute_force_alerts(events), created
+        assert len(fired) == fires, created
+
+
+def test_suppressed_list_state_stops_growing():
+    # pid 10 renames a file first, pid 20 writes it: the list accepts
+    # pre-overwrite but two processes contributed, so every later event is
+    # a suppressed hit on a live list
+    a, b, e = 0xA100, 0xB100, 0xE100
+    events = [
+        ev_create(10, 0, a, f"{MUSIC}/f.txt"),
+        ev_rename(10, 1, a, e),
+        ev_fdelete(10, 2, e, f"{MUSIC}/f.txt"),
+        ev_create(10, 3, e, f"{MUSIC}/f.enc"),
+        ev_read(10, 4, a, b),
+        ev_write(20, 5, a, b),
+    ]
+    tail = [ev_read(10 if k % 2 else 20, 6 + k, a, b) for k in range(20_000)]
+    matcher, fired = run_matcher(events)
     assert fired == []
+    [lst] = matcher.lists()
+    assert lst.matched is None and lst.dfa[1] in fileio._PRE_ACCEPT
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert not any(map(matcher.ingest, tail))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4096
 
 
 # --- state hygiene ----------------------------------------------------------
@@ -274,9 +317,13 @@ def test_ingest_does_not_touch_other_lineages():
     matcher = FileIoMatcher()
     for e in locky_pre_overwrite(pid=100)[:4]:
         matcher.ingest(e)
-    before = [(id(l), l.letters) for l in matcher.lists()]
+
+    def slots(lst):
+        return [id(lst)] + [copy.copy(getattr(lst, s)) for s in FileEventsList.__slots__]
+
+    before = [slots(l) for l in matcher.lists()]
     matcher.ingest(ev_create(200, 10_000, 0x9999, "c:/u/pictures/other.png"))
-    after = [(id(l), l.letters) for l in matcher.lists()[:-1]]
+    after = [slots(l) for l in matcher.lists()[:-1]]
     assert before == after
 
 
@@ -288,8 +335,8 @@ def test_idle_identities_evicted(monkeypatch):
     matcher.ingest(ev_create(1, 0, 0xA, "c:/u/d/old.txt"))
     for k in range(40):
         matcher.ingest(ev_read(2, 10 + k, 0x1000 + k, 0x1000 + k))
-    names = {n for l in matcher.lists() for n in l.file_names}
-    assert "c:/u/d/old.txt" not in names
+    assert "c:/u/d/old.txt" not in matcher._by_name
+    assert matcher.lists() == []
 
 
 def test_time_based_eviction(monkeypatch):
@@ -301,8 +348,8 @@ def test_time_based_eviction(monkeypatch):
     matcher.ingest(ev_read(2, 5_000, 0xB, 0xB))
     matcher.ingest(ev_read(2, 5_001, 0xC, 0xC))
     matcher.ingest(ev_read(2, 5_002, 0xD, 0xD))
-    names = {n for l in matcher.lists() for n in l.file_names}
-    assert "c:/u/d/old.txt" not in names
+    assert "c:/u/d/old.txt" not in matcher._by_name
+    assert matcher.lists() == []
 
 
 # --- product automaton --------------------------------------------------------
@@ -332,14 +379,29 @@ def test_product_state_equals_component_walks():
         strings.append(s)
         strings.append(shapes[int(rng.integers(0, 4))][: int(rng.integers(1, 10))] + s)
     for letters in strings:
-        lst = FileEventsList(0xA)
+        lst = FileEventsList(0xA, "c:/u/d")
         for ch in letters:
             lst.state = _STEP[lst.state][ch]
         assert lst.dfa == _component_walks(letters), letters
+    # the streaming matcher keeps no letters: walk those that the reference
+    # keeps for the record at the same key
+    walked = lists = 0
     for seed in range(100):
-        matcher, _ = run_matcher(gen_random_stream(seed))
-        for lst in matcher.lists():
-            assert lst.dfa == _component_walks(lst.letters), (seed, lst.letters)
+        matcher, reference = FileIoMatcher(), RefFileIoMatcher()
+        for e in gen_random_stream(seed):
+            matcher.ingest(e)
+            reference.ingest(e)
+        seen = set()
+        for got, want in zip(_maps(matcher), _maps(reference)):
+            for key, record in got.items():
+                if isinstance(record, FileEventsList):
+                    letters = "".join(want[key].letters)
+                    assert record.dfa == _component_walks(letters), (seed, key, letters)
+                    seen.add(id(record))
+        walked += len(seen)
+        lists += len(matcher.lists())
+    # a list whose every key a later lineage took over is not walked
+    assert walked >= 0.9 * lists > 0
 
 
 def test_lineage_starting_with_read_is_dead_for_good():
@@ -449,8 +511,8 @@ def test_lists_made_at_most_file_creates(monkeypatch):
     class Counted(FileEventsList):
         __slots__ = ()
 
-        def __init__(self, file_object):
-            super().__init__(file_object)
+        def __init__(self, file_object, directory):
+            super().__init__(file_object, directory)
             made.append(self)
 
     monkeypatch.setattr(fileio, "FileEventsList", Counted)

@@ -213,3 +213,32 @@ def test_matcher_reference_decides_by_itself():
     borrowed = {name for name in _names_taken_from(oracles, "peeler.fileio")
                 if inspect.isfunction(getattr(fileio, name, None))}
     assert borrowed == set()
+
+
+# Calls that only change the container they are called on.
+_MUTATORS = {"add", "append", "discard", "extend", "insert", "remove", "update"}
+
+
+def _attributes_read(tree, outside):
+    """Each attribute name that a module's code loads, the body of class
+    `outside` aside. Loading x.a only to call a mutator on it, as in
+    x.a.append(...), writes x.a and does not read it."""
+    nodes = [node for top in tree.body
+             if not (isinstance(top, ast.ClassDef) and top.name == outside)
+             for node in ast.walk(top)]
+    written = {id(node.func.value) for node in nodes
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr in _MUTATORS}
+    return {node.attr for node in nodes
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in written}
+
+
+def test_every_file_list_slot_is_read():
+    # a FileEventsList is kept for every created file of a trace; a slot
+    # that no verdict reads, only tests, is memory spent on nothing. The
+    # check goes by attribute name, so a read of a same-named attribute
+    # elsewhere counts too.
+    read = set().union(*(_attributes_read(ast.parse(path.read_text(encoding="utf-8")), "FileEventsList")
+                         for path in SOURCES))
+    assert [slot for slot in fileio.FileEventsList.__slots__ if slot not in read] == []

@@ -23,7 +23,7 @@ from peeler.synth import (
 )
 from peeler.trace_io import event_to_line, line_to_event, load_trace, save_trace, write_trace
 from peeler.commands import CommandMatcher, load_rules_file, default_rules_path
-from oracles import ACCEPTOR_REGEXES, brute_force_alerts
+from oracles import ACCEPTOR_REGEXES, RefFileIoMatcher, brute_force_alerts
 
 KIND_REGEX = {kind: rx for kind, rx, _ in ACCEPTOR_REGEXES}
 
@@ -73,12 +73,16 @@ def test_all_events_valid_and_ordered(archetype, extra):
 @pytest.mark.parametrize("kind", list(PatternKind))
 def test_crypto_single_file_letters_match_acceptor(kind):
     manifest, events, info = synth_trace_detailed(_crypto_cfg(kind, n_files=1))
-    matcher = FileIoMatcher()
+    matcher, reference = FileIoMatcher(), RefFileIoMatcher()
     fired = [a for a in (matcher.ingest(e) for e in events) if a]
     assert len(fired) == 1 and fired[0].trigger == kind.value
-    matched = [l for l in matcher.lists() if l.matched is not None]
-    assert len(matched) == 1
-    assert KIND_REGEX[kind].fullmatch(matched[0].letters)
+    assert len([l for l in matcher.lists() if l.matched is not None]) == 1
+    # the matcher keeps no letters; the reference keeps them for each list
+    for e in events:
+        reference.ingest(e)
+    [matched] = [l for l in reference._lists if l.matched is not None]
+    assert matched.matched is kind
+    assert KIND_REGEX[kind].fullmatch("".join(matched.letters))
 
 
 @pytest.mark.parametrize("kind", list(PatternKind))
