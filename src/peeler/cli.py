@@ -81,6 +81,7 @@ class TraceProfile:
     path: str
     label: TraceLabel
     family: str
+    seed: int
     attack_onset: int
     rule_alert_ts: Optional[int]
     pattern_alert_ts: Optional[int]
@@ -114,6 +115,7 @@ def profile_trace(path: str, rules: RuleSet) -> TraceProfile:
         path=path,
         label=manifest.label,
         family=manifest.family,
+        seed=manifest.seed,
         attack_onset=manifest.attack_onset,
         rule_alert_ts=first_ts.get(Detector.COMMAND_RULE),
         pattern_alert_ts=first_ts.get(Detector.FILE_IO_PATTERN),
@@ -125,8 +127,21 @@ def profile_trace(path: str, rules: RuleSet) -> TraceProfile:
 
 
 def load_corpus_profiles(corpus_dir: str, rules: RuleSet) -> List[TraceProfile]:
-    rows = read_corpus_index(corpus_dir)
-    return [profile_trace(path, rules) for path, _, _, _ in rows]
+    """Profile each trace of a corpus index, in index order.
+
+    A row whose label, family or seed differs from its trace's manifest is
+    a CorpusError that names the trace file.
+    """
+    profiles = []
+    for path, label, family, seed in read_corpus_index(corpus_dir):
+        p = profile_trace(path, rules)
+        if (label, family, seed) != (p.label.value, p.family, p.seed):
+            raise CorpusError(
+                f"{path}: index row says {label} | {family} | {seed}, "
+                f"its manifest {p.label.value} | {p.family} | {p.seed}"
+            )
+        profiles.append(p)
+    return profiles
 
 
 # --- training ----------------------------------------------------------------

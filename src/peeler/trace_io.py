@@ -16,14 +16,18 @@ plain integers on ingestion. Decoding is strict by JSON type: integer
 fields take only JSON integers (not booleans or floats) in [0, 2^64), and
 string fields only strings.
 
-iter_trace decodes a file as it reads it, one line at a time, and yields
-the manifest, then the events; read_trace collects them into a list. Each
-event line goes to orjson as the bytes it was read as, and one dict keyed by
-the wire's (prov, etype) strings picks its payload parser. A line that orjson
-or a check rejects, or that could nest deeper than json accepts, is decoded
-again by json, which accepts it or raises its fault; so json alone decides
-every fault and its message. detect, train and eval feed the stream to
-window_partition, so no event outlives its own step.
+iter_trace decodes a file as it reads it, a block of whole lines (about
+_BLOCK_BYTES) at a time, and yields the manifest, then the events;
+read_trace collects them into a list. _block_events decodes a block in one
+loop: each event line goes to orjson by itself, as the bytes it was read as,
+and every check of the line path and the timestamp order is made inline. A
+block that any line or check fails, or that could nest deeper than json
+accepts, is decoded again by line_to_event, the fault path, one line at a
+time; there a line that orjson or a check rejects is decoded again by json,
+which accepts it or raises its fault. So json alone decides every fault and
+its message, and every event before a fault is yielded first. detect, train
+and eval feed the stream to window_partition, so a consumer holds one block
+and no event outlives the block it came in.
 
 write_trace is the mirror image: it writes the header, then one line per
 event as it takes the event from any iterable, so it holds one line, not the
@@ -331,9 +335,14 @@ _PARSE_ATTRS = {
     ImageAttrs: _image,
 }
 
-# (prov, etype) as the wire spells them -> the two members and the payload
-# parser: one lookup of two strings, whose hashes are cached, per line
-_PAIRS = {(p.value, t.value): (p, t, _PARSE_ATTRS[cls]) for (p, t), cls in ATTRS_FOR.items()}
+# prov -> etype, as the wire spells them -> the two members and the payload
+# type: two lookups of strings, whose hashes are cached, per line
+_PAIRS = {
+    p.value: {t.value: (p, t, cls) for (q, t), cls in ATTRS_FOR.items() if q is p} for p in Provider
+}
+
+# iter_trace reads whole lines of about this many bytes at a time
+_BLOCK_BYTES = 1 << 14
 
 
 def _json_loads(text: str, lineno: int, what: str):
@@ -367,7 +376,7 @@ def _reject_head(obj, lineno: int) -> NoReturn:
 def _event(obj, lineno: int) -> Event:
     """The Event that one decoded line's JSON value holds."""
     try:
-        provider, etype, parse = _PAIRS[obj["prov"], obj["etype"]]
+        provider, etype, cls = _PAIRS[obj["prov"]][obj["etype"]]
         pid, tid, ts = obj["pid"], obj["tid"], obj["ts"]
     except (KeyError, TypeError):  # not an object, a key missing or an unknown pair
         pid = None
@@ -376,7 +385,7 @@ def _event(obj, lineno: int) -> Event:
             and 0 <= pid < _U64 and 0 <= tid < _U64 and 0 <= ts < _U64):
         _reject_head(obj, lineno)
     try:
-        attrs = parse(obj, lineno)
+        attrs = _PARSE_ATTRS[cls](obj, lineno)
     except KeyError as exc:
         raise ParseError(lineno, f"missing attribute key {exc.args[0]!r}") from None
     return Event(pid, tid, provider, etype, ts, attrs)
@@ -401,6 +410,93 @@ def line_to_event(raw: bytes, lineno: int = 0) -> Event:
     except (orjson.JSONDecodeError, ParseError, SchemaError):
         pass
     return _event(_json_loads(_line_text(raw, lineno), lineno, "invalid JSON"), lineno)
+
+
+def _block_events(lines: List[bytes], prev_ts: int) -> Optional[List[Event]]:
+    """The events of a block of event lines, or None if line_to_event must
+    decode the block: where a line holds more than one "{" or any "[", or
+    a line fails orjson or a check of _event and its parsers, or a
+    timestamp lies below its predecessor's (prev_ts, at least 0, for the
+    first line).
+
+    Every check is made inline, with no call per line but orjson's and the
+    builtins': this loop is most of the cost of decode. A block of n lines
+    that orjson reads as n objects holds at least one "{" on each line, so a
+    block-wide count of n means one on each.
+    """
+    blob = b"".join(lines)
+    if blob.count(b"{") != len(lines) or b"[" in blob:
+        return None
+    events = []
+    append = events.append
+    loads = orjson.loads
+    try:
+        for raw in lines:
+            obj = loads(raw)
+            provider, etype, cls = _PAIRS[obj["prov"]][obj["etype"]]
+            pid = obj["pid"]
+            tid = obj["tid"]
+            ts = obj["ts"]
+            # orjson's ints lie in [-2^63, 2^64), so one >= 0 is unsigned 64-bit
+            if not (type(pid) is int and type(tid) is int and type(ts) is int
+                    and pid >= 0 and tid >= 0 and ts >= prev_ts):
+                return None
+            prev_ts = ts
+            if provider is _FILE:
+                # a file key: an int, or the one hex spelling _key_in takes
+                file_object = obj["file_object"]
+                if type(file_object) is str:
+                    value = int(file_object, 16)
+                    if not (0 <= value < _U64 and hex(value) == file_object):
+                        return None
+                    file_object = value
+                elif type(file_object) is not int or file_object < 0:
+                    return None
+                if cls is FileNameAttrs:
+                    file_name = obj["file_name"]
+                    if type(file_name) is not str or not file_name:
+                        return None
+                    attrs = FileNameAttrs(file_object, file_name)
+                else:
+                    file_key = obj["file_key"]
+                    if type(file_key) is str:
+                        value = int(file_key, 16)
+                        if not (0 <= value < _U64 and hex(value) == file_key):
+                            return None
+                        file_key = value
+                    elif type(file_key) is not int or file_key < 0:
+                        return None
+                    if cls is FileRwAttrs:
+                        io_size = obj["io_size"]
+                        if type(io_size) is not int or io_size < 0:
+                            return None
+                        attrs = FileRwAttrs(file_key, file_object, io_size)
+                    else:
+                        attrs = FileRenDelAttrs(file_key, file_object)
+            elif cls is ThreadAttrs:
+                parent_id = obj["parent_id"]
+                if type(parent_id) is not int or parent_id < 0:
+                    return None
+                attrs = ThreadAttrs(parent_id)
+            elif cls is ImageAttrs:
+                image_size = obj["image_size"]
+                file_name = obj["file_name"]
+                if type(image_size) is not int or image_size < 0 or type(file_name) is not str:
+                    return None
+                attrs = ImageAttrs(image_size, file_name)
+            else:
+                session_id = obj["session_id"]
+                parent_id = obj["parent_id"]
+                image = obj["image"]
+                cmdline = obj["cmdline"]
+                if not (type(session_id) is int and type(parent_id) is int and session_id >= 0
+                        and parent_id >= 0 and type(image) is str and type(cmdline) is str):
+                    return None
+                attrs = ProcessAttrs(session_id, parent_id, image, cmdline)
+            append(Event(pid, tid, provider, etype, ts, attrs))
+    except (ValueError, KeyError, TypeError):  # orjson.JSONDecodeError is a ValueError
+        return None
+    return events
 
 
 def _manifest_to_json(m: TraceManifest) -> str:
@@ -460,14 +556,17 @@ def _line_text(raw: bytes, lineno: int) -> str:
 def iter_trace(source: BinaryIO) -> Iterator[Union[TraceManifest, Event]]:
     """Decode a trace as it is read: yield its manifest, then its events.
 
-    The file is read one line at a time, so a consumer that keeps no events
-    holds one line in memory. Raises ParseError for a malformed line
+    The file is read a block of whole lines (about _BLOCK_BYTES) at a time,
+    so a consumer that keeps no events holds one block in memory. A block
+    is decoded by _block_events, or, where it declines, by line_to_event one
+    line at a time: the fault path. Raises ParseError for a malformed line
     (invalid UTF-8 or JSON, a missing key, a value of the wrong JSON type
     or out of range) and SchemaError for an invariant violation (an empty
-    FileCreate/FileDelete file name, a non-monotonic timestamp), each where
-    the line is reached; so the first fault in line order is the one
-    reported. The checks against the manifest (event count, duration) run
-    after the last line, so they raise after every event has been yielded.
+    FileCreate/FileDelete file name, a non-monotonic timestamp), each after
+    the events of the lines before it are yielded; so the first fault in
+    line order is the one reported. The checks against the manifest (event
+    count, duration) run after the last line, so they raise after every
+    event has been yielded.
     """
     first = source.readline()
     if not first:
@@ -482,16 +581,24 @@ def iter_trace(source: BinaryIO) -> Iterator[Union[TraceManifest, Event]]:
     manifest = _manifest_from_json(manifest_json, 1)
     yield manifest
 
-    count = 0
-    prev_ts = -1
-    for lineno, raw in enumerate(source, start=2):
-        e = line_to_event(raw, lineno)
-        if e.timestamp < prev_ts:
-            raise SchemaError(f"line {lineno}: non-monotonic timestamp")
-        prev_ts = e.timestamp
-        count += 1
-        yield e
+    lineno = 2  # of the next line to decode
+    prev_ts = 0  # no event has a timestamp below 0
+    while lines := source.readlines(_BLOCK_BYTES):
+        events = _block_events(lines, prev_ts)
+        if events is not None:
+            prev_ts = events[-1].timestamp
+            lineno += len(lines)
+            yield from events
+            continue
+        for raw in lines:
+            e = line_to_event(raw, lineno)
+            if e.timestamp < prev_ts:
+                raise SchemaError(f"line {lineno}: non-monotonic timestamp")
+            prev_ts = e.timestamp
+            lineno += 1
+            yield e
 
+    count = lineno - 2
     if manifest.event_count != count:
         raise SchemaError(f"manifest event_count {manifest.event_count} != body event count {count}")
     if count and manifest.duration < prev_ts:

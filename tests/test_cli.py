@@ -328,7 +328,7 @@ def _neutral_svm():
 
 def _stub_profile(path, label, rule_ts=None):
     return TraceProfile(
-        path=path, label=label, family="stub", attack_onset=0,
+        path=path, label=label, family="stub", seed=0, attack_onset=0,
         rule_alert_ts=rule_ts, pattern_alert_ts=None,
         window_ends=np.zeros(0, dtype=np.int64), window_counts=np.zeros(0, dtype=np.int64),
         X_mlr=np.zeros((0, 5)), X_svm=np.zeros((0, 8)),
@@ -574,6 +574,30 @@ def test_hostile_corpus_is_data_error(name, command, small_corpus, tmp_path, cap
     assert main(argv[command]) == EXIT_DATA
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+# (the second index row's fields -> their replacement) -> a data error
+# naming the row's trace file
+MISMATCHED_INDEX_EDITS = {
+    "label": lambda fields: [fields[0], b"unknown", *fields[2:]],
+    "family": lambda fields: [*fields[:2], b"NotAFamily", fields[3]],
+    "seed": lambda fields: [*fields[:3], b"%d" % (int(fields[3]) + 1)],
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("field", sorted(MISMATCHED_INDEX_EDITS))
+def test_index_row_differing_from_manifest_is_data_error(field, command, small_corpus, tmp_path, capsys):
+    edit = MISMATCHED_INDEX_EDITS[field]
+    corpus = _corpus_with_index(small_corpus, tmp_path,
+                                lambda row: b" | ".join(edit([f.strip() for f in row.split(b"|")])))
+    name = (Path(corpus) / "index.txt").read_text().split("\n")[1].split(" |")[0]
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--corpus", corpus, "--out", str(out)],
+            "eval": ["eval", "--corpus", corpus, "--repeats", "1", "--json-report", str(out)]}
+    assert main(argv[command]) == EXIT_DATA
+    assert not out.exists()
+    assert f"error: {os.path.join(corpus, name)}: index row says " in capsys.readouterr().err
 
 
 def test_windowless_corpus_correlations_is_data_error(valid_model_text, tmp_path, capsys):

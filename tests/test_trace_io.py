@@ -5,15 +5,19 @@ import hashlib
 import io
 import json
 import os
+import re
 import tracemalloc
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
+from peeler import trace_io
 from peeler.commands import default_rules_path, load_rules_file
 from peeler.errors import ParseError, SchemaError
 from peeler.pipeline import Engine, EngineConfig, run_trace
 from peeler.events import (
+    ATTRS_FOR,
     Event,
     EventType,
     FileNameAttrs,
@@ -399,6 +403,157 @@ def test_decoder_matches_reference_where_orjson_and_json_differ(name):
     assert _decoded(read_trace, data) == _decoded(ref_read_trace, data)
 
 
+def _streamed(data: bytes):
+    """What iter_trace makes of a file: the events it yields, and then its
+    manifest or its exception's type and message."""
+    events = []
+    stream = iter_trace(io.BytesIO(data))
+    try:
+        manifest = next(stream)
+        events.extend(stream)
+    except (ParseError, SchemaError) as exc:
+        return events, (type(exc), str(exc))
+    return events, manifest
+
+
+def _body_blocks(data: bytes):
+    """The blocks of event lines that iter_trace reads from data."""
+    source = io.BytesIO(data)
+    source.readline()
+    return list(iter(lambda: source.readlines(trace_io._BLOCK_BYTES), []))
+
+
+def _block_starts(data: bytes):
+    """The body line indices at which iter_trace's blocks of data start."""
+    return list(accumulate((len(block) for block in _body_blocks(data)), initial=0))[:-1]
+
+
+def _ref_prefix(data: bytes, n: int):
+    """The reference's events of data's first n body lines."""
+    lines = data.split(b"\n")[1:1 + n]
+    buf = io.BytesIO()
+    write_trace(TraceManifest(TraceLabel.BENIGN, "t", 0, n, 2**64 - 1), [], buf)
+    return ref_read_trace(io.BytesIO(buf.getvalue() + b"".join(line + b"\n" for line in lines)))[1]
+
+
+def _assert_decodes_as_reference(data: bytes):
+    """iter_trace gives the reference's manifest and events or its fault, and
+    before a fault yields the reference's events of every line before it.
+    Returns the manifest, or the fault's type and message."""
+    events, outcome = _streamed(data)
+    expected = _decoded(ref_read_trace, data)
+    if type(outcome) is TraceManifest:
+        assert (outcome, events) == expected
+        return outcome
+    assert outcome == expected
+    at_line = re.match(r"line (\d+): ", outcome[1])
+    # a fault after the last line (a count or a duration) follows every event
+    assert len(events) == (max(int(at_line[1]) - 2, 0) if at_line else data.count(b"\n") - 1)
+    assert events == _ref_prefix(data, len(events))
+    return outcome
+
+
+# where a test puts its faulty lines: (body line count, block starts) -> the first's index
+FAULT_POSITIONS = {
+    "first_body_line": lambda n, starts: 0,
+    "block_first": lambda n, starts: starts[1],
+    "block_middle": lambda n, starts: (starts[1] + starts[2]) // 2,
+    "block_last": lambda n, starts: starts[2] - 1,
+    "last_line": lambda n, starts: n - 1,
+}
+
+
+def _with_fault(data: bytes, position: str, edit):
+    """data, a valid trace of three blocks or more, with edit(line) in place
+    of the body line at position (and of the lines after it, where edit
+    gives more than one; their first is then placed as far as it goes).
+
+    Each new line is padded with spaces (JSON whitespace) to the length of
+    the line it replaces, so the block boundaries up to it do not move."""
+    lines = data.split(b"\n")
+    body = lines[1:-1]
+    starts = _block_starts(data)
+    assert len(starts) >= 3 and lines[-1] == b""
+    k = FAULT_POSITIONS[position](len(body), starts)
+    new_lines = edit(body[k])
+    k = min(k, len(body) - len(new_lines))
+    for i, new in enumerate(new_lines):
+        body[k + i] = new.ljust(len(body[k + i]))
+    return b"\n".join([lines[0], *body, b""])
+
+
+_HEADER, *_BODY_TEMPLATE = _VALID_TRACE.split(b"\n")[:4]  # body: ts 1000, 1200 and 1500
+_HEADER_EDITS = {name for name, (old, _) in HOSTILE_EDITS.items() if old in _HEADER}
+# faults besides HOSTILE_EDITS -> the body lines that hold them
+BLOCK_FAULTS = {
+    # three lines that json reads as three events when they are joined into
+    # one array, but of which the first is not a JSON value by itself
+    "split_merge": [
+        b'{"ts":1200,"pid":10,"tid":100,"prov":"Thread"',
+        b'"etype":"Start","parent_id":4}',
+        b'{"ts":1200,"pid":10,"tid":101,"prov":"Thread","etype":"End","parent_id":4},'
+        b'{"ts":1200,"pid":10,"tid":102,"prov":"Thread","etype":"Start","parent_id":4}',
+    ],
+    # below the ts 1000 of the lines before it, which may be another block's
+    "ts_backwards": [_BODY_TEMPLATE[2].replace(b'"ts":1500', b'"ts":999')],
+    # a check of the block loop that no HOSTILE_EDITS case reaches (those
+    # hold the key faults for file_key, and the sign faults for io_size)
+    **{f"file_object_{name}": [_BODY_TEMPLATE[2].replace(b'"file_object":"0xb10"', b'"file_object":' + value)]
+       for name, value in (("negative_hex", b'"-0xb10"'), ("leading_zero", b'"0x0b10"'),
+                           ("over_64_bits", b'"0x1ffffffffffffffff"'))},
+    "session_id_negative": [_BODY_TEMPLATE[0].replace(b'"session_id":1', b'"session_id":-1')],
+    "parent_id_negative": [_BODY_TEMPLATE[0].replace(b'"parent_id":4', b'"parent_id":-4')],
+}
+
+
+def _hostile_long_trace(name: str, position: str) -> bytes:
+    """_VALID_TRACE's body lines repeated over several blocks, with one
+    fault: a HOSTILE_EDITS edit, in the header or on the one body line that
+    it edits, or the lines of a BLOCK_FAULTS case, placed at position. The
+    lines before the fault hold ts 1000, and those after it ts 1500."""
+    n = 600
+    header = _HEADER.replace(*HOSTILE_EDITS[name]) if name in _HEADER_EDITS else _HEADER
+    header = header.replace(b'"event_count":3,', b'"event_count":%d,' % n)
+    body = [re.sub(rb'"ts":\d+', b'"ts":1000', _BODY_TEMPLATE[i % 3]) for i in range(n)]
+    data = b"\n".join([header, *body, b""])
+    if name in _HEADER_EDITS:
+        return data
+    if name in BLOCK_FAULTS:
+        new_lines = BLOCK_FAULTS[name]
+    else:
+        old, new = HOSTILE_EDITS[name]
+        new_lines = [next(line for line in _BODY_TEMPLATE if old in line).replace(old, new)]
+    lines = _with_fault(data, position, lambda line: new_lines).split(b"\n")
+    k = next(i for i, line in enumerate(lines) if line.startswith(new_lines[0]))
+    for i in range(k + len(new_lines), len(lines) - 1):
+        lines[i] = lines[i].replace(b'"ts":1000', b'"ts":1500')
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("name, position", [
+    (name, position)
+    for name in sorted(HOSTILE_EDITS) + sorted(BLOCK_FAULTS)
+    for position in (["header"] if name in _HEADER_EDITS else sorted(FAULT_POSITIONS))
+    if (name, position) != ("ts_backwards", "first_body_line")  # no line goes before it
+])
+def test_block_decode_matches_reference_on_hostile_edits(name, position):
+    fault = _assert_decodes_as_reference(_hostile_long_trace(name, position))
+    assert type(fault) is tuple
+
+
+@pytest.mark.parametrize("position", sorted(FAULT_POSITIONS))
+def test_block_decode_matches_reference_on_fuzz(position):
+    rng = np.random.default_rng(sorted(FAULT_POSITIONS).index(position))
+    events = random_events(rng, 500)
+    buf = io.BytesIO()
+    write_trace(_manifest(events), events, buf)
+    faults = 0
+    for _ in range(40):
+        mutated = _with_fault(buf.getvalue(), position, lambda line: [_mutate_line(line, rng)])
+        faults += type(_assert_decodes_as_reference(mutated)) is tuple
+    assert faults >= 20
+
+
 def test_first_fault_in_line_order_is_reported():
     # a JSON fault on line 2 and invalid UTF-8 on line 4: the stream reaches
     # line 2 first (the whole-file reference decoded all bytes first)
@@ -539,3 +694,64 @@ def test_write_holds_no_output_copy():
         peak = _peak_bytes(lambda: write_trace(manifest, events, sink))
     # the whole-file writer holds the lines, their join and its encoding: ~36 MB
     assert peak < 1 << 20
+
+
+def test_block_loop_takes_every_pair_the_writer_writes():
+    # every int field at each edge of [0, 2^64), every string without "{"
+    # or "[" (which send a line to json): one block, and no fallback
+    assert "{" not in _HARD_TEXT and "[" not in _HARD_TEXT
+    events = [e for i in (0, 1, 2**63, 2**64 - 1) for e in _every_field_event(i, _HARD_TEXT)]
+    assert {(e.provider, e.etype) for e in events} == set(ATTRS_FOR)
+    buf = io.BytesIO()
+    write_trace(_manifest(events), events, buf)
+    (block,) = _body_blocks(buf.getvalue())
+    assert trace_io._block_events(block, 0) == events
+
+
+def test_block_loop_takes_every_archetype_trace():
+    # a block falls back to line_to_event only where a string holds "{" or
+    # "[", as `bcdedit.exe /set {default} recoveryenabled No` does: seed 17
+    # injects it into each crypto trace
+    archetypes = [("crypto", {"pattern": kind, "n_files": 40, "command_injection": True})
+                  for kind in PatternKind] + [
+        ("locker", {"spawn_profile": DEFAULT_LOCKER_PROFILE, "command_injection": True}),
+        ("benign_crypto_like", {"n_files": 40}),
+        ("benign_spawner", {"spawn_profile": DEFAULT_SPAWNER_PROFILE}),
+        ("benign_desktop", {"intensity": 5.0}),
+    ]
+    taken = fallen_back = 0
+    for archetype, extra in archetypes:
+        manifest, events = synth_trace(SynthConfig(seed=17, archetype=archetype, duration=60_000_000, **extra))
+        buf = io.BytesIO()
+        write_trace(manifest, events, buf)
+        prev_ts = 0
+        for block in _body_blocks(buf.getvalue()):
+            decoded = trace_io._block_events(block, prev_ts)
+            if decoded is None:
+                assert any(line.count(b"{") > 1 or b"[" in line for line in block), archetype
+                fallen_back += 1
+                decoded = [line_to_event(line) for line in block]
+            else:
+                taken += 1
+            prev_ts = decoded[-1].timestamp
+        assert read_trace(io.BytesIO(buf.getvalue()))[1] == events
+    assert 4 <= fallen_back and taken > 20 * fallen_back
+
+
+def test_decode_holds_one_block():
+    # 108k events, 13 MB of lines, decoded and let go one at a time
+    def events():
+        for i in range(9000):
+            yield from _every_field_event(i, "c:/users/u/documents/report.docx")
+
+    buf = io.BytesIO()
+    write_trace(TraceManifest(TraceLabel.BENIGN, "t", 0, 108_000, 8999), events(), buf)
+    source = io.BytesIO(buf.getvalue())
+    del buf
+    assert len(source.getbuffer()) > 10 << 20
+
+    def decode():
+        for _ in iter_trace(source):
+            pass
+
+    assert _peak_bytes(decode) < 1 << 20
