@@ -494,7 +494,10 @@ def _block_events(lines: List[bytes], prev_ts: int) -> Optional[List[Event]]:
                     return None
                 attrs = ProcessAttrs(session_id, parent_id, image, cmdline)
             append(Event(pid, tid, provider, etype, ts, attrs))
-    except (ValueError, KeyError, TypeError):  # orjson.JSONDecodeError is a ValueError
+    except (ValueError, KeyError, TypeError):
+        # bad JSON (orjson's JSONDecodeError is a ValueError) or hex digits,
+        # a missing key or unknown pair, a line that is not an object: the
+        # line path finds and names the fault
         return None
     return events
 
