@@ -21,11 +21,10 @@ _BLOCK_BYTES) at a time, and yields the manifest, then the events;
 read_trace collects them into a list. _block_events decodes a block in one
 loop: each event line goes to orjson by itself, as the bytes it was read as,
 and every check of the line path and the timestamp order is made inline. A
-block that any line or check fails, or that could nest deeper than json
-accepts, is decoded again by line_to_event, the fault path, one line at a
-time; there a line that orjson or a check rejects is decoded again by json,
-which accepts it or raises its fault. So json alone decides every fault and
-its message, and every event before a fault is yielded first. detect, train
+block that any line or check fails, or whose "{" and "[" could nest deeper
+than json accepts, is decoded again by line_to_event, the fault path, one
+line at a time with json alone. So json decides every fault and its
+message, and every event before a fault is yielded first. detect, train
 and eval feed the stream to window_partition, so a consumer holds one block
 and no event outlives the block it came in.
 
@@ -49,7 +48,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, NoReturn, Optional, Tuple, Union
+from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import orjson
 
@@ -344,6 +343,13 @@ _PAIRS = {
 # iter_trace reads whole lines of about this many bytes at a time
 _BLOCK_BYTES = 1 << 14
 
+# at most this many "{" and "[" beyond one "{" per line in a block that
+# _block_events takes. orjson reads any depth of nesting and json raises at
+# about 1000 levels; each line the loop takes is an object, so none nests
+# deeper than _MAX_NESTING + 1 levels, which json reads too. A brace in a
+# string (a {GUID} path, bcdedit's {default}) counts against the bound.
+_MAX_NESTING = 100
+
 
 def _json_loads(text: str, lineno: int, what: str):
     """json.loads(text), with its fault as a ParseError naming the line."""
@@ -355,77 +361,52 @@ def _json_loads(text: str, lineno: int, what: str):
         raise ParseError(lineno, f"{what}: {exc}") from None
 
 
-def _reject_head(obj, lineno: int) -> NoReturn:
-    """Raise the first fault of a line whose object, prov/etype pair or
-    pid/tid/ts failed _event's one test, in the order they are checked."""
+def _event(obj, lineno: int) -> Event:
+    """The Event that one decoded line's JSON value holds, or the first
+    fault of the line, its checks made in a fixed order."""
     if type(obj) is not dict:
         raise ParseError(lineno, "event line is not an object")
     try:
         provider = _PROVIDER_BY_NAME[obj["prov"]]
         etype = _ETYPE_BY_NAME[obj["etype"]]
-        head = [(name, obj[name]) for name in ("pid", "tid", "ts")]
+        pid, tid, ts = obj["pid"], obj["tid"], obj["ts"]
     except KeyError as exc:
         raise ParseError(lineno, f"missing or unknown key/value {exc.args[0]!r}") from None
     except TypeError:  # a list or object where prov/etype belongs
         raise ParseError(lineno, "prov and etype must be strings") from None
-    for name, value in head:
+    for name, value in (("pid", pid), ("tid", tid), ("ts", ts)):
         _u64(value, name, lineno)
-    raise ParseError(lineno, f"etype {etype.value} invalid for provider {provider.value}")
-
-
-def _event(obj, lineno: int) -> Event:
-    """The Event that one decoded line's JSON value holds."""
+    pair = _PAIRS[obj["prov"]].get(obj["etype"])
+    if pair is None:
+        raise ParseError(lineno, f"etype {etype.value} invalid for provider {provider.value}")
     try:
-        provider, etype, cls = _PAIRS[obj["prov"]][obj["etype"]]
-        pid, tid, ts = obj["pid"], obj["tid"], obj["ts"]
-    except (KeyError, TypeError):  # not an object, a key missing or an unknown pair
-        pid = None
-    # one inline test for the fields every event has; _reject_head names the culprit
-    if not (type(pid) is int and type(tid) is int and type(ts) is int
-            and 0 <= pid < _U64 and 0 <= tid < _U64 and 0 <= ts < _U64):
-        _reject_head(obj, lineno)
-    try:
-        attrs = _PARSE_ATTRS[cls](obj, lineno)
+        attrs = _PARSE_ATTRS[pair[2]](obj, lineno)
     except KeyError as exc:
         raise ParseError(lineno, f"missing attribute key {exc.args[0]!r}") from None
     return Event(pid, tid, provider, etype, ts, attrs)
 
 
 def line_to_event(raw: bytes, lineno: int = 0) -> Event:
-    """Parse one wire line, as read from the file, back into an Event.
-
-    orjson reads the line first. Where it and json could disagree, json
-    decides: a line that orjson rejects, that _event rejects, or that holds
-    more than one "{" or any "[" (orjson accepts nesting far deeper than
-    json, which raises) is decoded again by json.loads. orjson reads an
-    integer past 64 bits as a float, which _event rejects, and one of more
-    than 309 digits not at all, so json's digit limit (at least 640) still
-    decides. Raises ParseError for a malformed line and SchemaError for a
-    FileCreate or FileDelete with an empty file name.
+    """Parse one wire line, as read from the file, back into an Event:
+    json.loads and _event, the fault path. Raises ParseError for a malformed
+    line and SchemaError for a FileCreate or FileDelete with an empty file
+    name.
     """
-    try:
-        obj = orjson.loads(raw)
-        if raw.count(b"{") == 1 and raw.find(b"[") < 0:
-            return _event(obj, lineno)
-    except (orjson.JSONDecodeError, ParseError, SchemaError):
-        pass
     return _event(_json_loads(_line_text(raw, lineno), lineno, "invalid JSON"), lineno)
 
 
 def _block_events(lines: List[bytes], prev_ts: int) -> Optional[List[Event]]:
     """The events of a block of event lines, or None if line_to_event must
-    decode the block: where a line holds more than one "{" or any "[", or
-    a line fails orjson or a check of _event and its parsers, or a
-    timestamp lies below its predecessor's (prev_ts, at least 0, for the
-    first line).
+    decode the block: where the block holds more than len(lines) +
+    _MAX_NESTING "{" and "[" in all, or a line fails orjson or a check of
+    _event and its parsers, or a timestamp lies below its predecessor's
+    (prev_ts, at least 0, for the first line).
 
     Every check is made inline, with no call per line but orjson's and the
-    builtins': this loop is most of the cost of decode. A block of n lines
-    that orjson reads as n objects holds at least one "{" on each line, so a
-    block-wide count of n means one on each.
+    builtins': this loop is most of the cost of decode.
     """
     blob = b"".join(lines)
-    if blob.count(b"{") != len(lines) or b"[" in blob:
+    if blob.count(b"{") + blob.count(b"[") > len(lines) + _MAX_NESTING:
         return None
     events = []
     append = events.append

@@ -352,6 +352,12 @@ _INT_FIELDS = [(2, "session_id"), (2, "parent_id"), (3, "parent_id"), (4, "image
 _DEEP = b"[" * 2000 + b"]" * 2000
 
 
+def _nested(depth: int) -> bytes:
+    """A JSON value depth levels deep, objects and arrays in turn."""
+    opens = b"".join(b"[" if i % 2 else b'{"a":' for i in range(depth))
+    return opens + b"0" + b"".join(b"]" if i % 2 else b"}" for i in reversed(range(depth)))
+
+
 def _set_value(lineno: int, key: str, literal: bytes) -> bytes:
     """_EVERY_SHAPE with one key of one line set to a raw JSON literal; a key
     the line lacks is added at its end."""
@@ -394,6 +400,9 @@ DECODER_CASES = {
     "pid_minus_zero": _set_value(6, "pid", b"-0"),
     "io_size_minus_zero": _set_value(6, "io_size", b"-0"),
     "io_size_minus_zero_float": _set_value(6, "io_size", b"-0.0"),
+    # the block loop's bound: openers beyond one "{" per line up to it, and past it
+    "extra_nested_to_bound": _set_value(6, "extra", _nested(trace_io._MAX_NESTING)),
+    "extra_nested_past_bound": _set_value(6, "extra", _nested(trace_io._MAX_NESTING + 1)),
 }
 
 
@@ -401,6 +410,20 @@ DECODER_CASES = {
 def test_decoder_matches_reference_where_orjson_and_json_differ(name):
     data = DECODER_CASES[name]
     assert _decoded(read_trace, data) == _decoded(ref_read_trace, data)
+
+
+def test_block_loop_takes_nesting_up_to_its_bound():
+    # the bound holds a line of a taken block to _MAX_NESTING + 1 levels,
+    # which json reads as orjson does
+    depth = trace_io._MAX_NESTING + 1
+    value = json.loads(b"[" * depth + b"]" * depth)
+    for _ in range(depth - 1):
+        (value,) = value
+    assert value == []
+    (block,) = _body_blocks(DECODER_CASES["extra_nested_to_bound"])
+    assert trace_io._block_events(block, 0) == read_trace(io.BytesIO(_EVERY_SHAPE))[1]
+    (block,) = _body_blocks(DECODER_CASES["extra_nested_past_bound"])
+    assert trace_io._block_events(block, 0) is None
 
 
 def _streamed(data: bytes):
@@ -565,6 +588,30 @@ def test_first_fault_in_line_order_is_reported():
     assert exc.value.line == 2 and "invalid JSON" in exc.value.reason
 
 
+# two faults on the Read line of _EVERY_SHAPE: each key set to a value, or
+# dropped where None
+TWO_FAULTS = {
+    "prov_unknown_pid_missing": {"prov": "Disk", "pid": None},
+    "etype_list_pid_missing": {"etype": [1], "pid": None},
+    "ts_missing_pid_bool": {"ts": None, "pid": True},
+    "pid_missing_tid_negative": {"pid": None, "tid": -1},
+    "pid_bool_tid_negative": {"pid": True, "tid": -1},
+    "tid_float_ts_negative": {"tid": 1.5, "ts": -1},
+    "pair_invalid_pid_negative": {"etype": "Start", "pid": -1},
+    "pair_invalid_io_size_missing": {"etype": "Start", "io_size": None},
+    "file_key_upper_io_size_bool": {"file_key": "0XA", "io_size": True},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_FAULTS))
+def test_line_path_names_the_first_fault_in_check_order(name):
+    lines = _EVERY_SHAPE.split(b"\n")
+    obj = {**json.loads(lines[5]), **TWO_FAULTS[name]}
+    lines[5] = json.dumps({k: v for k, v in obj.items() if v is not None}, separators=(",", ":")).encode()
+    fault = _assert_decodes_as_reference(b"\n".join(lines))
+    assert fault[1].startswith("line 6: ")
+
+
 def _peak_bytes(fn) -> int:
     tracemalloc.start()
     try:
@@ -614,10 +661,10 @@ def _every_field_event(i: int, text: str):
     ]
 
 
-# every C0 control, the JSON escapes, DEL, the JavaScript line breaks, BMP
-# and astral characters
+# every C0 control, the JSON escapes, braces and brackets, DEL, the
+# JavaScript line breaks, BMP and astral characters
 _HARD_TEXT = (
-    "".join(map(chr, range(0x20))) + '"\\/\x7f\u2028\u2029 é中\ufeff\uffff'
+    "".join(map(chr, range(0x20))) + '"\\/{}[]\x7f\u2028\u2029 é中\ufeff\uffff'
     + "\U0001f600\U00010000\U0010ffff"
 )
 
@@ -697,9 +744,8 @@ def test_write_holds_no_output_copy():
 
 
 def test_block_loop_takes_every_pair_the_writer_writes():
-    # every int field at each edge of [0, 2^64), every string without "{"
-    # or "[" (which send a line to json): one block, and no fallback
-    assert "{" not in _HARD_TEXT and "[" not in _HARD_TEXT
+    # every int field at each edge of [0, 2^64), every string with braces
+    # and brackets: one block, and no fallback
     events = [e for i in (0, 1, 2**63, 2**64 - 1) for e in _every_field_event(i, _HARD_TEXT)]
     assert {(e.provider, e.etype) for e in events} == set(ATTRS_FOR)
     buf = io.BytesIO()
@@ -709,9 +755,9 @@ def test_block_loop_takes_every_pair_the_writer_writes():
 
 
 def test_block_loop_takes_every_archetype_trace():
-    # a block falls back to line_to_event only where a string holds "{" or
-    # "[", as `bcdedit.exe /set {default} recoveryenabled No` does: seed 17
-    # injects it into each crypto trace
+    # no block falls back to line_to_event, not even those holding the
+    # `bcdedit.exe /set {default} recoveryenabled No` that seed 17 injects
+    # into each crypto trace
     archetypes = [("crypto", {"pattern": kind, "n_files": 40, "command_injection": True})
                   for kind in PatternKind] + [
         ("locker", {"spawn_profile": DEFAULT_LOCKER_PROFILE, "command_injection": True}),
@@ -719,23 +765,19 @@ def test_block_loop_takes_every_archetype_trace():
         ("benign_spawner", {"spawn_profile": DEFAULT_SPAWNER_PROFILE}),
         ("benign_desktop", {"intensity": 5.0}),
     ]
-    taken = fallen_back = 0
+    with_braces = 0
     for archetype, extra in archetypes:
         manifest, events = synth_trace(SynthConfig(seed=17, archetype=archetype, duration=60_000_000, **extra))
         buf = io.BytesIO()
         write_trace(manifest, events, buf)
-        prev_ts = 0
+        decoded = []
         for block in _body_blocks(buf.getvalue()):
-            decoded = trace_io._block_events(block, prev_ts)
-            if decoded is None:
-                assert any(line.count(b"{") > 1 or b"[" in line for line in block), archetype
-                fallen_back += 1
-                decoded = [line_to_event(line) for line in block]
-            else:
-                taken += 1
-            prev_ts = decoded[-1].timestamp
-        assert read_trace(io.BytesIO(buf.getvalue()))[1] == events
-    assert 4 <= fallen_back and taken > 20 * fallen_back
+            block_events = trace_io._block_events(block, decoded[-1].timestamp if decoded else 0)
+            assert block_events is not None, archetype
+            decoded += block_events
+            with_braces += b"{default}" in b"".join(block)
+        assert decoded == events
+    assert with_braces >= 4
 
 
 def test_decode_holds_one_block():
