@@ -14,7 +14,9 @@ omitted. file_key/file_object are written as 0x-prefixed lowercase hex
 strings without leading zeros, and accepted only in that spelling or as
 plain integers on ingestion. Decoding is strict by JSON type: integer
 fields take only JSON integers (not booleans or floats) in [0, 2^64), and
-string fields only strings.
+string fields only strings. _WIRE is the one statement of each payload
+type's keys, in wire order, with each key's attribute and check: the writer
+and the line path both read it.
 
 iter_trace decodes a file as it reads it, a block of whole lines (about
 _BLOCK_BYTES) at a time, and yields the manifest, then the events;
@@ -224,27 +226,27 @@ def _key_in(value, name: str, lineno: int) -> int:
     return _u64(value, name, lineno)
 
 
-def _attrs_to_fields(attrs) -> List[Tuple[str, object]]:
-    if type(attrs) is FileRwAttrs:
-        return [
-            ("file_key", _key_out(attrs.file_key)),
-            ("file_object", _key_out(attrs.file_object)),
-            ("io_size", attrs.io_size),
-        ]
-    if type(attrs) is FileNameAttrs:
-        return [("file_object", _key_out(attrs.file_object)), ("file_name", attrs.file_name)]
-    if type(attrs) is FileRenDelAttrs:
-        return [("file_key", _key_out(attrs.file_key)), ("file_object", _key_out(attrs.file_object))]
-    if type(attrs) is ProcessAttrs:
-        return [
-            ("session_id", attrs.session_id),
-            ("parent_id", attrs.parent_id),
-            ("image", attrs.image_file_name),
-            ("cmdline", attrs.command_line),
-        ]
-    if type(attrs) is ThreadAttrs:
-        return [("parent_id", attrs.parent_id)]
-    return [("image_size", attrs.image_size), ("file_name", attrs.file_name)]
+def _name(value, name: str, lineno: int) -> str:
+    """A FileCreate/FileDelete file name: a string, and not empty."""
+    if _str(value, name, lineno):
+        return value
+    raise SchemaError(f"line {lineno}: invalid event: attrs.{name}: empty")
+
+
+# Each payload type's rows in wire order, which is also its field order:
+# (wire key, attribute, check). The writer spells a _key_in row with
+# _key_out; _event takes each key through its check, row by row, so the
+# first fault in row order is the one raised.
+_WIRE = {
+    ProcessAttrs: (("session_id", "session_id", _u64), ("parent_id", "parent_id", _u64),
+                   ("image", "image_file_name", _str), ("cmdline", "command_line", _str)),
+    FileRwAttrs: (("file_key", "file_key", _key_in), ("file_object", "file_object", _key_in),
+                  ("io_size", "io_size", _u64)),
+    FileRenDelAttrs: (("file_key", "file_key", _key_in), ("file_object", "file_object", _key_in)),
+    FileNameAttrs: (("file_object", "file_object", _key_in), ("file_name", "file_name", _name)),
+    ThreadAttrs: (("parent_id", "parent_id", _u64),),
+    ImageAttrs: (("image_size", "image_size", _u64), ("file_name", "file_name", _str)),
+}
 
 
 def _event_dict(e: Event) -> dict:
@@ -257,8 +259,10 @@ def _event_dict(e: Event) -> dict:
         "prov": e.provider._value_,
         "etype": e.etype._value_,
     }
-    for key, value in _attrs_to_fields(e.attrs):
-        d[key] = value
+    attrs = e.attrs
+    for key, attr, check in _WIRE[type(attrs)]:
+        value = getattr(attrs, attr)
+        d[key] = _key_out(value) if check is _key_in else value
     return d
 
 
@@ -281,58 +285,6 @@ def _event_bytes(e: Event) -> bytes:
     except TypeError:
         return (event_to_line(e) + "\n").encode("utf-8")
 
-
-def _process(obj: dict, lineno: int) -> ProcessAttrs:
-    return ProcessAttrs(
-        _u64(obj["session_id"], "session_id", lineno),
-        _u64(obj["parent_id"], "parent_id", lineno),
-        _str(obj["image"], "image", lineno),
-        _str(obj["cmdline"], "cmdline", lineno),
-    )
-
-
-def _file_rw(obj: dict, lineno: int) -> FileRwAttrs:
-    return FileRwAttrs(
-        _key_in(obj["file_key"], "file_key", lineno),
-        _key_in(obj["file_object"], "file_object", lineno),
-        _u64(obj["io_size"], "io_size", lineno),
-    )
-
-
-def _file_ren_del(obj: dict, lineno: int) -> FileRenDelAttrs:
-    return FileRenDelAttrs(
-        _key_in(obj["file_key"], "file_key", lineno),
-        _key_in(obj["file_object"], "file_object", lineno),
-    )
-
-
-def _file_name(obj: dict, lineno: int) -> FileNameAttrs:
-    file_object = _key_in(obj["file_object"], "file_object", lineno)
-    file_name = _str(obj["file_name"], "file_name", lineno)
-    if not file_name:
-        raise SchemaError(f"line {lineno}: invalid event: attrs.file_name: empty")
-    return FileNameAttrs(file_object, file_name)
-
-
-def _thread(obj: dict, lineno: int) -> ThreadAttrs:
-    return ThreadAttrs(_u64(obj["parent_id"], "parent_id", lineno))
-
-
-def _image(obj: dict, lineno: int) -> ImageAttrs:
-    return ImageAttrs(
-        _u64(obj["image_size"], "image_size", lineno),
-        _str(obj["file_name"], "file_name", lineno),
-    )
-
-
-_PARSE_ATTRS = {
-    ProcessAttrs: _process,
-    FileRwAttrs: _file_rw,
-    FileRenDelAttrs: _file_ren_del,
-    FileNameAttrs: _file_name,
-    ThreadAttrs: _thread,
-    ImageAttrs: _image,
-}
 
 # prov -> etype, as the wire spells them -> the two members and the payload
 # type: two lookups of strings, whose hashes are cached, per line
@@ -379,8 +331,9 @@ def _event(obj, lineno: int) -> Event:
     pair = _PAIRS[obj["prov"]].get(obj["etype"])
     if pair is None:
         raise ParseError(lineno, f"etype {etype.value} invalid for provider {provider.value}")
+    cls = pair[2]
     try:
-        attrs = _PARSE_ATTRS[pair[2]](obj, lineno)
+        attrs = cls(*[check(obj[key], key, lineno) for key, _, check in _WIRE[cls]])
     except KeyError as exc:
         raise ParseError(lineno, f"missing attribute key {exc.args[0]!r}") from None
     return Event(pid, tid, provider, etype, ts, attrs)
@@ -399,7 +352,7 @@ def _block_events(lines: List[bytes], prev_ts: int) -> Optional[List[Event]]:
     """The events of a block of event lines, or None if line_to_event must
     decode the block: where the block holds more than len(lines) +
     _MAX_NESTING "{" and "[" in all, or a line fails orjson or a check of
-    _event and its parsers, or a timestamp lies below its predecessor's
+    _event and its _WIRE rows, or a timestamp lies below its predecessor's
     (prev_ts, at least 0, for the first line).
 
     Every check is made inline, with no call per line but orjson's and the

@@ -57,9 +57,6 @@ from peeler.trace_io import (
     TraceLabel,
     TraceManifest,
     Window,
-    _key_in,
-    _str,
-    _u64,
 )
 
 ACCEPTOR_REGEXES = [
@@ -568,6 +565,31 @@ _REF_PROVIDER = {p.value: p for p in Provider}
 _REF_ETYPE = {t.value: t for t in EventType}
 
 
+_REF_U64 = 1 << 64
+
+
+def _ref_u64(value, name: str, lineno: int) -> int:
+    if type(value) is int and 0 <= value < _REF_U64:
+        return value
+    got = "out of range" if type(value) is int else type(value).__name__
+    raise ParseError(lineno, f"{name} must be an integer in [0, 2^64), got {got}")
+
+
+def _ref_str(value, name: str, lineno: int) -> str:
+    if type(value) is str:
+        return value
+    raise ParseError(lineno, f"{name} must be a string, got {type(value).__name__}")
+
+
+def _ref_key_in(value, name: str, lineno: int) -> int:
+    """A plain integer, or "0x" and lowercase hex digits with no leading zero."""
+    if type(value) is str:
+        if re.fullmatch(r"0x(?:0|[1-9a-f][0-9a-f]*)", value) and int(value, 16) < _REF_U64:
+            return int(value, 16)
+        raise ParseError(lineno, f"{name} is not 0x and lowercase hex digits")
+    return _ref_u64(value, name, lineno)
+
+
 def _ref_json_loads(text: str, lineno: int, what: str):
     try:
         return json.loads(text)
@@ -584,33 +606,33 @@ def _ref_parse_attrs(provider: Provider, etype: EventType, obj: dict, lineno: in
     try:
         if cls is FileRwAttrs:
             return FileRwAttrs(
-                file_key=_key_in(obj["file_key"], "file_key", lineno),
-                file_object=_key_in(obj["file_object"], "file_object", lineno),
-                io_size=_u64(obj["io_size"], "io_size", lineno),
+                file_key=_ref_key_in(obj["file_key"], "file_key", lineno),
+                file_object=_ref_key_in(obj["file_object"], "file_object", lineno),
+                io_size=_ref_u64(obj["io_size"], "io_size", lineno),
             )
         if cls is FileNameAttrs:
-            file_object = _key_in(obj["file_object"], "file_object", lineno)
-            file_name = _str(obj["file_name"], "file_name", lineno)
+            file_object = _ref_key_in(obj["file_object"], "file_object", lineno)
+            file_name = _ref_str(obj["file_name"], "file_name", lineno)
             if not file_name:
                 raise SchemaError(f"line {lineno}: invalid event: attrs.file_name: empty")
             return FileNameAttrs(file_object=file_object, file_name=file_name)
         if cls is FileRenDelAttrs:
             return FileRenDelAttrs(
-                file_key=_key_in(obj["file_key"], "file_key", lineno),
-                file_object=_key_in(obj["file_object"], "file_object", lineno),
+                file_key=_ref_key_in(obj["file_key"], "file_key", lineno),
+                file_object=_ref_key_in(obj["file_object"], "file_object", lineno),
             )
         if cls is ProcessAttrs:
             return ProcessAttrs(
-                session_id=_u64(obj["session_id"], "session_id", lineno),
-                parent_id=_u64(obj["parent_id"], "parent_id", lineno),
-                image_file_name=_str(obj["image"], "image", lineno),
-                command_line=_str(obj["cmdline"], "cmdline", lineno),
+                session_id=_ref_u64(obj["session_id"], "session_id", lineno),
+                parent_id=_ref_u64(obj["parent_id"], "parent_id", lineno),
+                image_file_name=_ref_str(obj["image"], "image", lineno),
+                command_line=_ref_str(obj["cmdline"], "cmdline", lineno),
             )
         if cls is ThreadAttrs:
-            return ThreadAttrs(parent_id=_u64(obj["parent_id"], "parent_id", lineno))
+            return ThreadAttrs(parent_id=_ref_u64(obj["parent_id"], "parent_id", lineno))
         return ImageAttrs(
-            image_size=_u64(obj["image_size"], "image_size", lineno),
-            file_name=_str(obj["file_name"], "file_name", lineno),
+            image_size=_ref_u64(obj["image_size"], "image_size", lineno),
+            file_name=_ref_str(obj["file_name"], "file_name", lineno),
         )
     except KeyError as exc:
         raise ParseError(lineno, f"missing attribute key {exc.args[0]!r}") from None
@@ -631,7 +653,7 @@ def _ref_line_to_event(line: str, lineno: int) -> Event:
     except TypeError:
         raise ParseError(lineno, "prov and etype must be strings") from None
     for name in ("pid", "tid", "ts"):
-        _u64(obj[name], name, lineno)
+        _ref_u64(obj[name], name, lineno)
     attrs = _ref_parse_attrs(provider, etype, obj, lineno)
     return Event(pid=pid, tid=tid, provider=provider, etype=etype, timestamp=ts, attrs=attrs)
 
@@ -642,12 +664,12 @@ def _ref_manifest(text: str, lineno: int) -> TraceManifest:
         raise ParseError(lineno, "manifest is not an object")
     try:
         return TraceManifest(
-            label=TraceLabel(_str(d["label"], "label", lineno)),
-            family=_str(d["family"], "family", lineno),
-            seed=_u64(d["seed"], "seed", lineno),
-            event_count=_u64(d["event_count"], "event_count", lineno),
-            duration=_u64(d["duration"], "duration", lineno),
-            attack_onset=_u64(d.get("attack_onset", 0), "attack_onset", lineno),
+            label=TraceLabel(_ref_str(d["label"], "label", lineno)),
+            family=_ref_str(d["family"], "family", lineno),
+            seed=_ref_u64(d["seed"], "seed", lineno),
+            event_count=_ref_u64(d["event_count"], "event_count", lineno),
+            duration=_ref_u64(d["duration"], "duration", lineno),
+            attack_onset=_ref_u64(d.get("attack_onset", 0), "attack_onset", lineno),
         )
     except KeyError as exc:
         raise ParseError(lineno, f"manifest missing key {exc.args[0]!r}") from None

@@ -588,28 +588,38 @@ def test_first_fault_in_line_order_is_reported():
     assert exc.value.line == 2 and "invalid JSON" in exc.value.reason
 
 
-# two faults on the Read line of _EVERY_SHAPE: each key set to a value, or
-# dropped where None
+# two faults on one line of _EVERY_SHAPE: the line's number, and each key
+# set to a value, or dropped where None
 TWO_FAULTS = {
-    "prov_unknown_pid_missing": {"prov": "Disk", "pid": None},
-    "etype_list_pid_missing": {"etype": [1], "pid": None},
-    "ts_missing_pid_bool": {"ts": None, "pid": True},
-    "pid_missing_tid_negative": {"pid": None, "tid": -1},
-    "pid_bool_tid_negative": {"pid": True, "tid": -1},
-    "tid_float_ts_negative": {"tid": 1.5, "ts": -1},
-    "pair_invalid_pid_negative": {"etype": "Start", "pid": -1},
-    "pair_invalid_io_size_missing": {"etype": "Start", "io_size": None},
-    "file_key_upper_io_size_bool": {"file_key": "0XA", "io_size": True},
+    "prov_unknown_pid_missing": (6, {"prov": "Disk", "pid": None}),
+    "etype_list_pid_missing": (6, {"etype": [1], "pid": None}),
+    "ts_missing_pid_bool": (6, {"ts": None, "pid": True}),
+    "pid_missing_tid_negative": (6, {"pid": None, "tid": -1}),
+    "pid_bool_tid_negative": (6, {"pid": True, "tid": -1}),
+    "tid_float_ts_negative": (6, {"tid": 1.5, "ts": -1}),
+    "pair_invalid_pid_negative": (6, {"etype": "Start", "pid": -1}),
+    "pair_invalid_io_size_missing": (6, {"etype": "Start", "io_size": None}),
+    "file_key_upper_io_size_bool": (6, {"file_key": "0XA", "io_size": True}),
+    # one line of each other payload type, its faults on two attributes
+    # (Thread has one attribute, so its other fault is on tid); on the
+    # FileCreate line the ParseError must come before the SchemaError
+    "process_parent_id_bool_cmdline_missing": (2, {"parent_id": True, "cmdline": None}),
+    "thread_tid_float_parent_id_missing": (3, {"tid": 1.5, "parent_id": None}),
+    "image_image_size_float_file_name_int": (4, {"image_size": 1.5, "file_name": 7}),
+    "file_create_file_object_upper_file_name_empty": (5, {"file_object": "0XB10", "file_name": ""}),
+    "rename_file_key_negative_file_object_bare": (7, {"file_key": -1, "file_object": "b10"}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TWO_FAULTS))
 def test_line_path_names_the_first_fault_in_check_order(name):
+    lineno, edits = TWO_FAULTS[name]
     lines = _EVERY_SHAPE.split(b"\n")
-    obj = {**json.loads(lines[5]), **TWO_FAULTS[name]}
-    lines[5] = json.dumps({k: v for k, v in obj.items() if v is not None}, separators=(",", ":")).encode()
+    obj = {**json.loads(lines[lineno - 1]), **edits}
+    lines[lineno - 1] = json.dumps({k: v for k, v in obj.items() if v is not None},
+                                   separators=(",", ":")).encode()
     fault = _assert_decodes_as_reference(b"\n".join(lines))
-    assert fault[1].startswith("line 6: ")
+    assert fault[1].startswith(f"line {lineno}: ")
 
 
 def _peak_bytes(fn) -> int:
