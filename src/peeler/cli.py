@@ -1,9 +1,11 @@
 """Command-line front end: synth, detect, train, eval.
 
 Train and eval decode each corpus trace once, into a TraceProfile: its
-split-independent rule and pattern alerts plus one feature row per window.
-Everything eval reports, the --correlations table included, comes from
-those rows. Detect, train and eval all cut windows at trace_io.WINDOW_LEN,
+manifest, its split-independent rule and pattern alerts, and one feature row
+per window. Eval judges each test trace of each repeat from the profile
+alone and keeps one TraceRow per judgment; its counts, metrics, latencies and
+latency table are all read off those rows, and the --correlations table off
+the feature rows. Detect, train and eval all cut windows at trace_io.WINDOW_LEN,
 which no option changes: a model is only valid at the window length its
 training rows were taken over.
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,7 +47,7 @@ from .synth import (
     synth_corpus,
     synth_trace,
 )
-from .trace_io import WINDOW_LEN, TraceLabel, iter_trace, save_trace, window_partition
+from .trace_io import WINDOW_LEN, TraceLabel, TraceManifest, iter_trace, save_trace, window_partition
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -79,10 +82,7 @@ class TraceProfile:
     """
 
     path: str
-    label: TraceLabel
-    family: str
-    seed: int
-    attack_onset: int
+    manifest: TraceManifest
     rule_alert_ts: Optional[int]
     pattern_alert_ts: Optional[int]
     window_ends: np.ndarray
@@ -92,7 +92,7 @@ class TraceProfile:
 
     @property
     def is_ransomware(self) -> bool:
-        return self.label.is_ransomware
+        return self.manifest.label.is_ransomware
 
 
 def profile_trace(path: str, rules: RuleSet) -> TraceProfile:
@@ -113,10 +113,7 @@ def profile_trace(path: str, rules: RuleSet) -> TraceProfile:
         first_ts.setdefault(alert.detector, alert.event_timestamp)
     return TraceProfile(
         path=path,
-        label=manifest.label,
-        family=manifest.family,
-        seed=manifest.seed,
-        attack_onset=manifest.attack_onset,
+        manifest=manifest,
         rule_alert_ts=first_ts.get(Detector.COMMAND_RULE),
         pattern_alert_ts=first_ts.get(Detector.FILE_IO_PATTERN),
         window_ends=np.array(ends, dtype=np.int64),
@@ -135,10 +132,11 @@ def load_corpus_profiles(corpus_dir: str, rules: RuleSet) -> List[TraceProfile]:
     profiles = []
     for path, label, family, seed in read_corpus_index(corpus_dir):
         p = profile_trace(path, rules)
-        if (label, family, seed) != (p.label.value, p.family, p.seed):
+        m = p.manifest
+        if (label, family, seed) != (m.label.value, m.family, m.seed):
             raise CorpusError(
                 f"{path}: index row says {label} | {family} | {seed}, "
-                f"its manifest {p.label.value} | {p.family} | {p.seed}"
+                f"its manifest {m.label.value} | {m.family} | {m.seed}"
             )
         profiles.append(p)
     return profiles
@@ -148,25 +146,17 @@ def load_corpus_profiles(corpus_dir: str, rules: RuleSet) -> List[TraceProfile]:
 
 
 def train_from_profiles(profiles: Sequence[TraceProfile]) -> FusedClassifier:
-    X_mlr, X_svm, y = [], [], []
-    for p in profiles:
-        for i in range(len(p.window_ends)):
-            if p.is_ransomware:
-                if p.window_counts[i] < MIN_ATTACK_WINDOW_EVENTS:
-                    continue
-                y.append(1)
-            else:
-                y.append(0)
-            X_mlr.append(p.X_mlr[i])
-            X_svm.append(p.X_svm[i])
-    if not y or len(set(y)) < 2:
+    """Fit on every window of a benign trace and on each window of an attack
+    trace that holds at least MIN_ATTACK_WINDOW_EVENTS events."""
+    keep = [p.window_counts >= (MIN_ATTACK_WINDOW_EVENTS if p.is_ransomware else 0) for p in profiles]
+    y = np.repeat([int(p.is_ransomware) for p in profiles], [np.count_nonzero(k) for k in keep])
+    if len(np.unique(y)) < 2:
         raise CorpusError("training set needs windows from both classes")
     if len(y) < MIN_TRAIN_SAMPLES:
         raise CorpusError(f"training set needs at least {MIN_TRAIN_SAMPLES} windows, got {len(y)}")
-    ym = np.array(y)
     return FusedClassifier(
-        mlr=train_mlr(np.vstack(X_mlr), ym),
-        svm=train_svm(np.vstack(X_svm), ym),
+        mlr=train_mlr(np.vstack([p.X_mlr[k] for p, k in zip(profiles, keep)]), y),
+        svm=train_svm(np.vstack([p.X_svm[k] for p, k in zip(profiles, keep)]), y),
     )
 
 
@@ -228,61 +218,78 @@ class LatencyStats:
 
 @dataclass
 class TraceRow:
+    """One judgment: a test trace in one repeat, and the first detector to
+    fire on it (None when none fired)."""
+
     repeat: int
     path: str
     label: str
     family: str
-    verdict: str
     first_detector: Optional[str]
     latency_us: Optional[int]
+
+    @property
+    def verdict(self) -> str:
+        return "benign" if self.first_detector is None else "ransomware"
+
+
+def _ratio(num: float, den: float) -> float:
+    return num / den if den else 0.0
 
 
 @dataclass
 class EvalSummary:
-    accuracy: float
-    tpr: float
-    fpr: float
-    fnr: float
-    precision: float
-    recall: float
-    f1: float
-    tp: int
-    fp: int
-    tn: int
-    fn: int
+    """Eval's judgments, one TraceRow each, and what is read off them.
+
+    tp/fp/tn/fn, the crypto and locker LatencyStats and the metrics of
+    metrics_dict (each also an attribute, as in summary.fpr) all derive
+    from rows.
+    """
+
     repeats: int
     seed: int
-    rows: List[TraceRow] = field(repr=False, default_factory=list)
-    crypto_latency: Optional[LatencyStats] = None
-    locker_latency: Optional[LatencyStats] = None
+    rows: List[TraceRow] = field(repr=False)
+
+    def __post_init__(self):
+        n = Counter((TraceLabel(r.label).is_ransomware, r.first_detector is not None) for r in self.rows)
+        self.tp, self.fp, self.tn, self.fn = n[True, True], n[False, True], n[False, False], n[True, False]
+        self.crypto_latency = self._latency(TraceLabel.CRYPTO)
+        self.locker_latency = self._latency(TraceLabel.SCREEN_LOCKER)
+        vars(self).update(self.metrics_dict())
+
+    def _latency(self, label: TraceLabel) -> Optional[LatencyStats]:
+        return LatencyStats.of(
+            [r.latency_us for r in self.rows if r.label == label.value and r.latency_us is not None]
+        )
 
     def metrics_dict(self) -> Dict[str, float]:
+        tp, fp, tn, fn = self.tp, self.fp, self.tn, self.fn
+        precision, recall = _ratio(tp, tp + fp), _ratio(tp, tp + fn)
         return {
-            "accuracy": self.accuracy,
-            "tpr": self.tpr,
-            "fpr": self.fpr,
-            "fnr": self.fnr,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
+            "accuracy": _ratio(tp + tn, tp + fp + tn + fn),
+            "tpr": recall,
+            "fpr": _ratio(fp, fp + tn),
+            "fnr": _ratio(fn, fn + tp),
+            "precision": precision,
+            "recall": recall,
+            "f1": _ratio(2 * precision * recall, precision + recall),
         }
 
 
-def _judge(profile: TraceProfile, model: Optional[FusedClassifier]) -> Tuple[str, Optional[str], Optional[int]]:
-    """Trace verdict plus the first-firing detector and alert timestamp."""
-    candidates = []
-    if profile.rule_alert_ts is not None:
-        candidates.append((profile.rule_alert_ts, Detector.COMMAND_RULE.value))
-    if profile.pattern_alert_ts is not None:
-        candidates.append((profile.pattern_alert_ts, Detector.FILE_IO_PATTERN.value))
-    if model is not None:
-        ts = ml_first_alert_ts(profile, model)
-        if ts is not None:
-            candidates.append((ts, Detector.ML_CLASSIFIER.value))
-    if not candidates:
-        return "benign", None, None
-    ts, detector = min(candidates)
-    return "ransomware", detector, ts
+def _judge(profile: TraceProfile, model: FusedClassifier) -> Tuple[Optional[str], Optional[int]]:
+    """The first detector to fire on a trace and its alert timestamp, or
+    (None, None) when none fires."""
+    fired = [
+        (ts, detector.value)
+        for ts, detector in (
+            (profile.rule_alert_ts, Detector.COMMAND_RULE),
+            (profile.pattern_alert_ts, Detector.FILE_IO_PATTERN),
+            (ml_first_alert_ts(profile, model), Detector.ML_CLASSIFIER),
+        )
+        if ts is not None
+    ]
+    ts, detector = min(fired, default=(None, None))
+    return detector, ts
 
 
 def evaluate_profiles(
@@ -292,67 +299,25 @@ def evaluate_profiles(
     train_frac: float = 0.2,
     fixed_model: Optional[FusedClassifier] = None,
 ) -> EvalSummary:
-    """Repeated stratified train/test splits; metrics from pooled counts.
+    """Repeated stratified train/test splits, one TraceRow per judgment.
 
-    A fixed model is judged on the whole corpus in every repeat.
+    A fixed model is judged on the whole corpus in every repeat. A detected
+    attack trace's latency runs from its attack onset, and is 0 when the
+    first alert comes before it.
     """
-    tp = fp = tn = fn = 0
     rows: List[TraceRow] = []
-    crypto_lat: List[int] = []
-    locker_lat: List[int] = []
-
     for r in range(repeats):
         train_set, test_set = split_profiles(profiles, train_frac, seed, r)
         if fixed_model is None:
             model = train_from_profiles(train_set)
         else:
             model, test_set = fixed_model, profiles
-
         for p in test_set:
-            verdict, detector, alert_ts = _judge(p, model)
-            latency = None
-            if verdict == "ransomware" and p.is_ransomware:
-                latency = max(0, alert_ts - p.attack_onset)
-            rows.append(
-                TraceRow(r, p.path, p.label.value, p.family, verdict, detector, latency)
-            )
-            if p.is_ransomware:
-                if verdict == "ransomware":
-                    tp += 1
-                    if p.label is TraceLabel.CRYPTO:
-                        crypto_lat.append(latency)
-                    else:
-                        locker_lat.append(latency)
-                else:
-                    fn += 1
-            else:
-                if verdict == "ransomware":
-                    fp += 1
-                else:
-                    tn += 1
-
-    total = tp + fp + tn + fn
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return EvalSummary(
-        accuracy=(tp + tn) / total if total else 0.0,
-        tpr=recall,
-        fpr=fp / (fp + tn) if fp + tn else 0.0,
-        fnr=fn / (fn + tp) if fn + tp else 0.0,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        tp=tp,
-        fp=fp,
-        tn=tn,
-        fn=fn,
-        repeats=repeats,
-        seed=seed,
-        rows=rows,
-        crypto_latency=LatencyStats.of(crypto_lat),
-        locker_latency=LatencyStats.of(locker_lat),
-    )
+            detector, ts = _judge(p, model)
+            m = p.manifest
+            latency = max(0, ts - m.attack_onset) if detector is not None and p.is_ransomware else None
+            rows.append(TraceRow(r, p.path, m.label.value, m.family, detector, latency))
+    return EvalSummary(repeats, seed, rows)
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -520,7 +485,7 @@ def _cmd_eval(args) -> int:
             print(f"latency  : {name} n={stats.n} mean={stats.mean_ms:.1f}ms "
                   f"p50={stats.p50_ms:.1f}ms p90={stats.p90_ms:.1f}ms")
     if args.correlations:
-        print(correlations_from_rows((p.label, p.X_svm) for p in profiles).as_table())
+        print(correlations_from_rows((p.manifest.label, p.X_svm) for p in profiles).as_table())
     if args.latency_table:
         with open(args.latency_table, "w", encoding="utf-8") as f:
             f.write("repeat | trace | label | family | verdict | detector | latency_ms\n")

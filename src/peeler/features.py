@@ -52,8 +52,14 @@ class ProcessTree:
             stack.extend(node.children)
 
 
+class _FeatureVector:
+    def as_vector(self) -> np.ndarray:
+        """The fields in declaration order, which a model's columns follow."""
+        return np.array([getattr(self, name) for name in self.__dataclass_fields__], dtype=np.float64)
+
+
 @dataclass(frozen=True)
-class MlrFeatures:
+class MlrFeatures(_FeatureVector):
     """Process-tree feature vector (tree-model input)."""
 
     n_processes: int
@@ -62,21 +68,9 @@ class MlrFeatures:
     n_leaf_nodes: int
     n_unique_image_names: int
 
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.n_processes,
-                self.n_threads_total,
-                self.max_depth,
-                self.n_leaf_nodes,
-                self.n_unique_image_names,
-            ],
-            dtype=np.float64,
-        )
-
 
 @dataclass(frozen=True)
-class SvmFeatures:
+class SvmFeatures(_FeatureVector):
     """Per-window event-type counts (frequency-model input)."""
 
     n_process_start: int
@@ -87,21 +81,6 @@ class SvmFeatures:
     n_file_write: int
     n_thread_start: int
     n_thread_end: int
-
-    def as_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                self.n_process_start,
-                self.n_process_end,
-                self.n_image_load,
-                self.n_image_unload,
-                self.n_file_read,
-                self.n_file_write,
-                self.n_thread_start,
-                self.n_thread_end,
-            ],
-            dtype=np.float64,
-        )
 
 
 # Row widths of the two feature vectors; a model file must match them.

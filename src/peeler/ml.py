@@ -175,10 +175,10 @@ class SvmModel:
     dual_objective: float
 
 
-def train_svm(X, y, gamma: float = None) -> SvmModel:
+def train_svm(X, y) -> SvmModel:
     """Fit the dual with the pairwise optimizer in kernels.smo_solve.
 
-    gamma defaults to 1/n_features. When the pass budget runs out before the
+    The RBF gamma is 1/n_features. When the pass budget runs out before the
     KKT gap closes, the best iterate is returned with converged False.
     """
     Xm = _as_matrix(X)
@@ -186,8 +186,7 @@ def train_svm(X, y, gamma: float = None) -> SvmModel:
     ym = _as_labels(y, n)
     if len(np.unique(ym)) < 2:
         raise CorpusError("training data has a single class")
-    if gamma is None:
-        gamma = 1.0 / Xm.shape[1]
+    gamma = 1.0 / Xm.shape[1]
     scaler = fit_scaler(Xm)
     Xs = scaler.apply(Xm)
     yy = np.where(ym == 1, 1.0, -1.0)

@@ -44,8 +44,6 @@ from .events import (
 from .fileio import PatternKind
 from .trace_io import WINDOW_LEN, TraceLabel, TraceManifest, save_trace
 
-ARCHETYPES = ("crypto", "locker", "benign_crypto_like", "benign_spawner", "benign_desktop")
-
 CRYPTO_FAMILIES = {
     PatternKind.MEM_TO_FILE_POST_OVERWRITE: "Cerber",
     PatternKind.MEM_TO_FILE_PRE_OVERWRITE: "Locky",
@@ -256,34 +254,26 @@ def _lineage(kind, rng, pid, tid, alloc, name, t):
         events.append(_fdelete(pid, adv(), e, name, tid))
         events.append(_create(pid, adv(), e, name + ".locky", tid))
         rw_rounds(a, b, a, b)
-    elif kind is PatternKind.FILE_TO_FILE_DELETE:
+    else:  # file to file: the copy gets its own create, then the source goes
+        rename = kind is PatternKind.FILE_TO_FILE_RENAME_DELETE
         a, b, g = alloc.key(), alloc.key(), alloc.key()
+        e = alloc.key() if rename else None
         events.append(_create(pid, adv(), a, name, tid))
         n_r = int(rng.integers(2, 7))
         for _ in range(n_r):
             events.append(_read(pid, adv(), a, b, int(rng.integers(1, 257)) * 4096, tid))
-        events.append(_create(pid, adv(), b, name + ".crypt", tid))
+        events.append(_create(pid, adv(), b, name + (".tmp" if rename else ".crypt"), tid))
         n_w = max(1, int(round(n_r * rng.uniform(WRITE_RATIO_LOW, WRITE_RATIO_HIGH))))
         for _ in range(n_w):
             events.append(_write(pid, adv(), b, g, int(rng.integers(1, 257)) * 4096, tid))
         for _ in range(int(rng.integers(0, 3))):
             rw_rounds(a, b, b, g)
-        events.append(_delete(pid, adv(), a, b, tid))
-    else:  # FILE_TO_FILE_RENAME_DELETE
-        a, b, g, e = alloc.key(), alloc.key(), alloc.key(), alloc.key()
-        events.append(_create(pid, adv(), a, name, tid))
-        n_r = int(rng.integers(2, 7))
-        for _ in range(n_r):
-            events.append(_read(pid, adv(), a, b, int(rng.integers(1, 257)) * 4096, tid))
-        events.append(_create(pid, adv(), b, name + ".tmp", tid))
-        n_w = max(1, int(round(n_r * rng.uniform(WRITE_RATIO_LOW, WRITE_RATIO_HIGH))))
-        for _ in range(n_w):
-            events.append(_write(pid, adv(), b, g, int(rng.integers(1, 257)) * 4096, tid))
-        for _ in range(int(rng.integers(0, 3))):
-            rw_rounds(a, b, b, g)
-        events.append(_rename(pid, adv(), b, e, tid))
-        events.append(_fdelete(pid, adv(), a, name, tid))
-        events.append(_create(pid, adv(), e, name + ".locked", tid))
+        if rename:
+            events.append(_rename(pid, adv(), b, e, tid))
+            events.append(_fdelete(pid, adv(), a, name, tid))
+            events.append(_create(pid, adv(), e, name + ".locked", tid))
+        else:
+            events.append(_delete(pid, adv(), a, b, tid))
     return events, t
 
 
@@ -614,32 +604,27 @@ def _gen_desktop(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event
     return events, info, "Desktop"
 
 
-_GENERATORS = {
-    "crypto": _gen_crypto,
-    "locker": _gen_locker,
-    "benign_crypto_like": _gen_crypto_like,
-    "benign_spawner": _gen_spawner,
-    "benign_desktop": _gen_desktop,
+# archetype -> (generator, label)
+_ARCHETYPES = {
+    "crypto": (_gen_crypto, TraceLabel.CRYPTO),
+    "locker": (_gen_locker, TraceLabel.SCREEN_LOCKER),
+    "benign_crypto_like": (_gen_crypto_like, TraceLabel.BENIGN),
+    "benign_spawner": (_gen_spawner, TraceLabel.BENIGN),
+    "benign_desktop": (_gen_desktop, TraceLabel.BENIGN),
 }
-
-_LABELS = {
-    "crypto": TraceLabel.CRYPTO,
-    "locker": TraceLabel.SCREEN_LOCKER,
-    "benign_crypto_like": TraceLabel.BENIGN,
-    "benign_spawner": TraceLabel.BENIGN,
-    "benign_desktop": TraceLabel.BENIGN,
-}
+ARCHETYPES = tuple(_ARCHETYPES)
 
 
 def synth_trace_detailed(cfg: SynthConfig) -> Tuple[TraceManifest, List[Event], GenInfo]:
     """Generate one trace plus the generator's ground-truth side channel."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    events, info, family = _GENERATORS[cfg.archetype](cfg, rng)
+    generate, label = _ARCHETYPES[cfg.archetype]
+    events, info, family = generate(cfg, rng)
     events.sort(key=lambda e: e.timestamp)
     last_ts = events[-1].timestamp if events else 0
     manifest = TraceManifest(
-        label=_LABELS[cfg.archetype],
+        label=label,
         family=family,
         seed=cfg.seed,
         event_count=len(events),
@@ -706,7 +691,6 @@ def default_corpus_spec(
 class CorpusEntry:
     path: str
     manifest: TraceManifest
-    info: GenInfo
 
 
 def synth_corpus(
@@ -721,11 +705,11 @@ def synth_corpus(
     index_lines = []
     for i, cfg in enumerate(configs):
         cfg_i = replace(cfg, seed=derive_seed(master_seed, i))
-        manifest, events, info = synth_trace_detailed(cfg_i)
+        manifest, events = synth_trace(cfg_i)
         name = f"{i:04d}_{manifest.label.value}_{manifest.family.lower()}.pt"
         path = os.path.join(out_dir, name)
         save_trace(path, manifest, events)
-        entries.append(CorpusEntry(path=path, manifest=manifest, info=info))
+        entries.append(CorpusEntry(path=path, manifest=manifest))
         index_lines.append(f"{name} | {manifest.label.value} | {manifest.family} | {manifest.seed}")
     with open(os.path.join(out_dir, "index.txt"), "w", encoding="utf-8") as f:
         f.write("\n".join(index_lines) + "\n")

@@ -326,10 +326,11 @@ def _neutral_svm():
                     gamma=0.125, c=10.0, scaler=s, converged=True, passes=0, dual_objective=0.0)
 
 
-def _stub_profile(path, label, rule_ts=None):
+def _stub_profile(path, label, rule_ts=None, pattern_ts=None, onset=0):
+    manifest = TraceManifest(label=label, family="stub", seed=0, event_count=0, duration=0,
+                             attack_onset=onset)
     return TraceProfile(
-        path=path, label=label, family="stub", seed=0, attack_onset=0,
-        rule_alert_ts=rule_ts, pattern_alert_ts=None,
+        path=path, manifest=manifest, rule_alert_ts=rule_ts, pattern_alert_ts=pattern_ts,
         window_ends=np.zeros(0, dtype=np.int64), window_counts=np.zeros(0, dtype=np.int64),
         X_mlr=np.zeros((0, 5)), X_svm=np.zeros((0, 8)),
     )
@@ -346,6 +347,88 @@ def test_perfect_detector_stub_yields_perfect_metrics():
     summary = evaluate_profiles(profiles, repeats=3, seed=1, fixed_model=neutral)
     assert summary.accuracy == 1.0 and summary.f1 == 1.0
     assert summary.fpr == 0.0 and summary.fnr == 0.0
+
+
+def test_eval_latency_rules_and_counts_match_a_hand_tally():
+    rule, pattern = Detector.COMMAND_RULE.value, Detector.FILE_IO_PATTERN.value
+    profiles = [
+        # alerts before attack onset: latency 0
+        _stub_profile("r1", TraceLabel.CRYPTO, rule_ts=400, onset=1000),
+        # the earlier of two detectors judges it
+        _stub_profile("r2", TraceLabel.CRYPTO, rule_ts=6000, pattern_ts=3000, onset=1000),
+        _stub_profile("r3", TraceLabel.SCREEN_LOCKER, rule_ts=11000, onset=2000),
+        _stub_profile("r4", TraceLabel.SCREEN_LOCKER, onset=2000),
+        # a flagged benign trace has no latency
+        _stub_profile("b1", TraceLabel.BENIGN, rule_ts=300),
+        _stub_profile("b2", TraceLabel.BENIGN),
+        _stub_profile("b3", TraceLabel.BENIGN),
+        _stub_profile("b4", TraceLabel.BENIGN, pattern_ts=700),
+    ]
+    neutral = FusedClassifier(mlr=_neutral_mlr(), svm=_neutral_svm(), threshold=0.6)
+    summary = evaluate_profiles(profiles, repeats=2, seed=1, fixed_model=neutral)
+
+    judged = [
+        ("r1", "crypto", "ransomware", rule, 0),
+        ("r2", "crypto", "ransomware", pattern, 2000),
+        ("r3", "screen_locker", "ransomware", rule, 9000),
+        ("r4", "screen_locker", "benign", None, None),
+        ("b1", "benign", "ransomware", rule, None),
+        ("b2", "benign", "benign", None, None),
+        ("b3", "benign", "benign", None, None),
+        ("b4", "benign", "ransomware", pattern, None),
+    ]
+    assert [(r.repeat, r.path, r.label, r.verdict, r.first_detector, r.latency_us)
+            for r in summary.rows] == [(repeat, *row) for repeat in (0, 1) for row in judged]
+    assert {r.family for r in summary.rows} == {"stub"}
+    assert (summary.tp, summary.fp, summary.tn, summary.fn) == (6, 4, 4, 2)
+    assert summary.metrics_dict() == pytest.approx({
+        "accuracy": 10 / 16, "tpr": 6 / 8, "fpr": 4 / 8, "fnr": 2 / 8,
+        "precision": 6 / 10, "recall": 6 / 8, "f1": 2 / 3,
+    })
+    assert list(summary.metrics_dict()) == ["accuracy", "tpr", "fpr", "fnr", "precision", "recall", "f1"]
+    # crypto latencies 0, 2 ms in each repeat; locker 9 ms in each
+    assert summary.crypto_latency == cli.LatencyStats(n=4, mean_ms=1.0, p50_ms=1.0, p90_ms=2.0)
+    assert summary.locker_latency == cli.LatencyStats(n=2, mean_ms=9.0, p50_ms=9.0, p90_ms=9.0)
+
+
+def test_eval_without_detections_has_no_latency():
+    profiles = [_stub_profile("r1", TraceLabel.CRYPTO, onset=1000),
+                _stub_profile("b1", TraceLabel.BENIGN, rule_ts=300)]
+    neutral = FusedClassifier(mlr=_neutral_mlr(), svm=_neutral_svm(), threshold=0.6)
+    summary = evaluate_profiles(profiles, repeats=1, seed=1, fixed_model=neutral)
+    assert (summary.tp, summary.fp, summary.tn, summary.fn) == (0, 1, 0, 1)
+    assert summary.crypto_latency is None and summary.locker_latency is None
+    assert summary.metrics_dict() == {
+        "accuracy": 0.0, "tpr": 0.0, "fpr": 1.0, "fnr": 1.0, "precision": 0.0, "recall": 0.0, "f1": 0.0,
+    }
+
+
+def test_training_rows_match_a_per_window_loop(monkeypatch):
+    rng = np.random.default_rng(5)
+    labels = [TraceLabel.CRYPTO, TraceLabel.BENIGN, TraceLabel.SCREEN_LOCKER, TraceLabel.BENIGN] * 3
+    profiles = []
+    for i, label in enumerate(labels):
+        # counts straddle MIN_ATTACK_WINDOW_EVENTS; some traces have no windows
+        counts = rng.integers(1, 2 * cli.MIN_ATTACK_WINDOW_EVENTS, size=int(rng.integers(0, 12)))
+        profiles.append(replace(
+            _stub_profile(f"t{i}", label), window_ends=np.arange(len(counts)), window_counts=counts,
+            X_mlr=rng.normal(size=(len(counts), 5)), X_svm=rng.normal(size=(len(counts), 8)),
+        ))
+    X_mlr, X_svm, y = [], [], []
+    for p in profiles:
+        for i, count in enumerate(p.window_counts):
+            if not (p.is_ransomware and count < cli.MIN_ATTACK_WINDOW_EVENTS):
+                X_mlr.append(p.X_mlr[i])
+                X_svm.append(p.X_svm[i])
+                y.append(int(p.is_ransomware))
+    assert 0 < sum(y) < len(y)
+
+    monkeypatch.setattr(cli, "train_mlr", lambda X, y: (X, y))
+    monkeypatch.setattr(cli, "train_svm", lambda X, y: (X, y))
+    fused = train_from_profiles(profiles)
+    for (X, labels_seen), X_ref in ((fused.mlr, X_mlr), (fused.svm, X_svm)):
+        assert np.array_equal(X, np.vstack(X_ref)) and X.dtype == np.float64
+        assert np.array_equal(labels_seen, np.array(y)) and labels_seen.dtype == np.array(y).dtype
 
 
 def test_fixed_model_single_class_corpus_is_corpus_error():

@@ -136,14 +136,14 @@ def test_mlr_probabilities_sum_to_one():
 def test_svm_xor_training_accuracy():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     y = np.array([0, 0, 1, 1])
-    m = train_svm(X, y, gamma=1.0)
+    m = train_svm(X, y)
     assert (predict_svm_batch(m, X) >= 0.5).tolist() == [False, False, True, True]
 
 
 def test_svm_conflicting_duplicates_at_bound():
     X = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0], [-5.0, -5.0]])
     y = np.array([1, 0, 1, 0])
-    m = train_svm(X, y, gamma=0.5)
+    m = train_svm(X, y)
     # the two duplicate rows scale to identical vectors; their coefficients
     # sit at +/- c
     mags = np.abs(m.dual_coefs)
@@ -198,7 +198,7 @@ def test_svm_decision_zero_scores_half():
 def test_svm_isolated_support_vector_dominates_own_score():
     X = np.vstack([np.full((1, 8), 8.0), np.random.default_rng(9).normal(size=(9, 8)) - 3.0])
     y = np.array([1] + [0] * 9)
-    m = train_svm(X, y, gamma=0.5)
+    m = train_svm(X, y)
     assert predict_svm_batch(m, X[:1])[0] > 0.5
 
 
@@ -228,8 +228,8 @@ def test_affine_feature_rescale_leaves_predictions_unchanged():
     p2 = mlr_probabilities_batch(m2, probe * scale + shift)[:, 1]
     assert np.allclose(p1, p2, atol=1e-9)
 
-    s1 = train_svm(X, y, gamma=0.2)
-    s2 = train_svm(X * scale + shift, y, gamma=0.2)
+    s1 = train_svm(X, y)
+    s2 = train_svm(X * scale + shift, y)
     q1 = predict_svm_batch(s1, probe)
     q2 = predict_svm_batch(s2, probe * scale + shift)
     assert np.allclose(q1, q2, atol=1e-9)

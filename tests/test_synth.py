@@ -209,3 +209,46 @@ def test_derive_seed_is_stable():
     assert derive_seed(42, 0) == derive_seed(42, 0)
     assert derive_seed(42, 0) != derive_seed(42, 1)
     assert derive_seed(42, 5) != derive_seed(43, 5)
+
+
+_PINNED_SPAWN = SpawnProfile(n_processes=8, depth=2, n_threads=32)
+
+# sha256 of write_trace's bytes for small traces of every generator branch:
+# a synth edit meant to keep its output must keep these, even where it
+# moves no alert or model
+SYNTH_DIGESTS = {
+    ("crypto", PatternKind.MEM_TO_FILE_POST_OVERWRITE, False):
+        "144c93511210ca7729cceb3c2c244af2d23b0758ae9c59152663f6b78b2c2ca1",
+    ("crypto", PatternKind.MEM_TO_FILE_POST_OVERWRITE, True):
+        "320b4b0da99f9c54f6068ec1db596a83c04bad93f98bc2baa310cf3fea79beaf",
+    ("crypto", PatternKind.MEM_TO_FILE_PRE_OVERWRITE, False):
+        "dddbcc8ac1359644e4abbcad5e8e5e0d8da55c3f6d6ccf28ed22e95cad65d228",
+    ("crypto", PatternKind.MEM_TO_FILE_PRE_OVERWRITE, True):
+        "d285c3e2cef7b412875ddab5f7e359d27521461b8b080ed1afb12a089e8642ff",
+    ("crypto", PatternKind.FILE_TO_FILE_DELETE, False):
+        "f1259fbb8a086e0f53ae1a0b2f3caf89db0b40cdc6f0ab237e16b5ac600d3add",
+    ("crypto", PatternKind.FILE_TO_FILE_DELETE, True):
+        "7f7c07fbf000476056d214b35326b21f55f11761e46fa6a6a510439b68422724",
+    ("crypto", PatternKind.FILE_TO_FILE_RENAME_DELETE, False):
+        "a3ad6c7f8738933d088af51219725e165957044e0084167536dbcc5b3558c991",
+    ("crypto", PatternKind.FILE_TO_FILE_RENAME_DELETE, True):
+        "04a8650043f495ef94b4c9a6ea2b82c06ad54199c255600e16a0bb8d765f25e5",
+    ("locker", None, False): "afd0ae6952b8e03e8e13ad16136785e1a62583dbec67fafd11f28bd681d11f79",
+    ("locker", None, True): "5eaa7d6160f5ae7fe35129e991f9fe23be616608332e80c24a9af5698a27b6bc",
+    ("benign_crypto_like", None, False):
+        "db739deac0cf149c6e08de39676b820799e61898488740c029e6489fe130dd0e",
+    ("benign_spawner", None, False): "fb0d9a1e8be979ec027283356e4252372f7ea3ca4961b5cdcd033059f9dd1ca0",
+    ("benign_desktop", None, False): "54524fb060365f65c84144738089b2d1dac78607ba58a712fc0ad075165d6214",
+}
+
+
+@pytest.mark.parametrize(
+    "archetype,pattern,injected", list(SYNTH_DIGESTS),
+    ids=[f"{p.value if p else a}{'-inj' if i else ''}" for a, p, i in SYNTH_DIGESTS],
+)
+def test_trace_bytes_are_pinned(archetype, pattern, injected):
+    spawn = _PINNED_SPAWN if archetype in ("locker", "benign_spawner") else None
+    cfg = SynthConfig(seed=7, archetype=archetype, pattern=pattern, n_files=5, spawn_profile=spawn,
+                      duration=20_000_000, command_injection=injected)
+    digest = hashlib.sha256(_trace_bytes(cfg)).hexdigest()
+    assert digest == SYNTH_DIGESTS[archetype, pattern, injected]
