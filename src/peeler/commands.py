@@ -27,10 +27,12 @@ _PROCESS, _START = Provider.PROCESS, EventType.START
 class CommandRule:
     """One auditable rule: utility plus required argument tokens.
 
-    A required token matches an argument token by case-insensitive equality;
-    tokens containing * or ? are shell-style globs matched against whole
-    argument tokens. Utility-only rules are rejected: at least one token is
-    required so that plain invocations of a utility never alert.
+    A required token matches an argument token by case-insensitive equality.
+    A token containing *, ? or [ is an fnmatch pattern matched against whole
+    argument tokens: * and ? are globs, and [...] is a character class, so
+    a literal [ is spelled [[]. Utility-only rules are rejected: at least
+    one token is required so that plain invocations of a utility never
+    alert.
     """
 
     id: str

@@ -265,20 +265,22 @@ class FileIoMatcher:
 
     The three key maps point each FileObject, file_key and file name at its
     lineage's record: a FileEventsList, or a tombstone for a dead-born
-    lineage. lists() gives the FileEventsLists. exempt_pids holds the pids
-    whose latest image is "system" or explorer.exe, one entry per such pid.
+    lineage. They are the only registry: lists() gives the FileEventsLists
+    they reach, and a list that no key reaches, which can never alert, is
+    freed at once. exempt_pids holds the pids whose latest image is "system"
+    or explorer.exe, one entry per such pid.
     """
 
     def __init__(self) -> None:
         self._by_object: Dict[int, _Record] = {}
         self._by_key: Dict[int, _Record] = {}
         self._by_name: Dict[str, _Record] = {}
-        self._lists: List[FileEventsList] = []
         self.exempt_pids: Set[int] = set()
         self._count = 0
 
     def lists(self) -> List[FileEventsList]:
-        return list(self._lists)
+        maps = (self._by_object, self._by_key, self._by_name)
+        return list(dict.fromkeys(r for m in maps for r in m.values() if isinstance(r, FileEventsList)))
 
     def ingest(self, e: Event) -> Optional[Alert]:
         """Fold one event into matcher state; returns an alert on detection.
@@ -366,9 +368,7 @@ class FileIoMatcher:
         if et is not _FILE_CREATE:
             return _Tombstone()
         # interned: a trace's files share few directories
-        lst = FileEventsList(obj, sys.intern(_parent_dir(name)))
-        self._lists.append(lst)
-        return lst
+        return FileEventsList(obj, sys.intern(_parent_dir(name)))
 
     def _sweep(self, now_ts: int) -> None:
         """Drop every record idle for more than MAX_IDLE_EVENTS File events or
@@ -383,4 +383,3 @@ class FileIoMatcher:
         self._by_object = fresh(self._by_object)
         self._by_key = fresh(self._by_key)
         self._by_name = fresh(self._by_name)
-        self._lists = list(fresh(dict(enumerate(self._lists))).values())

@@ -3,7 +3,9 @@
 Five archetypes: crypto ransomware (one of the four encryption I/O shapes
 per file), screen-locker ransomware (process-spawn waves with coupled
 image/thread churn), and three benign profiles (compression tool, IDE-style
-process spawner, interleaved desktop use). A fixed seed reproduces a trace
+process spawner, interleaved desktop use). Each generator writes through
+one _Trace, the one place that holds its state: the rng, the key/pid/tid
+counters, the events and the ground truth. A fixed seed reproduces a trace
 byte for byte.
 
 Crypto lineages use the key choreography observed in real traces: Read and
@@ -29,6 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .commands import normalize_command
 from .errors import ParseError, decode_utf8
 from .events import (
     Event,
@@ -63,11 +66,11 @@ USER_EXTS = (".docx", ".xlsx", ".pptx", ".pdf", ".jpg", ".png", ".mp4", ".wav", 
 # Process Start command lines injected into attack traces (stock recovery
 # inhibition, registry tampering, and task persistence commands).
 INJECTED_COMMANDS = (
-    ("vssadmin.exe", "vssadmin.exe delete shadows /all /quiet"),
-    ("bcdedit.exe", "bcdedit.exe /set {default} recoveryenabled No"),
-    ("wmic.exe", "wmic.exe shadowcopy delete"),
-    ("powershell.exe", "powershell.exe Set-MpPreference -DisableArchiveScanning $true;"),
-    ("schtasks.exe", "schtasks /create /sc onlogon /tn Updater /rl highest /tr C:/ProgramData/svc.exe"),
+    "vssadmin.exe delete shadows /all /quiet",
+    "bcdedit.exe /set {default} recoveryenabled No",
+    "wmic.exe shadowcopy delete",
+    "powershell.exe Set-MpPreference -DisableArchiveScanning $true;",
+    "schtasks /create /sc onlogon /tn Updater /rl highest /tr C:/ProgramData/svc.exe",
 )
 LOCKER_REG_COMMANDS = (
     r"reg add HKCU\Software\Microsoft\Windows\CurrentVersion\Explorer\Advanced /f /v HideFileExt /t REG_DWORD /d 1",
@@ -138,10 +141,17 @@ class GenInfo:
     injected_command_times: List[int] = field(default_factory=list)
 
 
-class _Alloc:
-    """Monotone allocators keep keys and pids unique within one trace."""
+class _Trace:
+    """One trace under construction: its rng, key/pid/tid counters, events
+    and GenInfo. Its methods are the only code that builds an Event. Each
+    draws from the rng in the order its body reads, and the counters only
+    climb, so keys and pids stay unique within a trace."""
 
-    def __init__(self, rng: np.random.Generator):
+    def __init__(self, cfg: SynthConfig, rng: np.random.Generator):
+        self.cfg = cfg
+        self.rng = rng
+        self.events: List[Event] = []
+        self.info = GenInfo()
         self._key = 0x1000
         self._pid = int(rng.integers(1200, 4000))
         self._tid = 7000
@@ -158,69 +168,112 @@ class _Alloc:
         self._tid += 1
         return self._tid
 
+    def pick(self, items):
+        return items[int(self.rng.integers(len(items)))]
 
-def _proc_start(pid, ts, image, cmdline, parent, alloc):
-    return Event(pid, alloc.tid(), Provider.PROCESS, EventType.START, ts,
-                 ProcessAttrs(1, parent, image, cmdline))
+    def file_name(self, directory: str) -> str:
+        stem = f"f{int(self.rng.integers(0, 100000)):05d}"
+        return f"{directory}/{stem}{self.pick(USER_EXTS)}"
 
+    def dll(self) -> str:
+        return f"c:/windows/system32/lib{int(self.rng.integers(0, 400)):03d}.dll"
 
-def _proc_end(pid, ts, image, alloc):
-    return Event(pid, alloc.tid(), Provider.PROCESS, EventType.END, ts,
-                 ProcessAttrs(1, 0, image, ""))
+    def start(self, pid, ts, image, cmdline, parent):
+        self.events.append(Event(pid, self.tid(), Provider.PROCESS, EventType.START, ts,
+                                 ProcessAttrs(1, parent, image, cmdline)))
 
+    def end(self, pid, ts, image):
+        self.events.append(Event(pid, self.tid(), Provider.PROCESS, EventType.END, ts,
+                                 ProcessAttrs(1, 0, image, "")))
 
-def _image(pid, ts, etype, name, size, alloc):
-    return Event(pid, alloc.tid(), Provider.IMAGE, etype, ts, ImageAttrs(size, name))
+    def image(self, pid, ts, etype, name, size):
+        self.events.append(Event(pid, self.tid(), Provider.IMAGE, etype, ts, ImageAttrs(size, name)))
 
+    def thread(self, pid, ts, etype, parent, tid):
+        self.events.append(Event(pid, tid, Provider.THREAD, etype, ts, ThreadAttrs(parent)))
 
-def _thread(pid, ts, etype, parent, tid):
-    return Event(pid, tid, Provider.THREAD, etype, ts, ThreadAttrs(parent))
+    def read(self, pid, ts, fk, obj, size, tid):
+        self.events.append(Event(pid, tid, Provider.FILE, EventType.READ, ts, FileRwAttrs(fk, obj, size)))
 
+    def write(self, pid, ts, fk, obj, size, tid):
+        self.events.append(Event(pid, tid, Provider.FILE, EventType.WRITE, ts, FileRwAttrs(fk, obj, size)))
 
-def _read(pid, ts, fk, obj, size, tid):
-    return Event(pid, tid, Provider.FILE, EventType.READ, ts, FileRwAttrs(fk, obj, size))
+    def create(self, pid, ts, obj, name, tid):
+        self.events.append(Event(pid, tid, Provider.FILE, EventType.FILE_CREATE, ts, FileNameAttrs(obj, name)))
 
+    def fdelete(self, pid, ts, obj, name, tid):
+        self.events.append(Event(pid, tid, Provider.FILE, EventType.FILE_DELETE, ts, FileNameAttrs(obj, name)))
 
-def _write(pid, ts, fk, obj, size, tid):
-    return Event(pid, tid, Provider.FILE, EventType.WRITE, ts, FileRwAttrs(fk, obj, size))
+    def rename(self, pid, ts, fk, obj, tid):
+        self.events.append(Event(pid, tid, Provider.FILE, EventType.RENAME, ts, FileRenDelAttrs(fk, obj)))
 
+    def delete(self, pid, ts, fk, obj, tid):
+        self.events.append(Event(pid, tid, Provider.FILE, EventType.DELETE, ts, FileRenDelAttrs(fk, obj)))
 
-def _create(pid, ts, obj, name, tid):
-    return Event(pid, tid, Provider.FILE, EventType.FILE_CREATE, ts, FileNameAttrs(obj, name))
+    def images(self, pid, t, n, lo, hi, etype):
+        """n image events of pid at steps of lo to hi µs from t; returns the
+        last one's time."""
+        for _ in range(n):
+            t += int(self.rng.integers(lo, hi))
+            self.image(pid, t, etype, self.dll(), 131072)
+        return t
 
+    def spawn(self, parent, ts, image, cmdline, profile, jitter, spread):
+        """Start a child of parent at ts with its image loads and threads:
+        the profile's threads per process give or take jitter, each starting
+        10 ms to spread µs after ts. Returns the child's pid and load count."""
+        rng = self.rng
+        child = self.pid()
+        self.start(child, ts, image, cmdline, parent)
+        n_loads = 2 + int(rng.poisson(1.6))
+        self.images(child, ts, n_loads, 2_000, 60_000, EventType.LOAD)
+        threads_per_proc = max(1, round(profile.n_threads / max(profile.n_processes, 1)))
+        for _ in range(max(1, threads_per_proc + int(rng.integers(-jitter, jitter + 1)))):
+            tt = ts + int(rng.integers(10_000, spread))
+            tid = self.tid()
+            self.thread(child, tt, EventType.START, parent, tid)
+            te = tt + int(rng.integers(100_000, 2_800_000))
+            if te < self.cfg.duration:
+                self.thread(child, te, EventType.END, parent, tid)
+        return child, n_loads
 
-def _fdelete(pid, ts, obj, name, tid):
-    return Event(pid, tid, Provider.FILE, EventType.FILE_DELETE, ts, FileNameAttrs(obj, name))
+    def churn(self, pid, t0, t1):
+        """Low-rate image/thread noise decoupled from process lifecycles."""
+        rng = self.rng
+        t = t0
+        while True:
+            t += int(rng.integers(400_000, 1_600_000))
+            if t >= t1:
+                break
+            roll = rng.random()
+            if roll < 0.45:
+                self.image(pid, t, EventType.LOAD, self.dll(), 65536)
+            elif roll < 0.70:
+                self.image(pid, t, EventType.UNLOAD, self.dll(), 65536)
+            elif roll < 0.75:
+                self.thread(pid, t, EventType.START, pid, self.tid())
+            elif roll < 0.80:
+                self.thread(pid, t, EventType.END, pid, self.tid())
 
-
-def _rename(pid, ts, fk, obj, tid):
-    return Event(pid, tid, Provider.FILE, EventType.RENAME, ts, FileRenDelAttrs(fk, obj))
-
-
-def _delete(pid, ts, fk, obj, tid):
-    return Event(pid, tid, Provider.FILE, EventType.DELETE, ts, FileRenDelAttrs(fk, obj))
-
-
-def _file_name(rng: np.random.Generator, directory: str) -> str:
-    stem = f"f{int(rng.integers(0, 100000)):05d}"
-    ext = USER_EXTS[int(rng.integers(len(USER_EXTS)))]
-    return f"{directory}/{stem}{ext}"
-
-
-def _dll(rng: np.random.Generator) -> str:
-    return f"c:/windows/system32/lib{int(rng.integers(0, 400)):03d}.dll"
+    def inject(self, parent, t, commands):
+        """Start one to three of the command lines as children of parent,
+        after t, and note their start times in the ground truth."""
+        n = int(self.rng.integers(1, min(3, len(commands)) + 1))
+        for idx in self.rng.choice(len(commands), size=n, replace=False):
+            t += int(self.rng.integers(20_000, 400_000))
+            cmdline = commands[int(idx)]
+            self.start(self.pid(), t, normalize_command(cmdline)[0] + ".exe", cmdline, parent)
+            self.info.injected_command_times.append(t)
 
 
 # --- crypto lineages ---------------------------------------------------------
 
 
-def _lineage(kind, rng, pid, tid, alloc, name, t):
-    """Emit one complete encryption lineage starting at time t.
-
-    Returns (events, end_time). The letter word of the lineage is a word of
-    the kind's acceptor; burst lengths and round counts are randomized.
-    """
-    events = []
+def _lineage(tr: _Trace, kind, pid, tid, name, t):
+    """Emit one complete encryption lineage starting at time t and return
+    its end time. The letter word of the lineage is a word of the kind's
+    acceptor; burst lengths and round counts are randomized."""
+    rng = tr.rng
 
     def adv():
         nonlocal t
@@ -228,119 +281,75 @@ def _lineage(kind, rng, pid, tid, alloc, name, t):
         return t
 
     def rw_rounds(read_fk, read_obj, write_fk, write_obj):
-        rounds = int(rng.integers(1, 4))
-        for _ in range(rounds):
+        for _ in range(int(rng.integers(1, 4))):
             n_r = int(rng.integers(2, 9))
-            ratio = rng.uniform(WRITE_RATIO_LOW, WRITE_RATIO_HIGH)
-            n_w = max(1, int(round(n_r * ratio)))
+            n_w = max(1, int(round(n_r * rng.uniform(WRITE_RATIO_LOW, WRITE_RATIO_HIGH))))
             for _ in range(n_r):
-                events.append(_read(pid, adv(), read_fk, read_obj, int(rng.integers(1, 257)) * 4096, tid))
+                tr.read(pid, adv(), read_fk, read_obj, int(rng.integers(1, 257)) * 4096, tid)
             for _ in range(n_w):
-                events.append(_write(pid, adv(), write_fk, write_obj, int(rng.integers(1, 257)) * 4096, tid))
+                tr.write(pid, adv(), write_fk, write_obj, int(rng.integers(1, 257)) * 4096, tid)
             if rng.random() < 0.3:
-                events.append(_read(pid, adv(), read_fk, read_obj, 4096, tid))
+                tr.read(pid, adv(), read_fk, read_obj, 4096, tid)
 
     if kind is PatternKind.MEM_TO_FILE_POST_OVERWRITE:
-        a, b1, b2, e = alloc.key(), alloc.key(), alloc.key(), alloc.key()
-        events.append(_create(pid, adv(), a, name, tid))
+        a, b1, b2, e = tr.key(), tr.key(), tr.key(), tr.key()
+        tr.create(pid, adv(), a, name, tid)
         rw_rounds(a, b1, a, b2)
-        events.append(_rename(pid, adv(), a, e, tid))
-        events.append(_fdelete(pid, adv(), e, name, tid))
-        events.append(_create(pid, adv(), e, name + ".8cbe", tid))
+        tr.rename(pid, adv(), a, e, tid)
+        tr.fdelete(pid, adv(), e, name, tid)
+        tr.create(pid, adv(), e, name + ".8cbe", tid)
     elif kind is PatternKind.MEM_TO_FILE_PRE_OVERWRITE:
-        a, b, e = alloc.key(), alloc.key(), alloc.key()
-        events.append(_create(pid, adv(), a, name, tid))
-        events.append(_rename(pid, adv(), a, e, tid))
-        events.append(_fdelete(pid, adv(), e, name, tid))
-        events.append(_create(pid, adv(), e, name + ".locky", tid))
+        a, b, e = tr.key(), tr.key(), tr.key()
+        tr.create(pid, adv(), a, name, tid)
+        tr.rename(pid, adv(), a, e, tid)
+        tr.fdelete(pid, adv(), e, name, tid)
+        tr.create(pid, adv(), e, name + ".locky", tid)
         rw_rounds(a, b, a, b)
     else:  # file to file: the copy gets its own create, then the source goes
         rename = kind is PatternKind.FILE_TO_FILE_RENAME_DELETE
-        a, b, g = alloc.key(), alloc.key(), alloc.key()
-        e = alloc.key() if rename else None
-        events.append(_create(pid, adv(), a, name, tid))
+        a, b, g = tr.key(), tr.key(), tr.key()
+        e = tr.key() if rename else None
+        tr.create(pid, adv(), a, name, tid)
         n_r = int(rng.integers(2, 7))
         for _ in range(n_r):
-            events.append(_read(pid, adv(), a, b, int(rng.integers(1, 257)) * 4096, tid))
-        events.append(_create(pid, adv(), b, name + (".tmp" if rename else ".crypt"), tid))
+            tr.read(pid, adv(), a, b, int(rng.integers(1, 257)) * 4096, tid)
+        tr.create(pid, adv(), b, name + (".tmp" if rename else ".crypt"), tid)
         n_w = max(1, int(round(n_r * rng.uniform(WRITE_RATIO_LOW, WRITE_RATIO_HIGH))))
         for _ in range(n_w):
-            events.append(_write(pid, adv(), b, g, int(rng.integers(1, 257)) * 4096, tid))
+            tr.write(pid, adv(), b, g, int(rng.integers(1, 257)) * 4096, tid)
         for _ in range(int(rng.integers(0, 3))):
             rw_rounds(a, b, b, g)
         if rename:
-            events.append(_rename(pid, adv(), b, e, tid))
-            events.append(_fdelete(pid, adv(), a, name, tid))
-            events.append(_create(pid, adv(), e, name + ".locked", tid))
+            tr.rename(pid, adv(), b, e, tid)
+            tr.fdelete(pid, adv(), a, name, tid)
+            tr.create(pid, adv(), e, name + ".locked", tid)
         else:
-            events.append(_delete(pid, adv(), a, b, tid))
-    return events, t
+            tr.delete(pid, adv(), a, b, tid)
+    return t
 
 
-def _background_churn(events, rng, pid, alloc, t0, t1):
-    """Low-rate image/thread noise decoupled from process lifecycles."""
-    t = t0
-    while True:
-        t += int(rng.integers(400_000, 1_600_000))
-        if t >= t1:
-            break
-        roll = rng.random()
-        if roll < 0.45:
-            events.append(_image(pid, t, EventType.LOAD, _dll(rng), 65536, alloc))
-        elif roll < 0.70:
-            events.append(_image(pid, t, EventType.UNLOAD, _dll(rng), 65536, alloc))
-        elif roll < 0.75:
-            events.append(_thread(pid, t, EventType.START, pid, alloc.tid()))
-        elif roll < 0.80:
-            events.append(_thread(pid, t, EventType.END, pid, alloc.tid()))
-
-
-def _inject_commands(events, info, rng, alloc, parent_pid, t0, commands):
-    n = int(rng.integers(1, min(3, len(commands)) + 1))
-    picks = rng.choice(len(commands), size=n, replace=False)
-    t = t0
-    for idx in picks:
-        t += int(rng.integers(20_000, 400_000))
-        cmdline = commands[int(idx)]
-        image = cmdline.split()[0].split("/")[-1].split("\\")[-1]
-        if not image.endswith(".exe"):
-            image += ".exe"
-        pid = alloc.pid()
-        events.append(_proc_start(pid, t, image, cmdline, parent_pid, alloc))
-        info.injected_command_times.append(t)
-
-
-def _gen_crypto(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event], GenInfo, str]:
-    alloc = _Alloc(rng)
-    info = GenInfo()
-    events: List[Event] = []
+def _gen_crypto(tr: _Trace) -> str:
+    cfg, rng = tr.cfg, tr.rng
     family = CRYPTO_FAMILIES[cfg.pattern]
 
     onset = int(rng.integers(500_000, 3_000_000))
-    info.attack_onset = onset
+    tr.info.attack_onset = onset
     # light desktop noise before the attack
-    noise_pid = alloc.pid()
-    _background_churn(events, rng, noise_pid, alloc, 0, onset)
+    noise_pid = tr.pid()
+    tr.churn(noise_pid, 0, onset)
 
-    mal_pid = alloc.pid()
-    events.append(_proc_start(mal_pid, onset, f"{family.lower()}.exe", f"{family.lower()}.exe", noise_pid, alloc))
-    t = onset
-    for _ in range(int(rng.integers(3, 8))):
-        t += int(rng.integers(1_000, 30_000))
-        events.append(_image(mal_pid, t, EventType.LOAD, _dll(rng), 131072, alloc))
+    mal_pid = tr.pid()
+    tr.start(mal_pid, onset, f"{family.lower()}.exe", f"{family.lower()}.exe", noise_pid)
+    tr.images(mal_pid, onset, int(rng.integers(3, 8)), 1_000, 30_000, EventType.LOAD)
     if cfg.command_injection:
-        _inject_commands(events, info, rng, alloc, mal_pid, onset,
-                         [c for _, c in INJECTED_COMMANDS])
+        tr.inject(mal_pid, onset, INJECTED_COMMANDS)
 
     span = max(cfg.duration - onset - 2_000_000, 4_000_000)
     starts = onset + 1_000_000 + np.sort(rng.integers(0, span, size=cfg.n_files))
-    tid = alloc.tid()
-    for i in range(cfg.n_files):
-        directory = USER_DIRS[int(rng.integers(len(USER_DIRS)))]
-        name = _file_name(rng, directory)
-        lineage, end = _lineage(cfg.pattern, rng, mal_pid, tid, alloc, name, int(starts[i]))
-        events.extend(lineage)
-        info.file_completions.append(end)
+    tid = tr.tid()
+    for start in starts:
+        name = tr.file_name(tr.pick(USER_DIRS))
+        tr.info.file_completions.append(_lineage(tr, cfg.pattern, mal_pid, tid, name, int(start)))
     # directory enumeration between encryption rounds: bursty read-only
     # scans on their own handles, decoupled from the write stream
     t = onset
@@ -348,32 +357,29 @@ def _gen_crypto(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event]
         t += int(rng.integers(1_200_000, 5_000_000))
         if rng.random() < 0.85:
             burst = int(rng.integers(4, 44) * SCAN_READ_LEVEL)
-            obj = alloc.key()
+            obj = tr.key()
             for k in range(burst):
-                events.append(_read(mal_pid, t + 350 * k, obj, alloc.key(), 4096, tid))
-    _background_churn(events, rng, mal_pid, alloc, onset, cfg.duration)
-    return events, info, family
+                tr.read(mal_pid, t + 350 * k, obj, tr.key(), 4096, tid)
+    tr.churn(mal_pid, onset, cfg.duration)
+    return family
 
 
 # --- screen locker -----------------------------------------------------------
 
 
-def _gen_locker(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event], GenInfo, str]:
-    alloc = _Alloc(rng)
-    info = GenInfo()
-    events: List[Event] = []
+def _gen_locker(tr: _Trace) -> str:
+    cfg, rng = tr.cfg, tr.rng
     profile = cfg.spawn_profile or DEFAULT_LOCKER_PROFILE
 
     onset = int(rng.integers(500_000, 3_000_000))
-    info.attack_onset = onset
+    tr.info.attack_onset = onset
     n_target = max(3, int(round(profile.n_processes * rng.uniform(0.8, 1.25))))
-    threads_per_proc = max(1, round(profile.n_threads / max(profile.n_processes, 1)))
 
-    root = alloc.pid()
+    root = tr.pid()
     parents: List[Tuple[int, int]] = [(root, 1)]  # (pid, depth)
-    events.append(_proc_start(root, onset, "locker.exe", "locker.exe /silent", 0, alloc))
+    tr.start(root, onset, "locker.exe", "locker.exe /silent", 0)
     if cfg.command_injection:
-        _inject_commands(events, info, rng, alloc, root, onset, LOCKER_REG_COMMANDS)
+        tr.inject(root, onset, LOCKER_REG_COMMANDS)
 
     spawned = 1
     t = onset
@@ -382,83 +388,60 @@ def _gen_locker(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event]
     while spawned < n_target and t < cfg.duration - 2_000_000:
         t += int(rng.integers(1_000_000, 5_000_000))
         wave = int(rng.integers(2, 7))
-        for _ in range(wave):
-            if spawned >= n_target:
-                break
-            parent, pdepth = parents[int(rng.integers(len(parents)))]
-            child = alloc.pid()
-            depth = pdepth + 1
-            ts_start = t + int(rng.integers(0, 800_000))
-            events.append(_proc_start(child, ts_start, "locker.exe", "locker.exe /replicate", parent, alloc))
+        for _ in range(min(wave, n_target - spawned)):
+            parent, depth = tr.pick(parents)
+            ts = t + int(rng.integers(0, 800_000))
+            child, n_loads = tr.spawn(parent, ts, "locker.exe", "locker.exe /replicate", profile, 2, 1_500_000)
             spawned += 1
-            if depth < profile.depth + 1:
-                parents.append((child, depth))
-            n_loads = 2 + int(rng.poisson(1.6))
-            tl = ts_start
-            for _ in range(n_loads):
-                tl += int(rng.integers(2_000, 60_000))
-                events.append(_image(child, tl, EventType.LOAD, _dll(rng), 131072, alloc))
-            n_thr = max(1, threads_per_proc + int(rng.integers(-2, 3)))
-            for _ in range(n_thr):
-                tt = ts_start + int(rng.integers(10_000, 1_500_000))
-                tid = alloc.tid()
-                events.append(_thread(child, tt, EventType.START, parent, tid))
-                te = tt + int(rng.integers(100_000, 2_800_000))
-                if te < cfg.duration:
-                    events.append(_thread(child, te, EventType.END, parent, tid))
+            if depth < profile.depth:
+                parents.append((child, depth + 1))
             if rng.random() < 0.5:
-                end_ts = ts_start + int(rng.integers(4_000_000, 30_000_000))
+                end_ts = ts + int(rng.integers(4_000_000, 30_000_000))
                 if end_ts < cfg.duration:
                     ended.append((child, end_ts, n_loads))
         # periodic ransom-note drops: create + write, never read back
         if rng.random() < 0.7:
             note_seq += 1
-            obj = alloc.key()
-            tid = alloc.tid()
+            obj = tr.key()
+            tid = tr.tid()
             name = f"c:/users/user/desktop/readme_{note_seq:03d}.txt"
             tn = t + int(rng.integers(0, 500_000))
-            events.append(_create(root, tn, obj, name, tid))
+            tr.create(root, tn, obj, name, tid)
             for k in range(int(rng.integers(1, 4))):
-                events.append(_write(root, tn + 1_000 * (k + 1), obj, alloc.key(), 4096, tid))
+                tr.write(root, tn + 1_000 * (k + 1), obj, tr.key(), 4096, tid)
 
     for pid, end_ts, n_loads in ended:
-        events.append(_proc_end(pid, end_ts, "locker.exe", alloc))
-        tu = end_ts
-        for _ in range(n_loads):
-            tu += int(rng.integers(1_000, 40_000))
-            events.append(_image(pid, tu, EventType.UNLOAD, _dll(rng), 131072, alloc))
-    _background_churn(events, rng, root, alloc, onset, cfg.duration)
-    return events, info, "VirLock"
+        tr.end(pid, end_ts, "locker.exe")
+        tr.images(pid, end_ts, n_loads, 1_000, 40_000, EventType.UNLOAD)
+    tr.churn(root, onset, cfg.duration)
+    return "VirLock"
 
 
 # --- benign profiles ----------------------------------------------------------
 
 
-def _gen_crypto_like(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event], GenInfo, str]:
-    alloc = _Alloc(rng)
-    info = GenInfo()
-    events: List[Event] = []
-    pid = alloc.pid()
-    events.append(_proc_start(pid, int(rng.integers(100_000, 800_000)), "7zg.exe",
-                              "7zG.exe a -tzip backup.zip c:/users/user/documents", 0, alloc))
-    tid = alloc.tid()
-    archive_obj = alloc.key()
+def _gen_crypto_like(tr: _Trace) -> str:
+    cfg, rng = tr.cfg, tr.rng
+    pid = tr.pid()
+    tr.start(pid, int(rng.integers(100_000, 800_000)), "7zg.exe",
+             "7zG.exe a -tzip backup.zip c:/users/user/documents", 0)
+    tid = tr.tid()
+    archive_obj = tr.key()
     archive_name = "c:/users/user/documents/backup.zip"
-    events.append(_create(pid, int(rng.integers(900_000, 1_200_000)), archive_obj, archive_name, tid))
+    tr.create(pid, int(rng.integers(900_000, 1_200_000)), archive_obj, archive_name, tid)
 
     n_files = max(1, cfg.n_files)
     span = max(cfg.duration - 4_000_000, 4_000_000)
     starts = 1_500_000 + np.sort(rng.integers(0, span, size=n_files))
     pending_writes = []  # (due_ts, count)
-    for i in range(n_files):
-        t = int(starts[i])
-        src_obj = alloc.key()
-        name = _file_name(rng, USER_DIRS[int(rng.integers(len(USER_DIRS)))])
-        events.append(_create(pid, t, src_obj, name, tid))
+    for start in starts:
+        t = int(start)
+        src_obj = tr.key()
+        tr.create(pid, t, src_obj, tr.file_name(tr.pick(USER_DIRS)), tid)
         n_r = int(rng.integers(2, 7))
         for _ in range(n_r):
             t += int(rng.integers(300, 3_000))
-            events.append(_read(pid, t, src_obj, alloc.key(), int(rng.integers(1, 129)) * 4096, tid))
+            tr.read(pid, t, src_obj, tr.key(), int(rng.integers(1, 129)) * 4096, tid)
         # archive output is buffered and flushed a few seconds later
         due = t + int(rng.integers(3_000_000, 9_000_000))
         pending_writes.append((due, max(1, int(n_r * rng.uniform(0.3, 0.6)))))
@@ -466,142 +449,106 @@ def _gen_crypto_like(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[E
         t = min(due, cfg.duration - 1_000)
         for _ in range(count):
             t += int(rng.integers(200, 2_000))
-            events.append(_write(pid, t, archive_obj, alloc.key(), int(rng.integers(1, 129)) * 4096, tid))
-    _background_churn(events, rng, pid, alloc, 0, cfg.duration)
-    return events, info, "7zip"
+            tr.write(pid, t, archive_obj, tr.key(), int(rng.integers(1, 129)) * 4096, tid)
+    tr.churn(pid, 0, cfg.duration)
+    return "7zip"
 
 
-def _gen_spawner(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event], GenInfo, str]:
-    alloc = _Alloc(rng)
-    info = GenInfo()
-    events: List[Event] = []
+def _gen_spawner(tr: _Trace) -> str:
+    cfg, rng = tr.cfg, tr.rng
     profile = cfg.spawn_profile or DEFAULT_SPAWNER_PROFILE
 
     n_target = max(3, int(round(profile.n_processes * rng.uniform(0.85, 1.15))))
-    threads_per_proc = max(1, round(profile.n_threads / max(profile.n_processes, 1)))
     startup_span = int(cfg.duration * rng.uniform(0.15, 0.3))
 
-    root = alloc.pid()
+    root = tr.pid()
     t0 = int(rng.integers(200_000, 900_000))
-    events.append(_proc_start(root, t0, "pycharm64.exe", "pycharm64.exe c:/users/user/documents/projects", 0, alloc))
+    tr.start(root, t0, "pycharm64.exe", "pycharm64.exe c:/users/user/documents/projects", 0)
     parents: List[Tuple[int, int]] = [(root, 1)]
     helper_images = ["java.exe", "fsnotifier64.exe", "conhost.exe", "node.exe", "git.exe"]
-    spawned = 1
-    while spawned < n_target:
+    for _ in range(n_target - 1):
         t = t0 + int(rng.integers(0, max(startup_span, 1)))
-        parent, pdepth = parents[int(rng.integers(len(parents)))]
-        child = alloc.pid()
-        image = helper_images[int(rng.integers(len(helper_images)))]
-        events.append(_proc_start(child, t, image, image, parent, alloc))
-        spawned += 1
-        if pdepth + 1 < profile.depth + 1:
-            parents.append((child, pdepth + 1))
-        n_loads = 2 + int(rng.poisson(1.6))
-        tl = t
-        for _ in range(n_loads):
-            tl += int(rng.integers(2_000, 60_000))
-            events.append(_image(child, tl, EventType.LOAD, _dll(rng), 131072, alloc))
-        n_thr = max(1, threads_per_proc + int(rng.integers(-3, 4)))
-        for _ in range(n_thr):
-            tt = t + int(rng.integers(10_000, 2_000_000))
-            tid = alloc.tid()
-            events.append(_thread(child, tt, EventType.START, parent, tid))
-            te = tt + int(rng.integers(100_000, 2_800_000))
-            if te < cfg.duration:
-                events.append(_thread(child, te, EventType.END, parent, tid))
+        parent, depth = tr.pick(parents)
+        image = tr.pick(helper_images)
+        child, _ = tr.spawn(parent, t, image, image, profile, 3, 2_000_000)
+        if depth < profile.depth:
+            parents.append((child, depth + 1))
     # post-startup: indexing reads, sparse config writes
     t = t0 + startup_span
-    tid = alloc.tid()
+    tid = tr.tid()
     while t < cfg.duration - 500_000:
         t += int(rng.integers(400_000, 2_400_000))
         roll = rng.random()
         if roll < 0.7:
-            obj = alloc.key()
-            events.append(_create(root, t, obj, _file_name(rng, USER_DIRS[1]), tid))
+            obj = tr.key()
+            tr.create(root, t, obj, tr.file_name(USER_DIRS[1]), tid)
             for k in range(int(rng.integers(1, 5))):
-                events.append(_read(root, t + 500 * (k + 1), obj, alloc.key(), 8192, tid))
+                tr.read(root, t + 500 * (k + 1), obj, tr.key(), 8192, tid)
         elif roll < 0.85:
-            obj = alloc.key()
-            events.append(_create(root, t, obj, "c:/users/user/appdata/pycharm/workspace.xml", tid))
-            events.append(_write(root, t + 700, obj, alloc.key(), 8192, tid))
-    _background_churn(events, rng, root, alloc, 0, cfg.duration)
-    return events, info, "Pycharm"
+            obj = tr.key()
+            tr.create(root, t, obj, "c:/users/user/appdata/pycharm/workspace.xml", tid)
+            tr.write(root, t + 700, obj, tr.key(), 8192, tid)
+    tr.churn(root, 0, cfg.duration)
+    return "Pycharm"
 
 
-def _gen_desktop(cfg: SynthConfig, rng: np.random.Generator) -> Tuple[List[Event], GenInfo, str]:
-    alloc = _Alloc(rng)
-    info = GenInfo()
-    events: List[Event] = []
-    apps = [
-        ("chrome.exe", 0.9),
-        ("winword.exe", 0.7),
-        ("acrord32.exe", 0.5),
-        ("outlook.exe", 0.4),
-        ("vlc.exe", 0.3),
-    ]
+def _gen_desktop(tr: _Trace) -> str:
+    cfg, rng = tr.cfg, tr.rng
+    apps = ("chrome.exe", "winword.exe", "acrord32.exe", "outlook.exe", "vlc.exe")
     pids = {}
     t = 0
-    for image, _ in apps[: int(rng.integers(3, len(apps) + 1))]:
+    for image in apps[: int(rng.integers(3, len(apps) + 1))]:
         t += int(rng.integers(100_000, 2_000_000))
-        pid = alloc.pid()
+        pid = tr.pid()
         pids[image] = pid
-        events.append(_proc_start(pid, t, image, image, 0, alloc))
-        tl = t
-        for _ in range(2 + int(rng.poisson(1.6))):
-            tl += int(rng.integers(2_000, 80_000))
-            events.append(_image(pid, tl, EventType.LOAD, _dll(rng), 131072, alloc))
+        tr.start(pid, t, image, image, 0)
+        tr.images(pid, t, 2 + int(rng.poisson(1.6)), 2_000, 80_000, EventType.LOAD)
 
     # one activity level per detection window, so reads and writes couple
     # per window: that is the benign R/W correlation criterion 5 measures
     window = WINDOW_LEN
-    n_windows = cfg.duration // window
-    images = list(pids)
-    tid = alloc.tid()
-    for w in range(int(n_windows)):
+    tid = tr.tid()
+    for w in range(int(cfg.duration // window)):
         base = w * window
         # per-window activity level modulates both reads and (weakly) writes
         level = rng.gamma(2.0, 2.0) * cfg.intensity
         n_reads = int(rng.poisson(2.0 * level))
         n_writes = int(rng.poisson(DESKTOP_RW_NOISE + DESKTOP_RW_COUPLING * 2.0 * level))
-        app = images[int(rng.integers(len(images)))]
+        app = tr.pick(list(pids))
         pid = pids[app]
         for _ in range(n_reads):
             ts = base + int(rng.integers(0, window))
-            obj = alloc.key()
+            obj = tr.key()
             if rng.random() < 0.3:
-                events.append(_create(pid, ts, obj, _file_name(rng, USER_DIRS[int(rng.integers(len(USER_DIRS)))]), tid))
-            events.append(_read(pid, ts + 300, obj, alloc.key(), int(rng.integers(1, 65)) * 4096, tid))
+                tr.create(pid, ts, obj, tr.file_name(tr.pick(USER_DIRS)), tid)
+            tr.read(pid, ts + 300, obj, tr.key(), int(rng.integers(1, 65)) * 4096, tid)
         for _ in range(n_writes):
             ts = base + int(rng.integers(0, window))
-            events.append(_write(pid, ts, alloc.key(), alloc.key(), int(rng.integers(1, 17)) * 4096, tid))
+            tr.write(pid, ts, tr.key(), tr.key(), int(rng.integers(1, 17)) * 4096, tid)
         # thread and image churn: mostly paired, some orphans
         n_pairs = int(rng.poisson(1.2 * level))
         for _ in range(n_pairs):
             ts = base + int(rng.integers(0, window - 600_000))
-            tt = alloc.tid()
-            events.append(_thread(pid, ts, EventType.START, pid, tt))
-            events.append(_thread(pid, ts + int(rng.integers(50_000, 550_000)), EventType.END, pid, tt))
+            tt = tr.tid()
+            tr.thread(pid, ts, EventType.START, pid, tt)
+            tr.thread(pid, ts + int(rng.integers(50_000, 550_000)), EventType.END, pid, tt)
         n_img = int(rng.poisson(0.8 * level))
         for _ in range(n_img):
             ts = base + int(rng.integers(0, window - 400_000))
-            name = _dll(rng)
-            events.append(_image(pid, ts, EventType.LOAD, name, 65536, alloc))
-            events.append(_image(pid, ts + int(rng.integers(20_000, 380_000)), EventType.UNLOAD, name, 65536, alloc))
-        if rng.random() < 0.04 and len(events) > 10:
+            name = tr.dll()
+            tr.image(pid, ts, EventType.LOAD, name, 65536)
+            tr.image(pid, ts + int(rng.integers(20_000, 380_000)), EventType.UNLOAD, name, 65536)
+        if rng.random() < 0.04 and len(tr.events) > 10:
             # occasional app restart: end + unloads, then a fresh start
             ts = base + int(rng.integers(0, window - 900_000))
-            events.append(_proc_end(pid, ts, app, alloc))
-            for _ in range(2 + int(rng.poisson(1.0))):
-                ts += int(rng.integers(5_000, 60_000))
-                events.append(_image(pid, ts, EventType.UNLOAD, _dll(rng), 131072, alloc))
-            new_pid = alloc.pid()
+            tr.end(pid, ts, app)
+            ts = tr.images(pid, ts, 2 + int(rng.poisson(1.0)), 5_000, 60_000, EventType.UNLOAD)
+            new_pid = tr.pid()
             pids[app] = new_pid
             ts += int(rng.integers(100_000, 400_000))
-            events.append(_proc_start(new_pid, ts, app, app, 0, alloc))
-            for _ in range(2 + int(rng.poisson(1.0))):
-                ts += int(rng.integers(5_000, 60_000))
-                events.append(_image(new_pid, ts, EventType.LOAD, _dll(rng), 131072, alloc))
-    return events, info, "Desktop"
+            tr.start(new_pid, ts, app, app, 0)
+            tr.images(new_pid, ts, 2 + int(rng.poisson(1.0)), 5_000, 60_000, EventType.LOAD)
+    return "Desktop"
 
 
 # archetype -> (generator, label)
@@ -618,9 +565,10 @@ ARCHETYPES = tuple(_ARCHETYPES)
 def synth_trace_detailed(cfg: SynthConfig) -> Tuple[TraceManifest, List[Event], GenInfo]:
     """Generate one trace plus the generator's ground-truth side channel."""
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
     generate, label = _ARCHETYPES[cfg.archetype]
-    events, info, family = generate(cfg, rng)
+    tr = _Trace(cfg, np.random.default_rng(cfg.seed))
+    family = generate(tr)
+    events = tr.events
     events.sort(key=lambda e: e.timestamp)
     last_ts = events[-1].timestamp if events else 0
     manifest = TraceManifest(
@@ -629,9 +577,9 @@ def synth_trace_detailed(cfg: SynthConfig) -> Tuple[TraceManifest, List[Event], 
         seed=cfg.seed,
         event_count=len(events),
         duration=max(cfg.duration, last_ts),
-        attack_onset=info.attack_onset,
+        attack_onset=tr.info.attack_onset,
     )
-    return manifest, events, info
+    return manifest, events, tr.info
 
 
 def synth_trace(cfg: SynthConfig) -> Tuple[TraceManifest, List[Event]]:

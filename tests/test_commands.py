@@ -92,6 +92,17 @@ def test_first_matching_rule_wins():
     assert alert.trigger == "a"
 
 
+def test_bracket_token_is_a_character_class():
+    # a rule token is an fnmatch pattern: [default] is a class of seven
+    # letters, so it matches the argument d and not [default]; [[] is a
+    # literal [
+    data = b"c | attack | bcdedit | [default] | x\nl | attack | bcdedit | [[]default] | y\n"
+    matcher = CommandMatcher(load_rules(io.BytesIO(data)))
+    assert matcher.match(ev_proc_start(1, 0, cmdline="bcdedit d")).trigger == "c"
+    assert matcher.match(ev_proc_start(1, 0, cmdline="bcdedit [default]")).trigger == "l"
+    assert matcher.match(ev_proc_start(1, 0, cmdline="bcdedit default")) is None
+
+
 def test_non_start_events_never_match(bundled):
     assert CommandMatcher(bundled).match(ev_read(1, 0, 0xA, 0xB)) is None
 

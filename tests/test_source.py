@@ -244,3 +244,44 @@ def test_every_file_list_slot_is_read():
     read = set().union(*(_attributes_read(ast.parse(path.read_text(encoding="utf-8")), "FileEventsList")
                          for path in SOURCES))
     assert [slot for slot in fileio.FileEventsList.__slots__ if slot not in read] == []
+
+
+def _private_definitions(tree):
+    """(name, first line, last line) of each single-underscore function,
+    method and class that a module defines, nested ones included."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and node.name.startswith("_") and not node.name.startswith("__"):
+            yield node.name, node.lineno, node.end_lineno
+
+
+def _references(tree):
+    """(name, line) for each name that a module's code loads, reads as an
+    attribute or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((alias.name, node.lineno) for alias in node.names)
+
+
+def _unreferenced_private_names(sources):
+    """module:line name of each private definition that no code outside its
+    own body refers to, such as a helper that a refactor left behind."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    uses = {}
+    for module, tree in trees.items():
+        for name, line in _references(tree):
+            uses.setdefault(name, []).append((module, line))
+    return [
+        f"{module}:{first} {name}"
+        for module, tree in trees.items()
+        for name, first, last in _private_definitions(tree)
+        if all(m == module and first <= line <= last for m, line in uses.get(name, ()))
+    ]
+
+
+def test_every_private_definition_is_referenced():
+    assert _unreferenced_private_names(SOURCES) == []

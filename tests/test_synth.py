@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from peeler.events import EventType, Provider
 from peeler.features import build_process_tree, extract_mlr_features
 from peeler.fileio import FileIoMatcher, PatternKind
 from peeler.synth import (
@@ -252,3 +253,14 @@ def test_trace_bytes_are_pinned(archetype, pattern, injected):
                       duration=20_000_000, command_injection=injected)
     digest = hashlib.sha256(_trace_bytes(cfg)).hexdigest()
     assert digest == SYNTH_DIGESTS[archetype, pattern, injected]
+
+
+def test_desktop_restart_bytes_are_pinned():
+    # the small desktop trace above never restarts an app; this one
+    # restarts one, so its Process End and the branch behind it are pinned
+    cfg = SynthConfig(seed=7, archetype="benign_desktop", duration=300_000_000)
+    _, events = synth_trace(cfg)
+    assert len(events) == 2140
+    assert sum(e.etype is EventType.END and e.provider is Provider.PROCESS for e in events) == 1
+    digest = hashlib.sha256(_trace_bytes(cfg)).hexdigest()
+    assert digest == "4f101e4072c4113b482f484e77db180422c042c0b9b37efafa955efd4a86a37d"
