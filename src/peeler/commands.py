@@ -14,7 +14,7 @@ from fnmatch import translate as _glob_translate
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from .errors import ParseError, decode_utf8
-from .events import Alert, Detector, Event, EventType, ProcessAttrs, Provider
+from .events import Alert, Detector, Event, EventType, Provider
 
 GOALS = ("stealth", "attack", "payment_guidance")
 
@@ -152,10 +152,7 @@ class CommandMatcher:
     def match(self, e: Event) -> Optional[Alert]:
         if e.provider is not _PROCESS or e.etype is not _START:
             return None
-        attrs = e.attrs
-        if not isinstance(attrs, ProcessAttrs):
-            return None
-        utility, tokens = normalize_command(attrs.command_line)
+        utility, tokens = normalize_command(e.command_line)
         candidates = self._by_utility.get(utility)
         if not candidates:
             return None

@@ -1,18 +1,18 @@
 """Unified data model for kernel events and detection alerts.
 
 Events are normalized records from four kernel providers (Process, File,
-Image, Thread). Every detector in the engine consumes this one event shape;
-trace files are just serialized lists of these records. The records are
-mutable slotted dataclasses, not frozen ones: the decoder builds two per
-trace line, and a frozen one costs about twice as much to build. Nothing
-hashes them.
+Image, Thread). Every detector in the engine consumes these records, and
+trace files are just serialized lists of them. A record is one object of
+its payload type's class, which holds the shared fields and the payload's
+own, so the decoder builds one object per trace line. The classes are
+mutable slotted dataclasses, not frozen ones: a frozen one costs about
+twice as much to build. Nothing hashes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
 
 class Provider(Enum):
@@ -25,7 +25,7 @@ class Provider(Enum):
 
 
 class EventType(Enum):
-    """Event name, scoped to its owning provider (see ATTRS_FOR)."""
+    """Event name, scoped to its owning provider (see EVENT_CLASS)."""
 
     START = "Start"
     END = "End"
@@ -40,79 +40,9 @@ class EventType(Enum):
 
 
 @dataclass(slots=True)
-class ProcessAttrs:
-    """Payload of Process Start/End. parent_id 0 means "no parent known"."""
-
-    session_id: int
-    parent_id: int
-    image_file_name: str
-    command_line: str
-
-
-@dataclass(slots=True)
-class FileRwAttrs:
-    """Payload of File Read/Write."""
-
-    file_key: int
-    file_object: int
-    io_size: int
-
-
-@dataclass(slots=True)
-class FileRenDelAttrs:
-    """Payload of File Rename/Delete."""
-
-    file_key: int
-    file_object: int
-
-
-@dataclass(slots=True)
-class FileNameAttrs:
-    """Payload of File FileCreate/FileDelete. file_name is a full path."""
-
-    file_object: int
-    file_name: str
-
-
-@dataclass(slots=True)
-class ThreadAttrs:
-    """Payload of Thread Start/End. parent_id is the creating process."""
-
-    parent_id: int
-
-
-@dataclass(slots=True)
-class ImageAttrs:
-    """Payload of Image Load/Unload."""
-
-    image_size: int
-    file_name: str
-
-
-EventAttrs = Union[
-    ProcessAttrs, FileRwAttrs, FileRenDelAttrs, FileNameAttrs, ThreadAttrs, ImageAttrs
-]
-
-# The 12 valid (provider, etype) pairs and their payload type.
-ATTRS_FOR = {
-    (Provider.PROCESS, EventType.START): ProcessAttrs,
-    (Provider.PROCESS, EventType.END): ProcessAttrs,
-    (Provider.FILE, EventType.READ): FileRwAttrs,
-    (Provider.FILE, EventType.WRITE): FileRwAttrs,
-    (Provider.FILE, EventType.RENAME): FileRenDelAttrs,
-    (Provider.FILE, EventType.DELETE): FileRenDelAttrs,
-    (Provider.FILE, EventType.FILE_CREATE): FileNameAttrs,
-    (Provider.FILE, EventType.FILE_DELETE): FileNameAttrs,
-    (Provider.THREAD, EventType.START): ThreadAttrs,
-    (Provider.THREAD, EventType.END): ThreadAttrs,
-    (Provider.IMAGE, EventType.LOAD): ImageAttrs,
-    (Provider.IMAGE, EventType.UNLOAD): ImageAttrs,
-}
-
-
-@dataclass(slots=True)
 class Event:
-    """One kernel event.
+    """One kernel event, as an instance of its pair's EVENT_CLASS, which
+    adds its payload's fields to these.
 
     timestamp is integer microseconds since trace start and must be
     non-decreasing within a stream; pid/tid and all file keys are opaque
@@ -124,7 +54,78 @@ class Event:
     provider: Provider
     etype: EventType
     timestamp: int
-    attrs: EventAttrs
+
+    @property
+    def attrs(self) -> "Event":
+        """The event itself; perfbench/run.py reads its fields as e.attrs.<field>."""
+        return self
+
+
+@dataclass(slots=True)
+class ProcessEvent(Event):
+    """Process Start/End. parent_id 0 means "no parent known"."""
+
+    session_id: int
+    parent_id: int
+    image_file_name: str
+    command_line: str
+
+
+@dataclass(slots=True)
+class FileRwEvent(Event):
+    """File Read/Write."""
+
+    file_key: int
+    file_object: int
+    io_size: int
+
+
+@dataclass(slots=True)
+class FileRenDelEvent(Event):
+    """File Rename/Delete."""
+
+    file_key: int
+    file_object: int
+
+
+@dataclass(slots=True)
+class FileNameEvent(Event):
+    """File FileCreate/FileDelete. file_name is a full path."""
+
+    file_object: int
+    file_name: str
+
+
+@dataclass(slots=True)
+class ThreadEvent(Event):
+    """Thread Start/End. parent_id is the creating process."""
+
+    parent_id: int
+
+
+@dataclass(slots=True)
+class ImageEvent(Event):
+    """Image Load/Unload."""
+
+    image_size: int
+    file_name: str
+
+
+# The 12 valid (provider, etype) pairs and the class of their events.
+EVENT_CLASS = {
+    (Provider.PROCESS, EventType.START): ProcessEvent,
+    (Provider.PROCESS, EventType.END): ProcessEvent,
+    (Provider.FILE, EventType.READ): FileRwEvent,
+    (Provider.FILE, EventType.WRITE): FileRwEvent,
+    (Provider.FILE, EventType.RENAME): FileRenDelEvent,
+    (Provider.FILE, EventType.DELETE): FileRenDelEvent,
+    (Provider.FILE, EventType.FILE_CREATE): FileNameEvent,
+    (Provider.FILE, EventType.FILE_DELETE): FileNameEvent,
+    (Provider.THREAD, EventType.START): ThreadEvent,
+    (Provider.THREAD, EventType.END): ThreadEvent,
+    (Provider.IMAGE, EventType.LOAD): ImageEvent,
+    (Provider.IMAGE, EventType.UNLOAD): ImageEvent,
+}
 
 
 class Detector(Enum):

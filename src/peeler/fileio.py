@@ -292,7 +292,7 @@ class FileIoMatcher:
         prov = e.provider
         if prov is not _FILE:
             if prov is _PROCESS:
-                image = e.attrs.image_file_name
+                image = e.image_file_name
                 if image:
                     if image.replace("\\", "/").rpartition("/")[2].lower() in _EXEMPT_IMAGES:
                         self.exempt_pids.add(e.pid)
@@ -311,13 +311,12 @@ class FileIoMatcher:
         # against previously seen file_keys, then the event's own FileObject.
         # A record stays registered when it dies, so a later event on its
         # lineage resolves to it and stays dead.
-        attrs = e.attrs
         et = e.etype
-        obj = attrs.file_object
+        obj = e.file_object
         by_object = self._by_object
         name = None
         if et is _FILE_CREATE or et is _FILE_DELETE:
-            name = attrs.file_name
+            name = e.file_name
             lst = by_object.get(obj)
             if lst is None:
                 lst = self._by_name.get(name)
@@ -325,7 +324,7 @@ class FileIoMatcher:
                     lst = self._new_record(et, obj, name)
             self._by_name[name] = lst
         else:
-            fk = attrs.file_key
+            fk = e.file_key
             lst = by_object.get(fk)
             if lst is None:
                 lst = self._by_key.get(fk)

@@ -73,10 +73,8 @@ class Engine:
         self.events_processed = 0
         self.quarantined = set()
 
-    def _emit(self, alert: Optional[Alert]) -> Optional[Alert]:
+    def _emit(self, alert: Alert) -> Optional[Alert]:
         """Record alert unless quarantine suppresses it; returns what was recorded."""
-        if alert is None:
-            return None
         if self.config.quarantine:
             if alert.pid in self.quarantined:
                 return None
@@ -89,12 +87,13 @@ class Engine:
         self.events_processed += 1
         prov = e.provider
         if prov is _FILE:
-            return self._emit(self.matcher.ingest(e))
-        if prov is _PROCESS:
+            alert = self.matcher.ingest(e)
+        elif prov is _PROCESS:
             self.matcher.ingest(e)  # decides whether the pid is exempt
-            if e.etype is _START:
-                return self._emit(self.commands.match(e))
-        return None
+            alert = self.commands.match(e) if e.etype is _START else None
+        else:
+            return None
+        return None if alert is None else self._emit(alert)
 
     def flush_window(self, window: Window) -> Optional[Alert]:
         """Classify one closed window when the ML stage is on; returns its alert or None.
@@ -127,9 +126,10 @@ class Engine:
 def run_trace(engine: Engine, manifest: TraceManifest, events: Iterable[Event]) -> DetectionReport:
     """Immediate-mode run of one trace through a fresh engine.
 
-    events may be a list or a stream such as trace_io.iter_trace's. The
-    reported rate times the whole loop, so it includes the time the stream
-    takes to produce each event.
+    events may be a list or a stream such as trace_io.iter_trace's, which
+    hands on each decoded block's events from C. The reported rate times
+    the whole loop, so it includes the time the stream takes to produce
+    each event.
     """
     if engine.events_processed:
         raise ValueError("engine has already consumed a stream")

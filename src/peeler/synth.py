@@ -36,13 +36,13 @@ from .errors import ParseError, decode_utf8
 from .events import (
     Event,
     EventType,
-    FileNameAttrs,
-    FileRenDelAttrs,
-    FileRwAttrs,
-    ImageAttrs,
-    ProcessAttrs,
+    FileNameEvent,
+    FileRenDelEvent,
+    FileRwEvent,
+    ImageEvent,
+    ProcessEvent,
     Provider,
-    ThreadAttrs,
+    ThreadEvent,
 )
 from .fileio import PatternKind
 from .trace_io import WINDOW_LEN, TraceLabel, TraceManifest, save_trace
@@ -179,36 +179,36 @@ class _Trace:
         return f"c:/windows/system32/lib{int(self.rng.integers(0, 400)):03d}.dll"
 
     def start(self, pid, ts, image, cmdline, parent):
-        self.events.append(Event(pid, self.tid(), Provider.PROCESS, EventType.START, ts,
-                                 ProcessAttrs(1, parent, image, cmdline)))
+        self.events.append(ProcessEvent(pid, self.tid(), Provider.PROCESS, EventType.START, ts,
+                                        1, parent, image, cmdline))
 
     def end(self, pid, ts, image):
-        self.events.append(Event(pid, self.tid(), Provider.PROCESS, EventType.END, ts,
-                                 ProcessAttrs(1, 0, image, "")))
+        self.events.append(ProcessEvent(pid, self.tid(), Provider.PROCESS, EventType.END, ts,
+                                        1, 0, image, ""))
 
     def image(self, pid, ts, etype, name, size):
-        self.events.append(Event(pid, self.tid(), Provider.IMAGE, etype, ts, ImageAttrs(size, name)))
+        self.events.append(ImageEvent(pid, self.tid(), Provider.IMAGE, etype, ts, size, name))
 
     def thread(self, pid, ts, etype, parent, tid):
-        self.events.append(Event(pid, tid, Provider.THREAD, etype, ts, ThreadAttrs(parent)))
+        self.events.append(ThreadEvent(pid, tid, Provider.THREAD, etype, ts, parent))
 
     def read(self, pid, ts, fk, obj, size, tid):
-        self.events.append(Event(pid, tid, Provider.FILE, EventType.READ, ts, FileRwAttrs(fk, obj, size)))
+        self.events.append(FileRwEvent(pid, tid, Provider.FILE, EventType.READ, ts, fk, obj, size))
 
     def write(self, pid, ts, fk, obj, size, tid):
-        self.events.append(Event(pid, tid, Provider.FILE, EventType.WRITE, ts, FileRwAttrs(fk, obj, size)))
+        self.events.append(FileRwEvent(pid, tid, Provider.FILE, EventType.WRITE, ts, fk, obj, size))
 
     def create(self, pid, ts, obj, name, tid):
-        self.events.append(Event(pid, tid, Provider.FILE, EventType.FILE_CREATE, ts, FileNameAttrs(obj, name)))
+        self.events.append(FileNameEvent(pid, tid, Provider.FILE, EventType.FILE_CREATE, ts, obj, name))
 
     def fdelete(self, pid, ts, obj, name, tid):
-        self.events.append(Event(pid, tid, Provider.FILE, EventType.FILE_DELETE, ts, FileNameAttrs(obj, name)))
+        self.events.append(FileNameEvent(pid, tid, Provider.FILE, EventType.FILE_DELETE, ts, obj, name))
 
     def rename(self, pid, ts, fk, obj, tid):
-        self.events.append(Event(pid, tid, Provider.FILE, EventType.RENAME, ts, FileRenDelAttrs(fk, obj)))
+        self.events.append(FileRenDelEvent(pid, tid, Provider.FILE, EventType.RENAME, ts, fk, obj))
 
     def delete(self, pid, ts, fk, obj, tid):
-        self.events.append(Event(pid, tid, Provider.FILE, EventType.DELETE, ts, FileRenDelAttrs(fk, obj)))
+        self.events.append(FileRenDelEvent(pid, tid, Provider.FILE, EventType.DELETE, ts, fk, obj))
 
     def images(self, pid, t, n, lo, hi, etype):
         """n image events of pid at steps of lo to hi µs from t; returns the

@@ -19,16 +19,17 @@ type's keys, in wire order, with each key's attribute and check: the writer
 and the line path both read it.
 
 iter_trace decodes a file as it reads it, a block of whole lines (about
-_BLOCK_BYTES) at a time, and yields the manifest, then the events;
-read_trace collects them into a list. _block_events decodes a block in one
-loop: each event line goes to orjson by itself, as the bytes it was read as,
-and every check of the line path and the timestamp order is made inline. A
-block that any line or check fails, or whose "{" and "[" could nest deeper
-than json accepts, is decoded again by line_to_event, the fault path, one
-line at a time with json alone. So json decides every fault and its
-message, and every event before a fault is yielded first. detect, train
-and eval feed the stream to window_partition, so a consumer holds one block
-and no event outlives the block it came in.
+_BLOCK_BYTES) at a time, and yields the manifest, then the events, each
+block's list handed on by itertools.chain; read_trace collects them into a
+list. _block_events decodes a block in one loop: each event line goes to
+orjson by itself, as the bytes it was read as, every check of the line path
+and the timestamp order is made inline, each distinct hex key spelling is
+checked once, and each line becomes one object of its EVENT_CLASS. A block
+that any line or check fails, or whose "{" and "[" could nest deeper than
+json accepts, is decoded again by line_to_event, the fault path, one line
+at a time with json alone. So json decides every fault and its message,
+and every event before a fault is yielded first. detect, train and eval
+feed the stream to window_partition, so a consumer holds one block.
 
 write_trace is the mirror image: it writes the header, then one line per
 event as it takes the event from any iterable, so it holds one line, not the
@@ -48,24 +49,25 @@ this one loop, always at WINDOW_LEN.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from itertools import chain
+from typing import BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import orjson
 
 from .errors import ParseError, SchemaError
 from .events import (
-    ATTRS_FOR,
+    EVENT_CLASS,
     Event,
     EventType,
-    FileNameAttrs,
-    FileRenDelAttrs,
-    FileRwAttrs,
-    ImageAttrs,
-    ProcessAttrs,
+    FileNameEvent,
+    FileRenDelEvent,
+    FileRwEvent,
+    ImageEvent,
+    ProcessEvent,
     Provider,
-    ThreadAttrs,
+    ThreadEvent,
 )
 
 HEADER_MAGIC = "PEELER-TRACE"
@@ -172,13 +174,12 @@ class Window:
             elif et is _UNLOAD:
                 self.n_image_unload += 1
         elif prov is _PROCESS:
-            attrs = e.attrs
-            if attrs.image_file_name and pid not in self.images:
-                self.images[pid] = attrs.image_file_name
+            if e.image_file_name and pid not in self.images:
+                self.images[pid] = e.image_file_name
             if et is _START:
                 self.n_process_start += 1
                 if pid not in self.started:
-                    self.started[pid] = attrs.parent_id
+                    self.started[pid] = e.parent_id
             elif et is _END:
                 self.n_process_end += 1
 
@@ -233,19 +234,19 @@ def _name(value, name: str, lineno: int) -> str:
     raise SchemaError(f"line {lineno}: invalid event: attrs.{name}: empty")
 
 
-# Each payload type's rows in wire order, which is also its field order:
-# (wire key, attribute, check). The writer spells a _key_in row with
-# _key_out; _event takes each key through its check, row by row, so the
-# first fault in row order is the one raised.
+# Each event class's payload rows in wire order, which is also the order of
+# the class's own fields: (wire key, field, check). The writer spells a
+# _key_in row with _key_out; _event takes each key through its check, row
+# by row, so the first fault in row order is the one raised.
 _WIRE = {
-    ProcessAttrs: (("session_id", "session_id", _u64), ("parent_id", "parent_id", _u64),
+    ProcessEvent: (("session_id", "session_id", _u64), ("parent_id", "parent_id", _u64),
                    ("image", "image_file_name", _str), ("cmdline", "command_line", _str)),
-    FileRwAttrs: (("file_key", "file_key", _key_in), ("file_object", "file_object", _key_in),
+    FileRwEvent: (("file_key", "file_key", _key_in), ("file_object", "file_object", _key_in),
                   ("io_size", "io_size", _u64)),
-    FileRenDelAttrs: (("file_key", "file_key", _key_in), ("file_object", "file_object", _key_in)),
-    FileNameAttrs: (("file_object", "file_object", _key_in), ("file_name", "file_name", _name)),
-    ThreadAttrs: (("parent_id", "parent_id", _u64),),
-    ImageAttrs: (("image_size", "image_size", _u64), ("file_name", "file_name", _str)),
+    FileRenDelEvent: (("file_key", "file_key", _key_in), ("file_object", "file_object", _key_in)),
+    FileNameEvent: (("file_object", "file_object", _key_in), ("file_name", "file_name", _name)),
+    ThreadEvent: (("parent_id", "parent_id", _u64),),
+    ImageEvent: (("image_size", "image_size", _u64), ("file_name", "file_name", _str)),
 }
 
 
@@ -259,9 +260,8 @@ def _event_dict(e: Event) -> dict:
         "prov": e.provider._value_,
         "etype": e.etype._value_,
     }
-    attrs = e.attrs
-    for key, attr, check in _WIRE[type(attrs)]:
-        value = getattr(attrs, attr)
+    for key, field, check in _WIRE[type(e)]:
+        value = getattr(e, field)
         d[key] = _key_out(value) if check is _key_in else value
     return d
 
@@ -286,10 +286,10 @@ def _event_bytes(e: Event) -> bytes:
         return (event_to_line(e) + "\n").encode("utf-8")
 
 
-# prov -> etype, as the wire spells them -> the two members and the payload
-# type: two lookups of strings, whose hashes are cached, per line
+# prov -> etype, as the wire spells them -> the two members and the event
+# class: two lookups of strings, whose hashes are cached, per line
 _PAIRS = {
-    p.value: {t.value: (p, t, cls) for (q, t), cls in ATTRS_FOR.items() if q is p} for p in Provider
+    p.value: {t.value: (p, t, cls) for (q, t), cls in EVENT_CLASS.items() if q is p} for p in Provider
 }
 
 # iter_trace reads whole lines of about this many bytes at a time
@@ -333,10 +333,10 @@ def _event(obj, lineno: int) -> Event:
         raise ParseError(lineno, f"etype {etype.value} invalid for provider {provider.value}")
     cls = pair[2]
     try:
-        attrs = cls(*[check(obj[key], key, lineno) for key, _, check in _WIRE[cls]])
+        fields = [check(obj[key], key, lineno) for key, _, check in _WIRE[cls]]
     except KeyError as exc:
         raise ParseError(lineno, f"missing attribute key {exc.args[0]!r}") from None
-    return Event(pid, tid, provider, etype, ts, attrs)
+    return cls(pid, tid, provider, etype, ts, *fields)
 
 
 def line_to_event(raw: bytes, lineno: int = 0) -> Event:
@@ -355,8 +355,10 @@ def _block_events(lines: List[bytes], prev_ts: int) -> Optional[List[Event]]:
     _event and its _WIRE rows, or a timestamp lies below its predecessor's
     (prev_ts, at least 0, for the first line).
 
-    Every check is made inline, with no call per line but orjson's and the
-    builtins': this loop is most of the cost of decode.
+    Every check is made inline, with no call per line but orjson's, the
+    builtins' and the event class's: this loop is most of the cost of
+    decode. Each distinct hex spelling of a file key is checked once per
+    block; one that fails is never stored, and the block is declined.
     """
     blob = b"".join(lines)
     if blob.count(b"{") + blob.count(b"[") > len(lines) + _MAX_NESTING:
@@ -364,6 +366,7 @@ def _block_events(lines: List[bytes], prev_ts: int) -> Optional[List[Event]]:
     events = []
     append = events.append
     loads = orjson.loads
+    keys = {}
     try:
         for raw in lines:
             obj = loads(raw)
@@ -377,47 +380,51 @@ def _block_events(lines: List[bytes], prev_ts: int) -> Optional[List[Event]]:
                 return None
             prev_ts = ts
             if provider is _FILE:
-                # a file key: an int, or the one hex spelling _key_in takes
+                # a file key: an int, or the one hex spelling _key_in takes.
+                # keys maps each spelling that passed in this block to its
+                # int; keys[s] = s = value stores under s before rebinding it
                 file_object = obj["file_object"]
+                file_object = keys.get(file_object, file_object)
                 if type(file_object) is str:
                     value = int(file_object, 16)
                     if not (0 <= value < _U64 and hex(value) == file_object):
                         return None
-                    file_object = value
+                    keys[file_object] = file_object = value
                 elif type(file_object) is not int or file_object < 0:
                     return None
-                if cls is FileNameAttrs:
+                if cls is FileNameEvent:
                     file_name = obj["file_name"]
                     if type(file_name) is not str or not file_name:
                         return None
-                    attrs = FileNameAttrs(file_object, file_name)
-                else:
-                    file_key = obj["file_key"]
-                    if type(file_key) is str:
-                        value = int(file_key, 16)
-                        if not (0 <= value < _U64 and hex(value) == file_key):
-                            return None
-                        file_key = value
-                    elif type(file_key) is not int or file_key < 0:
+                    append(FileNameEvent(pid, tid, provider, etype, ts, file_object, file_name))
+                    continue
+                file_key = obj["file_key"]
+                file_key = keys.get(file_key, file_key)
+                if type(file_key) is str:
+                    value = int(file_key, 16)
+                    if not (0 <= value < _U64 and hex(value) == file_key):
                         return None
-                    if cls is FileRwAttrs:
-                        io_size = obj["io_size"]
-                        if type(io_size) is not int or io_size < 0:
-                            return None
-                        attrs = FileRwAttrs(file_key, file_object, io_size)
-                    else:
-                        attrs = FileRenDelAttrs(file_key, file_object)
-            elif cls is ThreadAttrs:
+                    keys[file_key] = file_key = value
+                elif type(file_key) is not int or file_key < 0:
+                    return None
+                if cls is FileRwEvent:
+                    io_size = obj["io_size"]
+                    if type(io_size) is not int or io_size < 0:
+                        return None
+                    append(FileRwEvent(pid, tid, provider, etype, ts, file_key, file_object, io_size))
+                else:
+                    append(FileRenDelEvent(pid, tid, provider, etype, ts, file_key, file_object))
+            elif cls is ThreadEvent:
                 parent_id = obj["parent_id"]
                 if type(parent_id) is not int or parent_id < 0:
                     return None
-                attrs = ThreadAttrs(parent_id)
-            elif cls is ImageAttrs:
+                append(ThreadEvent(pid, tid, provider, etype, ts, parent_id))
+            elif cls is ImageEvent:
                 image_size = obj["image_size"]
                 file_name = obj["file_name"]
                 if type(image_size) is not int or image_size < 0 or type(file_name) is not str:
                     return None
-                attrs = ImageAttrs(image_size, file_name)
+                append(ImageEvent(pid, tid, provider, etype, ts, image_size, file_name))
             else:
                 session_id = obj["session_id"]
                 parent_id = obj["parent_id"]
@@ -426,8 +433,7 @@ def _block_events(lines: List[bytes], prev_ts: int) -> Optional[List[Event]]:
                 if not (type(session_id) is int and type(parent_id) is int and session_id >= 0
                         and parent_id >= 0 and type(image) is str and type(cmdline) is str):
                     return None
-                attrs = ProcessAttrs(session_id, parent_id, image, cmdline)
-            append(Event(pid, tid, provider, etype, ts, attrs))
+                append(ProcessEvent(pid, tid, provider, etype, ts, session_id, parent_id, image, cmdline))
     except (ValueError, KeyError, TypeError):
         # bad JSON (orjson's JSONDecodeError is a ValueError) or hex digits,
         # a missing key or unknown pair, a line that is not an object: the
@@ -437,14 +443,7 @@ def _block_events(lines: List[bytes], prev_ts: int) -> Optional[List[Event]]:
 
 
 def _manifest_to_json(m: TraceManifest) -> str:
-    d = {
-        "label": m.label.value,
-        "family": m.family,
-        "seed": m.seed,
-        "event_count": m.event_count,
-        "duration": m.duration,
-        "attack_onset": m.attack_onset,
-    }
+    d = {**asdict(m), "label": m.label.value}  # the fields in their order
     return json.dumps(d, separators=(",", ":"), ensure_ascii=False)
 
 
@@ -503,20 +502,24 @@ def iter_trace(source: BinaryIO) -> Iterator[Union[TraceManifest, Event]]:
     the events of the lines before it are yielded; so the first fault in
     line order is the one reported. The checks against the manifest (event
     count, duration) run after the last line, so they raise after every
-    event has been yielded.
+    event has been yielded. The stream is itertools.chain over _blocks' lists
+    of events, so no Python frame resumes per event outside the fault path.
     """
+    return chain.from_iterable(_blocks(source))
+
+
+def _blocks(source: BinaryIO) -> Iterator[Sequence[Union[TraceManifest, Event]]]:
     first = source.readline()
     if not first:
         raise ParseError(1, "empty trace file")
     header = _line_text(first, 1)
     if not header.startswith(HEADER_MAGIC + " "):
         raise ParseError(1, "missing trace header magic")
-    rest = header[len(HEADER_MAGIC) + 1 :]
-    version, _, manifest_json = rest.partition(" ")
+    version, _, manifest_json = header[len(HEADER_MAGIC) + 1 :].partition(" ")
     if version != FORMAT_VERSION:
         raise ParseError(1, f"unsupported trace format version {version!r}")
     manifest = _manifest_from_json(manifest_json, 1)
-    yield manifest
+    yield (manifest,)
 
     lineno = 2  # of the next line to decode
     prev_ts = 0  # no event has a timestamp below 0
@@ -525,7 +528,7 @@ def iter_trace(source: BinaryIO) -> Iterator[Union[TraceManifest, Event]]:
         if events is not None:
             prev_ts = events[-1].timestamp
             lineno += len(lines)
-            yield from events
+            yield events
             continue
         for raw in lines:
             e = line_to_event(raw, lineno)
@@ -533,7 +536,7 @@ def iter_trace(source: BinaryIO) -> Iterator[Union[TraceManifest, Event]]:
                 raise SchemaError(f"line {lineno}: non-monotonic timestamp")
             prev_ts = e.timestamp
             lineno += 1
-            yield e
+            yield (e,)
 
     count = lineno - 2
     if manifest.event_count != count:

@@ -9,64 +9,62 @@ import numpy as np
 from peeler.events import (
     Event,
     EventType,
-    FileNameAttrs,
-    FileRenDelAttrs,
-    FileRwAttrs,
-    ImageAttrs,
-    ProcessAttrs,
+    FileNameEvent,
+    FileRenDelEvent,
+    FileRwEvent,
+    ImageEvent,
+    ProcessEvent,
     Provider,
-    ThreadAttrs,
+    ThreadEvent,
 )
 
 
 def ev_proc_start(pid, ts, image="app.exe", cmdline="", parent=0, session=1, tid=100):
-    return Event(pid, tid, Provider.PROCESS, EventType.START, ts,
-                 ProcessAttrs(session, parent, image, cmdline))
+    return ProcessEvent(pid, tid, Provider.PROCESS, EventType.START, ts, session, parent, image, cmdline)
 
 
 def ev_proc_end(pid, ts, image="app.exe", parent=0, session=1, tid=100):
-    return Event(pid, tid, Provider.PROCESS, EventType.END, ts,
-                 ProcessAttrs(session, parent, image, ""))
+    return ProcessEvent(pid, tid, Provider.PROCESS, EventType.END, ts, session, parent, image, "")
 
 
 def ev_read(pid, ts, fk, obj, size=4096, tid=100):
-    return Event(pid, tid, Provider.FILE, EventType.READ, ts, FileRwAttrs(fk, obj, size))
+    return FileRwEvent(pid, tid, Provider.FILE, EventType.READ, ts, fk, obj, size)
 
 
 def ev_write(pid, ts, fk, obj, size=4096, tid=100):
-    return Event(pid, tid, Provider.FILE, EventType.WRITE, ts, FileRwAttrs(fk, obj, size))
+    return FileRwEvent(pid, tid, Provider.FILE, EventType.WRITE, ts, fk, obj, size)
 
 
 def ev_rename(pid, ts, fk, obj, tid=100):
-    return Event(pid, tid, Provider.FILE, EventType.RENAME, ts, FileRenDelAttrs(fk, obj))
+    return FileRenDelEvent(pid, tid, Provider.FILE, EventType.RENAME, ts, fk, obj)
 
 
 def ev_delete(pid, ts, fk, obj, tid=100):
-    return Event(pid, tid, Provider.FILE, EventType.DELETE, ts, FileRenDelAttrs(fk, obj))
+    return FileRenDelEvent(pid, tid, Provider.FILE, EventType.DELETE, ts, fk, obj)
 
 
 def ev_create(pid, ts, obj, name, tid=100):
-    return Event(pid, tid, Provider.FILE, EventType.FILE_CREATE, ts, FileNameAttrs(obj, name))
+    return FileNameEvent(pid, tid, Provider.FILE, EventType.FILE_CREATE, ts, obj, name)
 
 
 def ev_fdelete(pid, ts, obj, name, tid=100):
-    return Event(pid, tid, Provider.FILE, EventType.FILE_DELETE, ts, FileNameAttrs(obj, name))
+    return FileNameEvent(pid, tid, Provider.FILE, EventType.FILE_DELETE, ts, obj, name)
 
 
 def ev_thread_start(pid, ts, parent=0, tid=200):
-    return Event(pid, tid, Provider.THREAD, EventType.START, ts, ThreadAttrs(parent))
+    return ThreadEvent(pid, tid, Provider.THREAD, EventType.START, ts, parent)
 
 
 def ev_thread_end(pid, ts, parent=0, tid=200):
-    return Event(pid, tid, Provider.THREAD, EventType.END, ts, ThreadAttrs(parent))
+    return ThreadEvent(pid, tid, Provider.THREAD, EventType.END, ts, parent)
 
 
 def ev_image_load(pid, ts, name="lib.dll", size=65536, tid=100):
-    return Event(pid, tid, Provider.IMAGE, EventType.LOAD, ts, ImageAttrs(size, name))
+    return ImageEvent(pid, tid, Provider.IMAGE, EventType.LOAD, ts, size, name)
 
 
 def ev_image_unload(pid, ts, name="lib.dll", size=65536, tid=100):
-    return Event(pid, tid, Provider.IMAGE, EventType.UNLOAD, ts, ImageAttrs(size, name))
+    return ImageEvent(pid, tid, Provider.IMAGE, EventType.UNLOAD, ts, size, name)
 
 
 def random_events(rng: np.random.Generator, n: int) -> List[Event]:

@@ -35,19 +35,18 @@ import numpy as np
 from peeler import fileio
 from peeler.errors import ParseError, SchemaError, decode_utf8
 from peeler.events import (
-    ATTRS_FOR,
     PATTERN_LETTERS,
     Alert,
     Detector,
     Event,
     EventType,
-    FileNameAttrs,
-    FileRenDelAttrs,
-    FileRwAttrs,
-    ImageAttrs,
-    ProcessAttrs,
+    FileNameEvent,
+    FileRenDelEvent,
+    FileRwEvent,
+    ImageEvent,
+    ProcessEvent,
     Provider,
-    ThreadAttrs,
+    ThreadEvent,
 )
 from peeler.features import UNKNOWN_IMAGE, ProcessNode, ProcessTree, SvmFeatures
 from peeler.fileio import _DEAD, _HIT, _STEP, PatternKind
@@ -113,7 +112,7 @@ def brute_force_alerts(events: List[Event]) -> List[Tuple[int, PatternKind]]:
 
     for i, e in enumerate(events):
         if e.provider is Provider.PROCESS:
-            image = e.attrs.image_file_name
+            image = e.image_file_name
             if image:
                 pid_images[e.pid] = image.split("\\")[-1].split("/")[-1].lower()
             continue
@@ -121,7 +120,7 @@ def brute_force_alerts(events: List[Event]) -> List[Tuple[int, PatternKind]]:
             continue
 
         if e.etype in (EventType.FILE_CREATE, EventType.FILE_DELETE):
-            obj, name = e.attrs.file_object, e.attrs.file_name
+            obj, name = e.file_object, e.file_name
             f = by_object.get(obj) or by_name.get(name)
             if f is None:
                 f = _OracleFile()
@@ -130,7 +129,7 @@ def brute_force_alerts(events: List[Event]) -> List[Tuple[int, PatternKind]]:
             f.names.add(name)
             by_name[name] = f
         else:
-            fk, obj = e.attrs.file_key, e.attrs.file_object
+            fk, obj = e.file_key, e.file_object
             f = by_object.get(fk) or by_key.get(fk) or by_object.get(obj)
             if f is None:
                 f = _OracleFile()
@@ -215,11 +214,10 @@ def ref_build_process_tree(events: Iterable[Event]) -> ProcessTree:
 
     for e in events:
         if e.provider is Provider.PROCESS:
-            attrs = e.attrs
-            if attrs.image_file_name and e.pid not in images:
-                images[e.pid] = attrs.image_file_name
+            if e.image_file_name and e.pid not in images:
+                images[e.pid] = e.image_file_name
             if e.etype is EventType.START and e.pid not in started:
-                started[e.pid] = attrs.parent_id
+                started[e.pid] = e.parent_id
         elif e.provider is Provider.THREAD and e.etype is EventType.START:
             threads[e.pid] += 1
 
@@ -306,9 +304,8 @@ class RefFileIoMatcher:
         return lst
 
     def _resolve(self, e: Event) -> RefFileEventsList:
-        attrs = e.attrs
         if e.etype in (EventType.FILE_CREATE, EventType.FILE_DELETE):
-            obj, name = attrs.file_object, attrs.file_name
+            obj, name = e.file_object, e.file_name
             lst = self._by_object.get(obj)
             if lst is None:
                 lst = self._by_name.get(name)
@@ -319,7 +316,7 @@ class RefFileIoMatcher:
             lst.file_names.add(name)
             self._by_name[name] = lst
             return lst
-        fk, obj = attrs.file_key, attrs.file_object
+        fk, obj = e.file_key, e.file_object
         lst = self._by_object.get(fk)
         if lst is None:
             lst = self._by_key.get(fk)
@@ -336,7 +333,7 @@ class RefFileIoMatcher:
     def ingest(self, e: Event) -> Optional[Alert]:
         if e.provider is not Provider.FILE:
             if e.provider is Provider.PROCESS:
-                image = e.attrs.image_file_name
+                image = e.image_file_name
                 if image:
                     self._pid_images[e.pid] = image.replace("\\", "/").rpartition("/")[2].lower()
             return None
@@ -599,38 +596,56 @@ def _ref_json_loads(text: str, lineno: int, what: str):
         raise ParseError(lineno, f"{what}: {exc}") from None
 
 
-def _ref_parse_attrs(provider: Provider, etype: EventType, obj: dict, lineno: int):
-    cls = ATTRS_FOR.get((provider, etype))
+# the class of each valid (provider, etype) pair, as the format spells it
+_REF_CLASS = {
+    ("Process", "Start"): ProcessEvent,
+    ("Process", "End"): ProcessEvent,
+    ("File", "Read"): FileRwEvent,
+    ("File", "Write"): FileRwEvent,
+    ("File", "Rename"): FileRenDelEvent,
+    ("File", "Delete"): FileRenDelEvent,
+    ("File", "FileCreate"): FileNameEvent,
+    ("File", "FileDelete"): FileNameEvent,
+    ("Thread", "Start"): ThreadEvent,
+    ("Thread", "End"): ThreadEvent,
+    ("Image", "Load"): ImageEvent,
+    ("Image", "Unload"): ImageEvent,
+}
+
+
+def _ref_payload(provider: Provider, etype: EventType, obj: dict, lineno: int):
+    """The event class of the pair, and the line's payload fields as keywords."""
+    cls = _REF_CLASS.get((provider.value, etype.value))
     if cls is None:
         raise ParseError(lineno, f"etype {etype.value} invalid for provider {provider.value}")
     try:
-        if cls is FileRwAttrs:
-            return FileRwAttrs(
+        if cls is FileRwEvent:
+            return cls, dict(
                 file_key=_ref_key_in(obj["file_key"], "file_key", lineno),
                 file_object=_ref_key_in(obj["file_object"], "file_object", lineno),
                 io_size=_ref_u64(obj["io_size"], "io_size", lineno),
             )
-        if cls is FileNameAttrs:
+        if cls is FileNameEvent:
             file_object = _ref_key_in(obj["file_object"], "file_object", lineno)
             file_name = _ref_str(obj["file_name"], "file_name", lineno)
             if not file_name:
                 raise SchemaError(f"line {lineno}: invalid event: attrs.file_name: empty")
-            return FileNameAttrs(file_object=file_object, file_name=file_name)
-        if cls is FileRenDelAttrs:
-            return FileRenDelAttrs(
+            return cls, dict(file_object=file_object, file_name=file_name)
+        if cls is FileRenDelEvent:
+            return cls, dict(
                 file_key=_ref_key_in(obj["file_key"], "file_key", lineno),
                 file_object=_ref_key_in(obj["file_object"], "file_object", lineno),
             )
-        if cls is ProcessAttrs:
-            return ProcessAttrs(
+        if cls is ProcessEvent:
+            return cls, dict(
                 session_id=_ref_u64(obj["session_id"], "session_id", lineno),
                 parent_id=_ref_u64(obj["parent_id"], "parent_id", lineno),
                 image_file_name=_ref_str(obj["image"], "image", lineno),
                 command_line=_ref_str(obj["cmdline"], "cmdline", lineno),
             )
-        if cls is ThreadAttrs:
-            return ThreadAttrs(parent_id=_ref_u64(obj["parent_id"], "parent_id", lineno))
-        return ImageAttrs(
+        if cls is ThreadEvent:
+            return cls, dict(parent_id=_ref_u64(obj["parent_id"], "parent_id", lineno))
+        return cls, dict(
             image_size=_ref_u64(obj["image_size"], "image_size", lineno),
             file_name=_ref_str(obj["file_name"], "file_name", lineno),
         )
@@ -654,8 +669,8 @@ def _ref_line_to_event(line: str, lineno: int) -> Event:
         raise ParseError(lineno, "prov and etype must be strings") from None
     for name in ("pid", "tid", "ts"):
         _ref_u64(obj[name], name, lineno)
-    attrs = _ref_parse_attrs(provider, etype, obj, lineno)
-    return Event(pid=pid, tid=tid, provider=provider, etype=etype, timestamp=ts, attrs=attrs)
+    cls, payload = _ref_payload(provider, etype, obj, lineno)
+    return cls(pid=pid, tid=tid, provider=provider, etype=etype, timestamp=ts, **payload)
 
 
 def _ref_manifest(text: str, lineno: int) -> TraceManifest:
@@ -719,27 +734,27 @@ def _ref_key_out(value: int) -> str:
     return "0x%x" % value
 
 
-def _ref_attrs_to_fields(attrs) -> List[Tuple[str, object]]:
-    if type(attrs) is FileRwAttrs:
+def _ref_payload_fields(e: Event) -> List[Tuple[str, object]]:
+    if type(e) is FileRwEvent:
         return [
-            ("file_key", _ref_key_out(attrs.file_key)),
-            ("file_object", _ref_key_out(attrs.file_object)),
-            ("io_size", attrs.io_size),
+            ("file_key", _ref_key_out(e.file_key)),
+            ("file_object", _ref_key_out(e.file_object)),
+            ("io_size", e.io_size),
         ]
-    if type(attrs) is FileNameAttrs:
-        return [("file_object", _ref_key_out(attrs.file_object)), ("file_name", attrs.file_name)]
-    if type(attrs) is FileRenDelAttrs:
-        return [("file_key", _ref_key_out(attrs.file_key)), ("file_object", _ref_key_out(attrs.file_object))]
-    if type(attrs) is ProcessAttrs:
+    if type(e) is FileNameEvent:
+        return [("file_object", _ref_key_out(e.file_object)), ("file_name", e.file_name)]
+    if type(e) is FileRenDelEvent:
+        return [("file_key", _ref_key_out(e.file_key)), ("file_object", _ref_key_out(e.file_object))]
+    if type(e) is ProcessEvent:
         return [
-            ("session_id", attrs.session_id),
-            ("parent_id", attrs.parent_id),
-            ("image", attrs.image_file_name),
-            ("cmdline", attrs.command_line),
+            ("session_id", e.session_id),
+            ("parent_id", e.parent_id),
+            ("image", e.image_file_name),
+            ("cmdline", e.command_line),
         ]
-    if type(attrs) is ThreadAttrs:
-        return [("parent_id", attrs.parent_id)]
-    return [("image_size", attrs.image_size), ("file_name", attrs.file_name)]
+    if type(e) is ThreadEvent:
+        return [("parent_id", e.parent_id)]
+    return [("image_size", e.image_size), ("file_name", e.file_name)]
 
 
 def ref_event_to_line(e: Event) -> str:
@@ -751,7 +766,7 @@ def ref_event_to_line(e: Event) -> str:
         "prov": e.provider.value,
         "etype": e.etype.value,
     }
-    for key, value in _ref_attrs_to_fields(e.attrs):
+    for key, value in _ref_payload_fields(e):
         d[key] = value
     return json.dumps(d, separators=(",", ":"), ensure_ascii=False)
 

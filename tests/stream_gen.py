@@ -8,6 +8,7 @@ all get exercised.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, List
 
 import numpy as np
@@ -161,7 +162,7 @@ def gen_random_stream(seed: int, max_events: int = 200, max_files: int = 5) -> L
                 idx = int(rng.integers(len(ops)))
                 orig = ops[idx]
                 swap = [second_pid, 4, explorer_pid][int(rng.integers(3))]
-                ops[idx] = lambda ts, f=orig, p=swap: _with_pid(f(ts), p)
+                ops[idx] = lambda ts, f=orig, p=swap: replace(f(ts), pid=p)
         else:
             ops = _noise_ops(rng, pid, keys, dir_path, base, int(rng.integers(2, 14)))
         per_file.append(ops)
@@ -184,6 +185,3 @@ def gen_random_stream(seed: int, max_events: int = 200, max_files: int = 5) -> L
             events.append(ev_proc_start(int(rng.integers(1000, 8000)), ts, image="helper.exe"))
     return events
 
-
-def _with_pid(e: Event, pid: int) -> Event:
-    return Event(pid, e.tid, e.provider, e.etype, e.timestamp, e.attrs)

@@ -7,28 +7,28 @@ import pytest
 
 from peeler.errors import ParseError, SchemaError
 from peeler.events import (
-    ATTRS_FOR,
-    Event,
+    EVENT_CLASS,
     EventType,
-    FileNameAttrs,
-    FileRenDelAttrs,
-    FileRwAttrs,
-    ImageAttrs,
-    ProcessAttrs,
+    FileNameEvent,
+    FileRenDelEvent,
+    FileRwEvent,
+    ImageEvent,
+    ProcessEvent,
     Provider,
-    ThreadAttrs,
+    ThreadEvent,
     PATTERN_LETTERS,
 )
 from peeler.trace_io import event_to_line, line_to_event
 from helpers import ev_create, ev_proc_start
 
-_SAMPLE_ATTRS = {
-    ProcessAttrs: ProcessAttrs(1, 0, "app.exe", "app.exe /x"),
-    FileRwAttrs: FileRwAttrs(0xA, 0xB, 512),
-    FileRenDelAttrs: FileRenDelAttrs(0xA, 0xB),
-    FileNameAttrs: FileNameAttrs(0xA, "c:/u/f.txt"),
-    ThreadAttrs: ThreadAttrs(42),
-    ImageAttrs: ImageAttrs(1024, "c:/w/x.dll"),
+# sample payload fields of each event class
+_SAMPLE_FIELDS = {
+    ProcessEvent: (1, 0, "app.exe", "app.exe /x"),
+    FileRwEvent: (0xA, 0xB, 512),
+    FileRenDelEvent: (0xA, 0xB),
+    FileNameEvent: (0xA, "c:/u/f.txt"),
+    ThreadEvent: (42,),
+    ImageEvent: (1024, "c:/w/x.dll"),
 }
 
 
@@ -50,34 +50,34 @@ def test_schema_conforming_process_start_is_valid():
 
 
 def test_forbidden_provider_etype_pairing():
-    e = Event(1, 1, Provider.IMAGE, EventType.READ, 0, _SAMPLE_ATTRS[ImageAttrs])
+    e = ImageEvent(1, 1, Provider.IMAGE, EventType.READ, 0, *_SAMPLE_FIELDS[ImageEvent])
     with pytest.raises(ParseError, match="invalid for provider"):
         _round_trip(e)
 
 
-def test_attrs_variant_mismatch():
-    e = Event(1, 1, Provider.FILE, EventType.READ, 0, FileNameAttrs(0xA, "f"))
+def test_event_class_mismatch():
+    e = FileNameEvent(1, 1, Provider.FILE, EventType.READ, 0, 0xA, "f")
     with pytest.raises(ParseError, match="missing attribute key 'file_key'"):
         _round_trip(e)
-    # a Rename's wire keys are a subset of FileRwAttrs': the extra key is lost
-    e = Event(1, 1, Provider.FILE, EventType.RENAME, 0, FileRwAttrs(0xA, 0xB, 512))
-    assert _round_trip(e) == Event(1, 1, Provider.FILE, EventType.RENAME, 0, FileRenDelAttrs(0xA, 0xB))
+    # a Rename's wire keys are a subset of FileRwEvent's: the extra key is lost
+    e = FileRwEvent(1, 1, Provider.FILE, EventType.RENAME, 0, 0xA, 0xB, 512)
+    assert _round_trip(e) == FileRenDelEvent(1, 1, Provider.FILE, EventType.RENAME, 0, 0xA, 0xB)
 
 
 def test_exactly_table_schema_triples_validate():
-    # Enumerate every (provider, etype, attrs variant) triple; exactly the
-    # 12 schema rows must round-trip, each with its own variant only.
+    # Enumerate every (provider, etype, event class) triple; exactly the
+    # 12 schema rows must round-trip, each with its own class only.
     ok = set()
-    for prov, et, attrs_cls in itertools.product(Provider, EventType, _SAMPLE_ATTRS):
-        if not _rejected(Event(1, 1, prov, et, 0, _SAMPLE_ATTRS[attrs_cls])):
-            ok.add((prov, et, attrs_cls))
-    assert ok == {(p, t, cls) for (p, t), cls in ATTRS_FOR.items()}
+    for prov, et, cls in itertools.product(Provider, EventType, _SAMPLE_FIELDS):
+        if not _rejected(cls(1, 1, prov, et, 0, *_SAMPLE_FIELDS[cls])):
+            ok.add((prov, et, cls))
+    assert ok == {(p, t, cls) for (p, t), cls in EVENT_CLASS.items()}
     assert len(ok) == 12
 
 
 def test_negative_fields_flagged():
     for pid, tid, ts, field in [(-1, 1, 5, "pid"), (1, -1, 5, "tid"), (1, 1, -5, "ts")]:
-        e = Event(pid, tid, Provider.FILE, EventType.READ, ts, FileRwAttrs(1, 2, 3))
+        e = FileRwEvent(pid, tid, Provider.FILE, EventType.READ, ts, 1, 2, 3)
         with pytest.raises(ParseError, match=f"{field} must be an integer"):
             _round_trip(e)
 
@@ -97,6 +97,6 @@ def test_pattern_letters():
 
 
 def test_pattern_letter_defined_exactly_on_file_events():
-    file_types = {t for (p, t) in ATTRS_FOR if p is Provider.FILE}
+    file_types = {t for (p, t) in EVENT_CLASS if p is Provider.FILE}
     assert set(PATTERN_LETTERS) == file_types
     assert len(file_types) == 6

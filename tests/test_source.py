@@ -71,7 +71,8 @@ def test_every_imported_package_is_declared():
 # Enum.__hash__, a Python function; per-event code uses module globals and
 # wire-string keys instead.
 PER_EVENT = {
-    "trace_io.py": ("Window.add", "_windows", "line_to_event", "_event", "_event_dict", "_event_bytes"),
+    "trace_io.py": ("Window.add", "_windows", "_blocks", "_block_events", "line_to_event", "_event",
+                    "_event_dict", "_event_bytes"),
     "pipeline.py": ("Engine.process_event",),
     "fileio.py": ("FileIoMatcher.ingest", "FileIoMatcher._new_record"),
     "commands.py": ("CommandMatcher.match",),
@@ -107,6 +108,19 @@ def test_per_event_functions_skip_enum_class_lookups():
         functions = dict(_functions(ast.parse((package / module).read_text(encoding="utf-8"))))
         for name in names:
             found += [f"{module}:{line} {name}: {expr}" for line, expr in _enum_slow_paths(functions[name])]
+    assert found == []
+
+
+def test_no_code_reads_the_attrs_alias():
+    # an event's payload fields are its own attributes; Event.attrs returns
+    # the event itself and is kept only for the benchmark's own code
+    tests = sorted(Path(__file__).parent.rglob("*.py"))
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES + tests
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "attrs"
+    ]
     assert found == []
 
 

@@ -17,16 +17,15 @@ from peeler.commands import default_rules_path, load_rules_file
 from peeler.errors import ParseError, SchemaError
 from peeler.pipeline import Engine, EngineConfig, run_trace
 from peeler.events import (
-    ATTRS_FOR,
-    Event,
+    EVENT_CLASS,
     EventType,
-    FileNameAttrs,
-    FileRenDelAttrs,
-    FileRwAttrs,
-    ImageAttrs,
-    ProcessAttrs,
+    FileNameEvent,
+    FileRenDelEvent,
+    FileRwEvent,
+    ImageEvent,
+    ProcessEvent,
     Provider,
-    ThreadAttrs,
+    ThreadEvent,
 )
 from peeler.fileio import PatternKind
 from peeler.synth import DEFAULT_LOCKER_PROFILE, DEFAULT_SPAWNER_PROFILE, SynthConfig, synth_trace
@@ -163,7 +162,7 @@ def test_golden_format_is_stable():
 def test_hex_and_int_keys_accepted_on_ingestion():
     line = b'{"ts":0,"pid":1,"tid":1,"prov":"File","etype":"Read","file_key":255,"file_object":"0xff","io_size":1}'
     e = line_to_event(line)
-    assert e.attrs.file_key == 255 and e.attrs.file_object == 255
+    assert e.file_key == 255 and e.file_object == 255
     assert 'file_key":"0xff"' in event_to_line(e)
 
 
@@ -358,10 +357,10 @@ def _nested(depth: int) -> bytes:
     return opens + b"0" + b"".join(b"]" if i % 2 else b"}" for i in reversed(range(depth)))
 
 
-def _set_value(lineno: int, key: str, literal: bytes) -> bytes:
-    """_EVERY_SHAPE with one key of one line set to a raw JSON literal; a key
-    the line lacks is added at its end."""
-    lines = _EVERY_SHAPE.split(b"\n")
+def _set_value(lineno: int, key: str, literal: bytes, data: bytes = _EVERY_SHAPE) -> bytes:
+    """data with one key of one line set to a raw JSON literal; a key the
+    line lacks is added at its end."""
+    lines = data.split(b"\n")
     obj = json.loads(lines[lineno - 1])
     obj[key] = "@SLOT@"
     lines[lineno - 1] = json.dumps(obj, separators=(",", ":")).encode().replace(b'"@SLOT@"', literal)
@@ -622,6 +621,61 @@ def test_line_path_names_the_first_fault_in_check_order(name):
     assert fault[1].startswith(f"line {lineno}: ")
 
 
+# a file key's valid spelling on line 6 of _EVERY_SHAPE, then another
+# spelling of the same key on line 7, in the same block: (line 6's key,
+# its value there, line 7's key, its value there)
+SPELLING_PAIRS = {
+    "upper_digit": ("file_key", b'"0xa"', "file_key", b'"0xA"'),
+    "leading_zero": ("file_key", b'"0xa"', "file_key", b'"0x0a"'),
+    "upper_prefix": ("file_key", b'"0x1"', "file_key", b'"0X1"'),
+    "leading_space": ("file_key", b'"0x1"', "file_key", b'" 0x1"'),
+    # the block's spellings are shared between file_key and file_object
+    "object_then_key": ("file_object", b'"0xb10"', "file_key", b'"0xB10"'),
+}
+
+
+def _two_spellings(key6: str, value6: bytes, key7: str, value7: bytes) -> bytes:
+    return _set_value(7, key7, value7, _set_value(6, key6, value6))
+
+
+@pytest.mark.parametrize("name", sorted(SPELLING_PAIRS))
+def test_other_spelling_of_a_checked_key_declines_the_block(name):
+    # the block's memo of checked spellings holds only spellings that
+    # passed, so another spelling of the same key is checked and refused
+    data = _two_spellings(*SPELLING_PAIRS[name])
+    (block,) = _body_blocks(data)
+    assert trace_io._block_events(block, 0) is None
+    key = SPELLING_PAIRS[name][2]
+    fault = _assert_decodes_as_reference(data)
+    assert fault == (ParseError, f"line 7: {key} is not 0x and lowercase hex digits")
+
+
+def test_hex_and_int_spellings_of_a_key_decode_equal():
+    data = _two_spellings("file_key", b'"0xa"', "file_key", b"10")
+    (block,) = _body_blocks(data)
+    events = trace_io._block_events(block, 0)
+    assert events is not None and events[4].file_key == events[5].file_key == 10
+    assert _assert_decodes_as_reference(data) == read_trace(io.BytesIO(data))[0]
+
+
+@pytest.mark.parametrize("key, old, new", [
+    ("file_object", b'"0xb10"', b'"0xB10"'),
+    ("file_key", b'"0xffffb203afd146f0"', b'"0xffffb203afd146f0 "'),
+])
+def test_key_spelling_checked_in_one_block_is_checked_again_in_the_next(key, old, new):
+    # every line holds a Read of the same two keys, and the first line of
+    # the second block spells one of them as new
+    n = 600
+    header = _HEADER.replace(b'"event_count":3,', b'"event_count":%d,' % n)
+    body = [re.sub(rb'"ts":\d+', b'"ts":1000', _BODY_TEMPLATE[2]) for _ in range(n)]
+    data = _with_fault(b"\n".join([header, *body, b""]), "block_first", lambda line: [line.replace(old, new)])
+    first, second = _body_blocks(data)[:2]
+    assert old in first[0] and trace_io._block_events(first, 0) is not None
+    assert trace_io._block_events(second, 0) is None
+    fault = _assert_decodes_as_reference(data)
+    assert fault == (ParseError, f"line {2 + len(first)}: {key} is not 0x and lowercase hex digits")
+
+
 def _peak_bytes(fn) -> int:
     tracemalloc.start()
     try:
@@ -656,18 +710,18 @@ def test_streamed_run_holds_no_event_list():
 def _every_field_event(i: int, text: str):
     """One event of each payload shape, every int field i, every string text."""
     return [
-        Event(i, i, Provider.PROCESS, EventType.START, i, ProcessAttrs(i, i, text, text)),
-        Event(i, i, Provider.PROCESS, EventType.END, i, ProcessAttrs(i, i, text, text)),
-        Event(i, i, Provider.FILE, EventType.READ, i, FileRwAttrs(i, i, i)),
-        Event(i, i, Provider.FILE, EventType.WRITE, i, FileRwAttrs(i, i, i)),
-        Event(i, i, Provider.FILE, EventType.RENAME, i, FileRenDelAttrs(i, i)),
-        Event(i, i, Provider.FILE, EventType.DELETE, i, FileRenDelAttrs(i, i)),
-        Event(i, i, Provider.FILE, EventType.FILE_CREATE, i, FileNameAttrs(i, text)),
-        Event(i, i, Provider.FILE, EventType.FILE_DELETE, i, FileNameAttrs(i, text)),
-        Event(i, i, Provider.THREAD, EventType.START, i, ThreadAttrs(i)),
-        Event(i, i, Provider.THREAD, EventType.END, i, ThreadAttrs(i)),
-        Event(i, i, Provider.IMAGE, EventType.LOAD, i, ImageAttrs(i, text)),
-        Event(i, i, Provider.IMAGE, EventType.UNLOAD, i, ImageAttrs(i, text)),
+        ProcessEvent(i, i, Provider.PROCESS, EventType.START, i, i, i, text, text),
+        ProcessEvent(i, i, Provider.PROCESS, EventType.END, i, i, i, text, text),
+        FileRwEvent(i, i, Provider.FILE, EventType.READ, i, i, i, i),
+        FileRwEvent(i, i, Provider.FILE, EventType.WRITE, i, i, i, i),
+        FileRenDelEvent(i, i, Provider.FILE, EventType.RENAME, i, i, i),
+        FileRenDelEvent(i, i, Provider.FILE, EventType.DELETE, i, i, i),
+        FileNameEvent(i, i, Provider.FILE, EventType.FILE_CREATE, i, i, text),
+        FileNameEvent(i, i, Provider.FILE, EventType.FILE_DELETE, i, i, text),
+        ThreadEvent(i, i, Provider.THREAD, EventType.START, i, i),
+        ThreadEvent(i, i, Provider.THREAD, EventType.END, i, i),
+        ImageEvent(i, i, Provider.IMAGE, EventType.LOAD, i, i, text),
+        ImageEvent(i, i, Provider.IMAGE, EventType.UNLOAD, i, i, text),
     ]
 
 
@@ -757,7 +811,7 @@ def test_block_loop_takes_every_pair_the_writer_writes():
     # every int field at each edge of [0, 2^64), every string with braces
     # and brackets: one block, and no fallback
     events = [e for i in (0, 1, 2**63, 2**64 - 1) for e in _every_field_event(i, _HARD_TEXT)]
-    assert {(e.provider, e.etype) for e in events} == set(ATTRS_FOR)
+    assert {(e.provider, e.etype) for e in events} == set(EVENT_CLASS)
     buf = io.BytesIO()
     write_trace(_manifest(events), events, buf)
     (block,) = _body_blocks(buf.getvalue())
