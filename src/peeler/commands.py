@@ -18,8 +18,6 @@ from .events import Alert, Detector, Event, EventType, Provider
 
 GOALS = ("stealth", "attack", "payment_guidance")
 
-_GLOB_CHARS = frozenset("*?[")
-
 _PROCESS, _START = Provider.PROCESS, EventType.START
 
 
@@ -27,12 +25,13 @@ _PROCESS, _START = Provider.PROCESS, EventType.START
 class CommandRule:
     """One auditable rule: utility plus required argument tokens.
 
-    A required token matches an argument token by case-insensitive equality.
-    A token containing *, ? or [ is an fnmatch pattern matched against whole
-    argument tokens: * and ? are globs, and [...] is a character class, so
-    a literal [ is spelled [[]. Utility-only rules are rejected: at least
-    one token is required so that plain invocations of a utility never
-    alert.
+    Every required token is an fnmatch pattern matched case-insensitively
+    against whole argument tokens: * matches any run of characters, ? any one
+    character and [...] one character of a class ([!...] one outside it; a-c
+    is a range), so a literal [ is spelled [[] and a token without *, ? or [
+    matches by equality. A rule matches when each of its tokens matches some
+    argument token. Utility-only rules are rejected: at least one token is
+    required so that plain invocations of a utility never alert.
     """
 
     id: str
@@ -45,16 +44,18 @@ class CommandRule:
 @dataclass
 class RuleSet:
     rules: List[CommandRule]
-    version: str = "0"
 
 
 def normalize_command(command_line: str) -> Tuple[str, List[str]]:
     """Split a raw command line into (utility, argument tokens).
 
-    The utility is the final path component of the first token (either slash
-    accepted as separator), lowercased, with a trailing ".exe" stripped.
-    Double-quoted segments are kept as single tokens with quotes removed.
-    All tokens are lowercased. Empty input gives ("", []).
+    Outside double quotes, every character that str.isspace accepts (tab,
+    \\x1c-\\x1f, NBSP and U+3000 too) ends a token. A double quote opens or
+    closes a quoted segment, which joins what touches it, and is dropped; no
+    token is empty. The utility is the final path component of the first
+    token (either slash accepted as separator), lowercased, with a trailing
+    ".exe" stripped. The other tokens, lowercased, are the arguments. Empty
+    input gives ("", []).
     """
     tokens: List[str] = []
     current: List[str] = []
@@ -101,26 +102,20 @@ def _parse_rule_line(line: str, lineno: int) -> CommandRule:
 
 def load_rules(source: BinaryIO) -> RuleSet:
     """Parse a rules file: one `id | goal | utility | tokens | description`
-    per line, `#` comments, `# version: X` setting the set version."""
-    version = "0"
+    per line, and `#` comments."""
     rules: List[CommandRule] = []
     seen = set()
     text = decode_utf8(source.read())
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.lower().startswith("version:"):
-                version = body.split(":", 1)[1].strip()
+        if not line or line.startswith("#"):
             continue
         rule = _parse_rule_line(line, lineno)
         if rule.id in seen:
             raise ParseError(lineno, f"duplicate rule id {rule.id!r}")
         seen.add(rule.id)
         rules.append(rule)
-    return RuleSet(rules=rules, version=version)
+    return RuleSet(rules=rules)
 
 
 def load_rules_file(path) -> RuleSet:
@@ -135,36 +130,21 @@ def default_rules_path() -> str:
 
 
 class CommandMatcher:
-    """Immutable matching engine over one RuleSet; safe for concurrent use."""
+    """Immutable matching engine over one RuleSet; safe for concurrent use.
+    A Process Start alerts on the first rule in file order that matches it."""
 
     def __init__(self, rules: RuleSet):
-        self.rules = rules
         self._by_utility: Dict[str, list] = {}
         for rule in rules.rules:
-            checks = []
-            for tok in rule.required_tokens:
-                if _GLOB_CHARS & set(tok):
-                    checks.append(re.compile(_glob_translate(tok)).match)
-                else:
-                    checks.append(tok)
+            checks = [re.compile(_glob_translate(tok)).match for tok in rule.required_tokens]
             self._by_utility.setdefault(rule.utility, []).append((rule, checks))
 
     def match(self, e: Event) -> Optional[Alert]:
         if e.provider is not _PROCESS or e.etype is not _START:
             return None
         utility, tokens = normalize_command(e.command_line)
-        candidates = self._by_utility.get(utility)
-        if not candidates:
-            return None
-        token_set = set(tokens)
-        for rule, checks in candidates:
-            for check in checks:
-                if isinstance(check, str):
-                    if check not in token_set:
-                        break
-                elif not any(check(t) for t in tokens):
-                    break
-            else:
+        for rule, checks in self._by_utility.get(utility, ()):
+            if all(any(map(check, tokens)) for check in checks):
                 return Alert(
                     detector=Detector.COMMAND_RULE,
                     pid=e.pid,

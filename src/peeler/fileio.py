@@ -18,7 +18,7 @@ matching is one table step per event and each list carries one state. All
 four acceptors anchor on C, so a lineage whose first letter is R/W/N/D is
 dead from its first event and is never matched: it gets no events list,
 only a tombstone that keeps its keys registered (so its later events stay
-dead) and its last-seen stamps (so it is evicted like a list).
+dead) and its eviction stamps (so it is evicted like a list).
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ class FileEventsList:
         "contributing_pids",
         "state",
         "matched",
-        "last_seen_count",
+        "kept_to_sweep",
         "last_seen_ts",
     )
 
@@ -195,7 +195,7 @@ class FileEventsList:
         self.contributing_pids: Set[int] = set()
         self.state = 0  # product DFA state; 0 is the start
         self.matched: Optional[PatternKind] = None
-        self.last_seen_count = 0
+        self.kept_to_sweep = 0
         self.last_seen_ts = 0
 
     @property
@@ -206,9 +206,9 @@ class FileEventsList:
 
 class _Tombstone:
     """A lineage whose first letter is not C, which no acceptor can match:
-    only its last-seen stamps are kept, for eviction."""
+    only its eviction stamps are kept."""
 
-    __slots__ = ("last_seen_count", "last_seen_ts")
+    __slots__ = ("kept_to_sweep", "last_seen_ts")
     state = _DEAD
     matched = None
 
@@ -300,8 +300,8 @@ class FileIoMatcher:
                         self.exempt_pids.discard(e.pid)
             return None
 
-        self._count += 1
-        if self._count % SWEEP_INTERVAL == 0:
+        self._count = count = self._count + 1
+        if count % SWEEP_INTERVAL == 0:
             self._sweep(e.timestamp)
 
         # Resolve the event's lineage and register its keys. A
@@ -334,7 +334,9 @@ class FileIoMatcher:
                         lst = _Tombstone()  # no acceptor begins with R, W, N or D
             self._by_key[fk] = lst
         by_object[obj] = lst
-        lst.last_seen_count = self._count
+        # the last sweep k that keeps the record by its count (count + MAX_IDLE_EVENTS
+        # >= k * SWEEP_INTERVAL): a small int that records share, not one per record
+        lst.kept_to_sweep = (count + MAX_IDLE_EVENTS) // SWEEP_INTERVAL
         lst.last_seen_ts = e.timestamp
         state = lst.state
         if state == _DEAD or lst.matched is not None:
@@ -372,12 +374,12 @@ class FileIoMatcher:
     def _sweep(self, now_ts: int) -> None:
         """Drop every record idle for more than MAX_IDLE_EVENTS File events or
         MAX_IDLE_US of trace time, with every key that points at it."""
-        min_count = self._count - MAX_IDLE_EVENTS
+        sweep = self._count // SWEEP_INTERVAL
         min_ts = now_ts - MAX_IDLE_US
 
         def fresh(records):
             return {k: r for k, r in records.items()
-                    if r.last_seen_count >= min_count and r.last_seen_ts >= min_ts}
+                    if r.kept_to_sweep >= sweep and r.last_seen_ts >= min_ts}
 
         self._by_object = fresh(self._by_object)
         self._by_key = fresh(self._by_key)

@@ -19,13 +19,19 @@ The trace references are the whole-file decoder that the streaming one
 replaced (decode all bytes, split the lines, json.loads each, and pick the
 payload type by enum pair) and the whole-file writer that the streaming one
 replaced (json.dumps each event, join the lines, encode the file once).
+The command-rule reference is written from the CommandRule and
+normalize_command docstrings: it finds tokens with one regex rather than a
+character loop, turns each glob into a regex with its own translation rather
+than fnmatch's, and tries the rules in order with re.fullmatch.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -788,3 +794,79 @@ def ref_write_trace(manifest: TraceManifest, events: List[Event], sink) -> None:
     out = [f"{HEADER_MAGIC} {FORMAT_VERSION} {_ref_manifest_to_json(manifest)}\n"]
     out.extend(ref_event_to_line(e) + "\n" for e in events)
     sink.write("".join(out).encode("utf-8"))
+
+
+# --- command rules ------------------------------------------------------------
+
+# every character that str.isspace accepts, as the members of a regex class
+_REF_SPACES = "".join(re.escape(c) for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+# a token: characters that are neither a space nor a quote, and quoted
+# segments (spaces kept; an unclosed one runs to the end of the line)
+_REF_TOKEN = re.compile(f'(?:[^"{_REF_SPACES}]|"[^"]*(?:"|\\Z))+')
+
+
+def ref_normalize_command(command_line: str) -> Tuple[str, List[str]]:
+    """(utility, argument tokens) as normalize_command's docstring states
+    them: each token is one match of a regex, its quotes dropped."""
+    tokens = [t for t in (m.replace('"', "") for m in _REF_TOKEN.findall(command_line)) if t]
+    if not tokens:
+        return "", []
+    utility = tokens[0].replace("\\", "/").rpartition("/")[2].lower()
+    if utility.endswith(".exe"):
+        utility = utility[:-4]
+    return utility, [t.lower() for t in tokens[1:]]
+
+
+def _ref_class(body: str) -> str:
+    """The regex class for the members between [ and ] of a glob class: a
+    leading ! negates, and x-y between two members is a range."""
+    negate = body.startswith("!")
+    if negate:
+        body = body[1:]
+    members, i = [], 0
+    while i < len(body):
+        if i + 2 < len(body) and body[i + 1] == "-":
+            members.append(f"{re.escape(body[i])}-{re.escape(body[i + 2])}")
+            i += 3
+        else:
+            members.append(re.escape(body[i]))
+            i += 1
+    return "[" + "^" * negate + "".join(members) + "]"
+
+
+@functools.cache
+def _ref_glob(pattern: str) -> re.Pattern:
+    """The compiled regex for a whole-token glob, as CommandRule's docstring
+    states it: * is any run of characters, ? any one, [...] a class. A [
+    with no ] after it (a ] right after [ or [! being a member) is itself."""
+    out, i = [], 0
+    while i < len(pattern):
+        c = pattern[i]
+        i += 1
+        close = -1
+        if c == "[":
+            first = i + (pattern[i:i + 1] == "!")
+            close = pattern.find("]", first + (pattern[first:first + 1] == "]"))
+        if c == "*":
+            out.append(".*")
+        elif c == "?":
+            out.append(".")
+        elif close >= 0:
+            out.append(_ref_class(pattern[i:close]))
+            i = close + 1
+        else:
+            out.append(re.escape(c))
+    return re.compile("".join(out), re.DOTALL)
+
+
+def ref_command_match(rules, command_line: str) -> Optional[str]:
+    """The id of the first of rules (CommandRules, in file order) whose
+    utility is the command's and each of whose tokens matches some whole
+    argument token, or None."""
+    utility, args = ref_normalize_command(command_line)
+    for rule in rules:
+        if rule.utility == utility and all(
+            any(_ref_glob(tok).fullmatch(arg) for arg in args) for tok in rule.required_tokens
+        ):
+            return rule.id
+    return None

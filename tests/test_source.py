@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import peeler
-from peeler import fileio, trace_io
+from peeler import commands, fileio, trace_io
 
 SOURCES = sorted(Path(peeler.__file__).parent.glob("*.py"))
 
@@ -219,12 +219,13 @@ def _names_taken_from(tree, module):
             yield node.attr
 
 
-@pytest.mark.parametrize("module", [fileio, trace_io], ids=lambda module: module.__name__)
+@pytest.mark.parametrize("module", [commands, fileio, trace_io], ids=lambda module: module.__name__)
 def test_matcher_reference_decides_by_itself(module):
     # RefFileIoMatcher and brute_force_alerts decide exemption, suppression
-    # and blame with their own code, and ref_read_trace checks each value
-    # with its own code; a function of the module under test there would
-    # check it against its own verdicts
+    # and blame with their own code, ref_read_trace checks each value with
+    # its own code, and ref_command_match tokenizes and globs with its own
+    # code; a function of the module under test there would check it
+    # against its own verdicts
     oracles = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
     borrowed = {name for name in _names_taken_from(oracles, module.__name__)
                 if inspect.isfunction(getattr(module, name, None))}
