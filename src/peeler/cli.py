@@ -441,7 +441,7 @@ def _cmd_detect(args) -> int:
                     "pid": a.pid,
                     "trigger": a.trigger,
                     "event_timestamp": a.event_timestamp,
-                    "emitted_timestamp": a.emitted_timestamp,
+                    "emitted_timestamp": a.event_timestamp,  # every alert is emitted at its event
                 }
                 for a in report.alerts
             ],

@@ -141,14 +141,15 @@ class Alert:
     """Detection verdict for one process.
 
     "Halting" a flagged process is represented by this record (plus pipeline
-    quarantine); no OS action is ever taken.
+    quarantine); no OS action is ever taken. Every detector emits its alert
+    at event_timestamp, the trace time of the event or window end that
+    decided it.
     """
 
     detector: Detector
     pid: int
     trigger: str
     event_timestamp: int
-    emitted_timestamp: int
 
 
 # Letters of the file I/O pattern alphabet, one per File event type.

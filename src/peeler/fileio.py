@@ -19,6 +19,10 @@ four acceptors anchor on C, so a lineage whose first letter is R/W/N/D is
 dead from its first event and is never matched: it gets no events list,
 only a tombstone that keeps its keys registered (so its later events stay
 dead) and its eviction stamps (so it is evicted like a list).
+
+A pid is exempt from the multi-process filter when it is in exempt_pids:
+pid 4, the system process, always is, and so is any pid whose latest image
+is "system" or explorer.exe.
 """
 
 from __future__ import annotations
@@ -224,19 +228,14 @@ _EXEMPT_IMAGES = frozenset({"system", "explorer.exe"})
 _SYSTEM_PID = 4
 
 
-def is_exempt(pid: int, exempt_pids: Set[int]) -> bool:
-    """True for the system process (pid 4) and for the pids in exempt_pids,
-    those whose latest image is "system" or explorer.exe."""
-    return pid == _SYSTEM_PID or pid in exempt_pids
-
-
 def blame(lst: FileEventsList, pid: int, exempt_pids: Set[int]) -> Optional[int]:
     """False-positive suppression and blame in one pass over the list.
 
     Returns None to suppress the hit when the list's file names do not share
     one parent directory (its directory is None), or when more than one
-    process contributed events after exempting the system process and
-    explorer.exe (is_exempt).
+    process contributed events after exempting the members of exempt_pids:
+    the system process (pid 4) and the pids whose latest image is "system"
+    or explorer.exe.
     Otherwise returns the pid the alert names: the one non-exempt
     contributor, or pid, the hit event's, when every contributor is exempt.
     """
@@ -244,7 +243,7 @@ def blame(lst: FileEventsList, pid: int, exempt_pids: Set[int]) -> Optional[int]
         return None
     blamed = None
     for p in lst.contributing_pids:
-        if not is_exempt(p, exempt_pids):
+        if p not in exempt_pids:
             if blamed is not None:
                 return None
             blamed = p
@@ -267,15 +266,16 @@ class FileIoMatcher:
     lineage's record: a FileEventsList, or a tombstone for a dead-born
     lineage. They are the only registry: lists() gives the FileEventsLists
     they reach, and a list that no key reaches, which can never alert, is
-    freed at once. exempt_pids holds the pids whose latest image is "system"
-    or explorer.exe, one entry per such pid.
+    freed at once. exempt_pids is the one set of pids that the multi-process
+    filter does not count: the system process, pid 4, from the start and for
+    good, and each pid whose latest image is "system" or explorer.exe.
     """
 
     def __init__(self) -> None:
         self._by_object: Dict[int, _Record] = {}
         self._by_key: Dict[int, _Record] = {}
         self._by_name: Dict[str, _Record] = {}
-        self.exempt_pids: Set[int] = set()
+        self.exempt_pids: Set[int] = {_SYSTEM_PID}
         self._count = 0
 
     def lists(self) -> List[FileEventsList]:
@@ -287,7 +287,8 @@ class FileIoMatcher:
 
         Non-File events are accepted and ignored, except that a Process
         Start/End event that reports an image decides whether its pid is
-        exempt, until the next one for that pid.
+        exempt, until the next one for that pid. Pid 4 stays exempt whatever
+        image it reports.
         """
         prov = e.provider
         if prov is not _FILE:
@@ -296,7 +297,7 @@ class FileIoMatcher:
                 if image:
                     if image.replace("\\", "/").rpartition("/")[2].lower() in _EXEMPT_IMAGES:
                         self.exempt_pids.add(e.pid)
-                    else:
+                    elif e.pid != _SYSTEM_PID:
                         self.exempt_pids.discard(e.pid)
             return None
 
@@ -321,7 +322,9 @@ class FileIoMatcher:
             if lst is None:
                 lst = self._by_name.get(name)
                 if lst is None:
-                    lst = self._new_record(et, obj, name)
+                    # a lineage that begins with D is dead; the directory is interned,
+                    # since a trace's files share few directories
+                    lst = FileEventsList(obj, sys.intern(_parent_dir(name))) if et is _FILE_CREATE else _Tombstone()
             self._by_name[name] = lst
         else:
             fk = e.file_key
@@ -360,16 +363,7 @@ class FileIoMatcher:
             pid=pid,
             trigger=hit.value,
             event_timestamp=e.timestamp,
-            emitted_timestamp=e.timestamp,
         )
-
-    def _new_record(self, et: EventType, obj: int, name: str) -> _Record:
-        """The record of a lineage whose first event, a FileCreate or a
-        FileDelete, has type et, FileObject obj and file name name."""
-        if et is not _FILE_CREATE:
-            return _Tombstone()
-        # interned: a trace's files share few directories
-        return FileEventsList(obj, sys.intern(_parent_dir(name)))
 
     def _sweep(self, now_ts: int) -> None:
         """Drop every record idle for more than MAX_IDLE_EVENTS File events or

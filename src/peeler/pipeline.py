@@ -25,7 +25,7 @@ from typing import Iterable, List, Optional
 from .commands import CommandMatcher, RuleSet, default_rules_path, load_rules_file
 from .events import Alert, Detector, Event, EventType, Provider
 from .features import window_features
-from .fileio import FileIoMatcher, is_exempt
+from .fileio import FileIoMatcher
 from .ml import FusedClassifier, fuse
 from .trace_io import WINDOW_LEN, TraceManifest, Window, window_partition
 
@@ -99,7 +99,7 @@ class Engine:
         """Classify one closed window when the ML stage is on; returns its alert or None.
 
         The alert is attributed to the pid contributing the most window
-        events (system/explorer excluded), with the top contenders recorded
+        events (the matcher's exempt_pids excluded), with the top contenders recorded
         in the trigger text; with none left, to the pid of the window's
         first event.
         """
@@ -111,15 +111,14 @@ class Engine:
         if verdict != "ransomware":
             return None
         exempt_pids = self.matcher.exempt_pids
-        ranked = [(n, p) for p, n in pid_events.items() if not is_exempt(p, exempt_pids)]
-        ranked.sort(key=lambda t: (-t[0], t[1]))
+        ranked = [(-n, p) for p, n in pid_events.items() if p not in exempt_pids]
+        ranked.sort()
         top = [p for _, p in ranked[:3]]
         return self._emit(Alert(
             detector=Detector.ML_CLASSIFIER,
             pid=top[0] if top else next(iter(pid_events)),
             trigger=f"score={score:.4f} top_pids={top}",
             event_timestamp=window.end,
-            emitted_timestamp=window.end,
         ))
 
 

@@ -365,7 +365,6 @@ class RefFileIoMatcher:
             pid=candidates[0] if len(candidates) == 1 else e.pid,
             trigger=hit.value,
             event_timestamp=e.timestamp,
-            emitted_timestamp=e.timestamp,
         )
 
     def _sweep(self, now_ts: int) -> None:

@@ -65,7 +65,7 @@ def test_all_attack_commands_alert(bundled):
         assert alert.detector is Detector.COMMAND_RULE
         assert alert.pid == 4321
         assert alert.trigger
-        assert alert.emitted_timestamp >= alert.event_timestamp == 1000
+        assert alert.event_timestamp == 1000
 
 
 def test_benign_corpus_never_alerts(bundled):

@@ -11,11 +11,12 @@ import sys
 import timeit
 
 from peeler.commands import CommandMatcher, default_rules_path, load_rules, load_rules_file
-from peeler.fileio import PatternKind
+from peeler.fileio import FileIoMatcher, PatternKind
 from peeler.pipeline import Engine, EngineConfig, run_trace
 from peeler.synth import SynthConfig, synth_trace
-from peeler.trace_io import iter_trace, write_trace
-from helpers import ev_proc_start
+from peeler.trace_io import WINDOW_LEN, Window, iter_trace, write_trace
+from helpers import ev_create, ev_fdelete, ev_proc_start, ev_read, ev_rename, ev_write
+from test_ml import _stub_fused
 
 # each trace, and its Python calls per event through a streamed detect (the
 # event object's __init__, the window fold, process_event and the matcher,
@@ -104,3 +105,58 @@ def test_glob_time_per_character_stays_flat():
     for name, case in cases.items():
         short, long = (_seconds_per_char(*case(length), length) for length in (1_000, 16_000))
         assert long <= 2 * short, (name, short, long)
+
+
+# a pid whose low 20 bits are all set: in any set table of at most 2**20
+# slots it takes the last slot, and the stream below leaves that slot free
+_LAST_IN_SET_ORDER = 2**20 - 1
+
+
+def _exempt_pid_stream(n, later_reads):
+    """A file that pid 10 creates, renames, deletes and creates again, then
+    one Read by each of n explorer.exe pids and a Write by a second ordinary
+    pid: a pre-overwrite hit that the multi-process filter suppresses. Returns
+    those events and later_reads more Reads by the explorer pids, each a hit
+    that the filter suppresses again."""
+    a, b, e = 0xA100, 0xB100, 0xE100
+    explorers = range(1000, 1000 + n)
+    head = [ev_proc_start(p, 0, image=r"C:\Windows\explorer.exe") for p in explorers]
+    head += [ev_create(10, 1, a, "c:/u/d/f.txt"), ev_rename(10, 2, a, e),
+             ev_fdelete(10, 3, e, "c:/u/d/f.txt"), ev_create(10, 4, e, "c:/u/d/f.enc")]
+    head += [ev_read(p, 5, a, b) for p in explorers]
+    head.append(ev_write(_LAST_IN_SET_ORDER, 6, a, b))
+    return head, [ev_read(explorers[i % n], 7 + i, a, b) for i in range(later_reads)]
+
+
+def test_exempt_pid_calls_per_read_stay_flat():
+    # each later Read re-runs the filter over the file's n + 2 pids, with the
+    # second ordinary pid last in the set's order so that the walk never
+    # stops early. Membership in exempt_pids is the whole test, so the walk
+    # makes no Python call; its time per Read is still linear in n (ROADMAP
+    # item 3).
+    calls = {}
+    for n in (1_000, 16_000):
+        matcher = FileIoMatcher()
+        head, tail = _exempt_pid_stream(n, 200)
+        assert [matcher.ingest(e) for e in head] == [None] * len(head)
+        [lst] = matcher.lists()
+        assert len(lst.contributing_pids) == n + 2
+        assert list(lst.contributing_pids)[-1] == _LAST_IN_SET_ORDER
+        alerts = []
+        calls[n] = _calls(alerts.extend, map(matcher.ingest, tail))[0] / len(tail)
+        assert alerts == [None] * len(tail)
+    assert calls[16_000] == calls[1_000], calls
+
+
+def test_flush_window_calls_stay_flat_in_distinct_pids():
+    # ranking a flagged window's pids for its alert makes no call per pid; the
+    # stub model scores every window 0.5, which threshold 0 flags
+    calls = {}
+    for n in (1_000, 16_000):
+        engine = Engine(EngineConfig(), model=_stub_fused(threshold=0.0))
+        window = Window(0, 0, WINDOW_LEN)
+        for pid in range(100, 100 + n):
+            window.add(ev_read(pid, pid, 0xA, 0xB))
+        calls[n] = _calls(engine.flush_window, window)[0]
+        assert [a.pid for a in engine.alerts] == [100]
+    assert calls[16_000] == calls[1_000], calls

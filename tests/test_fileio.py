@@ -474,7 +474,7 @@ def test_ordinary_images_leave_no_exemption_state():
     matcher = FileIoMatcher()
     for pid in range(1000, 101_000):
         matcher.ingest(ev_proc_start(pid, pid, image=r"C:\Windows\notepad.exe"))
-    assert matcher.exempt_pids == set()
+    assert matcher.exempt_pids == {4}
 
 
 def test_random_streams_do_fire_and_do_suppress():

@@ -319,6 +319,26 @@ def test_ml_alert_skips_system_and_explorer_pids():
     assert alert.trigger.endswith(" top_pids=[20, 31]")
 
 
+def test_ordinary_image_leaves_pid_4_exempt():
+    # pid 4 is in exempt_pids for good: a Process Start that reports an
+    # ordinary image for it changes neither the file blame nor the ML pick
+    start = ev_proc_start(4, 0, image=r"C:\Windows\notepad.exe")
+    tail = cerber_post_overwrite(t0=10)
+    tail.insert(3, ev_read(4, tail[3].timestamp, 0xFFFFB203AFD146F0, 0xB10))
+    matcher = FileIoMatcher()
+    fired = [a for a in map(matcher.ingest, [start] + tail) if a is not None]
+    assert [a.pid for a in fired] == [2816]
+    assert matcher.exempt_pids == {4}
+
+    always = dataclasses.replace(_tiny_model(), threshold=0.0)
+    events = [start] + [ev_read(4, 10 + i, 0xA, 0xB) for i in range(6)]
+    events += [ev_read(30, 20 + i, 0xC, 0xD) for i in range(2)]
+    [alert] = run_trace(Engine(EngineConfig(), model=always), _manifest(events), events).alerts
+    assert alert.detector is Detector.ML_CLASSIFIER
+    assert alert.pid == 30
+    assert alert.trigger.endswith(" top_pids=[30]")
+
+
 def test_ml_alert_without_eligible_pid_blames_first_event():
     always = dataclasses.replace(_tiny_model(), threshold=0.0)
     events = [ev_read(4, 0, 0xA, 0xB), ev_proc_start(20, 5, image="C:\\Windows\\explorer.exe")]

@@ -74,7 +74,7 @@ PER_EVENT = {
     "trace_io.py": ("Window.add", "_windows", "_blocks", "_block_events", "line_to_event", "_event",
                     "_event_dict", "_event_bytes"),
     "pipeline.py": ("Engine.process_event",),
-    "fileio.py": ("FileIoMatcher.ingest", "FileIoMatcher._new_record"),
+    "fileio.py": ("FileIoMatcher.ingest",),
     "commands.py": ("CommandMatcher.match",),
 }
 
