@@ -134,25 +134,21 @@ class CommandMatcher:
     A Process Start alerts on the first rule in file order that matches it."""
 
     def __init__(self, rules: RuleSet):
-        self._by_utility: Dict[str, List[CommandRule]] = {}
+        self._by_utility: Dict[str, list] = {}
         for rule in rules.rules:
-            self._by_utility.setdefault(rule.utility, []).append(rule)
-        distinct = {tok for rule in rules.rules for tok in rule.required_tokens}
-        self._checks = {tok: re.compile(_glob_translate(tok)).match for tok in distinct}
+            checks = [re.compile(_glob_translate(tok)).match for tok in rule.required_tokens]
+            self._by_utility.setdefault(rule.utility, []).append((rule, checks))
 
     def match(self, e: Event) -> Optional[Alert]:
         if e.provider is not _PROCESS or e.etype is not _START:
             return None
         utility, tokens = normalize_command(e.command_line)
-        checks = self._checks
-        found: Dict[str, bool] = {}  # each rule token scans the line at most once
-        for rule in self._by_utility.get(utility, ()):
-            for tok in rule.required_tokens:
-                hit = found.get(tok)
-                if hit is None:
-                    hit = found[tok] = any(map(checks[tok], tokens))
-                if not hit:
-                    break
-            else:
-                return Alert(detector=Detector.COMMAND_RULE, pid=e.pid, trigger=rule.id, event_timestamp=e.timestamp)
+        for rule, checks in self._by_utility.get(utility, ()):
+            if all(any(map(check, tokens)) for check in checks):
+                return Alert(
+                    detector=Detector.COMMAND_RULE,
+                    pid=e.pid,
+                    trigger=rule.id,
+                    event_timestamp=e.timestamp,
+                )
         return None

@@ -322,9 +322,11 @@ class FileIoMatcher:
             if lst is None:
                 lst = self._by_name.get(name)
                 if lst is None:
-                    # a lineage that begins with D is dead; the directory is interned,
-                    # since a trace's files share few directories
-                    lst = FileEventsList(obj, sys.intern(_parent_dir(name))) if et is _FILE_CREATE else _Tombstone()
+                    if et is _FILE_CREATE:
+                        # interned: a trace's files share few directories
+                        lst = FileEventsList(obj, sys.intern(_parent_dir(name)))
+                    else:
+                        lst = _Tombstone()  # a lineage that begins with D is dead
             self._by_name[name] = lst
         else:
             fk = e.file_key
