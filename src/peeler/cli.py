@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .commands import RuleSet, default_rules_path, load_rules_file
+from .commands import CommandRule, default_rules_path, load_rules_file
 from .errors import CorpusError, PeelerError
 from .events import Detector
 from .features import MLR_WIDTH, SVM_WIDTH, correlations_from_rows, window_features
@@ -95,7 +95,7 @@ class TraceProfile:
         return self.manifest.label.is_ransomware
 
 
-def profile_trace(path: str, rules: RuleSet) -> TraceProfile:
+def profile_trace(path: str, rules: List[CommandRule]) -> TraceProfile:
     engine = Engine(EngineConfig(quarantine=False), rules=rules)
     ends, counts, x_mlr, x_svm = [], [], [], []
     with open(path, "rb") as f:
@@ -123,7 +123,7 @@ def profile_trace(path: str, rules: RuleSet) -> TraceProfile:
     )
 
 
-def load_corpus_profiles(corpus_dir: str, rules: RuleSet) -> List[TraceProfile]:
+def load_corpus_profiles(corpus_dir: str, rules: List[CommandRule]) -> List[TraceProfile]:
     """Profile each trace of a corpus index, in index order.
 
     A row whose label, family or seed differs from its trace's manifest is

@@ -41,11 +41,6 @@ class CommandRule:
     description: str
 
 
-@dataclass
-class RuleSet:
-    rules: List[CommandRule]
-
-
 def normalize_command(command_line: str) -> Tuple[str, List[str]]:
     """Split a raw command line into (utility, argument tokens).
 
@@ -100,7 +95,7 @@ def _parse_rule_line(line: str, lineno: int) -> CommandRule:
     )
 
 
-def load_rules(source: BinaryIO) -> RuleSet:
+def load_rules(source: BinaryIO) -> List[CommandRule]:
     """Parse a rules file: one `id | goal | utility | tokens | description`
     per line, and `#` comments."""
     rules: List[CommandRule] = []
@@ -115,10 +110,10 @@ def load_rules(source: BinaryIO) -> RuleSet:
             raise ParseError(lineno, f"duplicate rule id {rule.id!r}")
         seen.add(rule.id)
         rules.append(rule)
-    return RuleSet(rules=rules)
+    return rules
 
 
-def load_rules_file(path) -> RuleSet:
+def load_rules_file(path) -> List[CommandRule]:
     with open(path, "rb") as f:
         return load_rules(f)
 
@@ -130,12 +125,12 @@ def default_rules_path() -> str:
 
 
 class CommandMatcher:
-    """Immutable matching engine over one RuleSet; safe for concurrent use.
-    A Process Start alerts on the first rule in file order that matches it."""
+    """Immutable matching engine over a list of rules; safe for concurrent use.
+    A Process Start alerts on the first rule in list order that matches it."""
 
-    def __init__(self, rules: RuleSet):
+    def __init__(self, rules: List[CommandRule]):
         self._by_utility: Dict[str, list] = {}
-        for rule in rules.rules:
+        for rule in rules:
             checks = [re.compile(_glob_translate(tok)).match for tok in rule.required_tokens]
             self._by_utility.setdefault(rule.utility, []).append((rule, checks))
 

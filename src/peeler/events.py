@@ -4,15 +4,17 @@ Events are normalized records from four kernel providers (Process, File,
 Image, Thread). Every detector in the engine consumes these records, and
 trace files are just serialized lists of them. A record is one object of
 its payload type's class, which holds the shared fields and the payload's
-own, so the decoder builds one object per trace line. The classes are
-mutable slotted dataclasses, not frozen ones: a frozen one costs about
-twice as much to build. Nothing hashes them.
+own, so the decoder builds one object per trace line. The class, not the
+object, holds the provider, the one its rows of EVENT_CLASS name. The
+classes are mutable slotted dataclasses, not frozen ones: a frozen one
+costs about twice as much to build. Nothing hashes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 
 class Provider(Enum):
@@ -42,16 +44,16 @@ class EventType(Enum):
 @dataclass(slots=True)
 class Event:
     """One kernel event, as an instance of its pair's EVENT_CLASS, which
-    adds its payload's fields to these.
+    adds its payload's fields to these and fixes the provider.
 
     timestamp is integer microseconds since trace start and must be
     non-decreasing within a stream; pid/tid and all file keys are opaque
     unsigned 64-bit values.
     """
 
+    provider: ClassVar[Provider]
     pid: int
     tid: int
-    provider: Provider
     etype: EventType
     timestamp: int
 
@@ -126,6 +128,9 @@ EVENT_CLASS = {
     (Provider.IMAGE, EventType.LOAD): ImageEvent,
     (Provider.IMAGE, EventType.UNLOAD): ImageEvent,
 }
+
+for (_provider, _), _cls in EVENT_CLASS.items():
+    _cls.provider = _provider
 
 
 class Detector(Enum):

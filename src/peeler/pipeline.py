@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from .commands import CommandMatcher, RuleSet, default_rules_path, load_rules_file
+from .commands import CommandMatcher, CommandRule, default_rules_path, load_rules_file
 from .events import Alert, Detector, Event, EventType, Provider
 from .features import window_features
 from .fileio import FileIoMatcher
@@ -60,7 +60,7 @@ class Engine:
     def __init__(
         self,
         config: EngineConfig,
-        rules: Optional[RuleSet] = None,
+        rules: Optional[List[CommandRule]] = None,
         model: Optional[FusedClassifier] = None,
     ):
         self.config = config

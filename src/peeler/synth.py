@@ -41,7 +41,6 @@ from .events import (
     FileRwEvent,
     ImageEvent,
     ProcessEvent,
-    Provider,
     ThreadEvent,
 )
 from .fileio import PatternKind
@@ -179,36 +178,34 @@ class _Trace:
         return f"c:/windows/system32/lib{int(self.rng.integers(0, 400)):03d}.dll"
 
     def start(self, pid, ts, image, cmdline, parent):
-        self.events.append(ProcessEvent(pid, self.tid(), Provider.PROCESS, EventType.START, ts,
-                                        1, parent, image, cmdline))
+        self.events.append(ProcessEvent(pid, self.tid(), EventType.START, ts, 1, parent, image, cmdline))
 
     def end(self, pid, ts, image):
-        self.events.append(ProcessEvent(pid, self.tid(), Provider.PROCESS, EventType.END, ts,
-                                        1, 0, image, ""))
+        self.events.append(ProcessEvent(pid, self.tid(), EventType.END, ts, 1, 0, image, ""))
 
     def image(self, pid, ts, etype, name, size):
-        self.events.append(ImageEvent(pid, self.tid(), Provider.IMAGE, etype, ts, size, name))
+        self.events.append(ImageEvent(pid, self.tid(), etype, ts, size, name))
 
     def thread(self, pid, ts, etype, parent, tid):
-        self.events.append(ThreadEvent(pid, tid, Provider.THREAD, etype, ts, parent))
+        self.events.append(ThreadEvent(pid, tid, etype, ts, parent))
 
     def read(self, pid, ts, fk, obj, size, tid):
-        self.events.append(FileRwEvent(pid, tid, Provider.FILE, EventType.READ, ts, fk, obj, size))
+        self.events.append(FileRwEvent(pid, tid, EventType.READ, ts, fk, obj, size))
 
     def write(self, pid, ts, fk, obj, size, tid):
-        self.events.append(FileRwEvent(pid, tid, Provider.FILE, EventType.WRITE, ts, fk, obj, size))
+        self.events.append(FileRwEvent(pid, tid, EventType.WRITE, ts, fk, obj, size))
 
     def create(self, pid, ts, obj, name, tid):
-        self.events.append(FileNameEvent(pid, tid, Provider.FILE, EventType.FILE_CREATE, ts, obj, name))
+        self.events.append(FileNameEvent(pid, tid, EventType.FILE_CREATE, ts, obj, name))
 
     def fdelete(self, pid, ts, obj, name, tid):
-        self.events.append(FileNameEvent(pid, tid, Provider.FILE, EventType.FILE_DELETE, ts, obj, name))
+        self.events.append(FileNameEvent(pid, tid, EventType.FILE_DELETE, ts, obj, name))
 
     def rename(self, pid, ts, fk, obj, tid):
-        self.events.append(FileRenDelEvent(pid, tid, Provider.FILE, EventType.RENAME, ts, fk, obj))
+        self.events.append(FileRenDelEvent(pid, tid, EventType.RENAME, ts, fk, obj))
 
     def delete(self, pid, ts, fk, obj, tid):
-        self.events.append(FileRenDelEvent(pid, tid, Provider.FILE, EventType.DELETE, ts, fk, obj))
+        self.events.append(FileRenDelEvent(pid, tid, EventType.DELETE, ts, fk, obj))
 
     def images(self, pid, t, n, lo, hi, etype):
         """n image events of pid at steps of lo to hi µs from t; returns the

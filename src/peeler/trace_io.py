@@ -184,7 +184,6 @@ class Window:
                 self.n_process_end += 1
 
 
-_PROVIDER_BY_NAME = {p.value: p for p in Provider}
 _ETYPE_BY_NAME = {t.value: t for t in EventType}
 
 
@@ -319,7 +318,7 @@ def _event(obj, lineno: int) -> Event:
     if type(obj) is not dict:
         raise ParseError(lineno, "event line is not an object")
     try:
-        provider = _PROVIDER_BY_NAME[obj["prov"]]
+        pairs = _PAIRS[obj["prov"]]
         etype = _ETYPE_BY_NAME[obj["etype"]]
         pid, tid, ts = obj["pid"], obj["tid"], obj["ts"]
     except KeyError as exc:
@@ -328,15 +327,15 @@ def _event(obj, lineno: int) -> Event:
         raise ParseError(lineno, "prov and etype must be strings") from None
     for name, value in (("pid", pid), ("tid", tid), ("ts", ts)):
         _u64(value, name, lineno)
-    pair = _PAIRS[obj["prov"]].get(obj["etype"])
+    pair = pairs.get(obj["etype"])
     if pair is None:
-        raise ParseError(lineno, f"etype {etype.value} invalid for provider {provider.value}")
+        raise ParseError(lineno, f"etype {etype.value} invalid for provider {obj['prov']}")
     cls = pair[2]
     try:
         fields = [check(obj[key], key, lineno) for key, _, check in _WIRE[cls]]
     except KeyError as exc:
         raise ParseError(lineno, f"missing attribute key {exc.args[0]!r}") from None
-    return cls(pid, tid, provider, etype, ts, *fields)
+    return cls(pid, tid, etype, ts, *fields)
 
 
 def line_to_event(raw: bytes, lineno: int = 0) -> Event:
@@ -396,7 +395,7 @@ def _block_events(lines: List[bytes], prev_ts: int) -> Optional[List[Event]]:
                     file_name = obj["file_name"]
                     if type(file_name) is not str or not file_name:
                         return None
-                    append(FileNameEvent(pid, tid, provider, etype, ts, file_object, file_name))
+                    append(FileNameEvent(pid, tid, etype, ts, file_object, file_name))
                     continue
                 file_key = obj["file_key"]
                 file_key = keys.get(file_key, file_key)
@@ -411,20 +410,20 @@ def _block_events(lines: List[bytes], prev_ts: int) -> Optional[List[Event]]:
                     io_size = obj["io_size"]
                     if type(io_size) is not int or io_size < 0:
                         return None
-                    append(FileRwEvent(pid, tid, provider, etype, ts, file_key, file_object, io_size))
+                    append(FileRwEvent(pid, tid, etype, ts, file_key, file_object, io_size))
                 else:
-                    append(FileRenDelEvent(pid, tid, provider, etype, ts, file_key, file_object))
+                    append(FileRenDelEvent(pid, tid, etype, ts, file_key, file_object))
             elif cls is ThreadEvent:
                 parent_id = obj["parent_id"]
                 if type(parent_id) is not int or parent_id < 0:
                     return None
-                append(ThreadEvent(pid, tid, provider, etype, ts, parent_id))
+                append(ThreadEvent(pid, tid, etype, ts, parent_id))
             elif cls is ImageEvent:
                 image_size = obj["image_size"]
                 file_name = obj["file_name"]
                 if type(image_size) is not int or image_size < 0 or type(file_name) is not str:
                     return None
-                append(ImageEvent(pid, tid, provider, etype, ts, image_size, file_name))
+                append(ImageEvent(pid, tid, etype, ts, image_size, file_name))
             else:
                 session_id = obj["session_id"]
                 parent_id = obj["parent_id"]
@@ -433,7 +432,7 @@ def _block_events(lines: List[bytes], prev_ts: int) -> Optional[List[Event]]:
                 if not (type(session_id) is int and type(parent_id) is int and session_id >= 0
                         and parent_id >= 0 and type(image) is str and type(cmdline) is str):
                     return None
-                append(ProcessEvent(pid, tid, provider, etype, ts, session_id, parent_id, image, cmdline))
+                append(ProcessEvent(pid, tid, etype, ts, session_id, parent_id, image, cmdline))
     except (ValueError, KeyError, TypeError):
         # bad JSON (orjson's JSONDecodeError is a ValueError) or hex digits,
         # a missing key or unknown pair, a line that is not an object: the

@@ -14,57 +14,56 @@ from peeler.events import (
     FileRwEvent,
     ImageEvent,
     ProcessEvent,
-    Provider,
     ThreadEvent,
 )
 
 
 def ev_proc_start(pid, ts, image="app.exe", cmdline="", parent=0, session=1, tid=100):
-    return ProcessEvent(pid, tid, Provider.PROCESS, EventType.START, ts, session, parent, image, cmdline)
+    return ProcessEvent(pid, tid, EventType.START, ts, session, parent, image, cmdline)
 
 
 def ev_proc_end(pid, ts, image="app.exe", parent=0, session=1, tid=100):
-    return ProcessEvent(pid, tid, Provider.PROCESS, EventType.END, ts, session, parent, image, "")
+    return ProcessEvent(pid, tid, EventType.END, ts, session, parent, image, "")
 
 
 def ev_read(pid, ts, fk, obj, size=4096, tid=100):
-    return FileRwEvent(pid, tid, Provider.FILE, EventType.READ, ts, fk, obj, size)
+    return FileRwEvent(pid, tid, EventType.READ, ts, fk, obj, size)
 
 
 def ev_write(pid, ts, fk, obj, size=4096, tid=100):
-    return FileRwEvent(pid, tid, Provider.FILE, EventType.WRITE, ts, fk, obj, size)
+    return FileRwEvent(pid, tid, EventType.WRITE, ts, fk, obj, size)
 
 
 def ev_rename(pid, ts, fk, obj, tid=100):
-    return FileRenDelEvent(pid, tid, Provider.FILE, EventType.RENAME, ts, fk, obj)
+    return FileRenDelEvent(pid, tid, EventType.RENAME, ts, fk, obj)
 
 
 def ev_delete(pid, ts, fk, obj, tid=100):
-    return FileRenDelEvent(pid, tid, Provider.FILE, EventType.DELETE, ts, fk, obj)
+    return FileRenDelEvent(pid, tid, EventType.DELETE, ts, fk, obj)
 
 
 def ev_create(pid, ts, obj, name, tid=100):
-    return FileNameEvent(pid, tid, Provider.FILE, EventType.FILE_CREATE, ts, obj, name)
+    return FileNameEvent(pid, tid, EventType.FILE_CREATE, ts, obj, name)
 
 
 def ev_fdelete(pid, ts, obj, name, tid=100):
-    return FileNameEvent(pid, tid, Provider.FILE, EventType.FILE_DELETE, ts, obj, name)
+    return FileNameEvent(pid, tid, EventType.FILE_DELETE, ts, obj, name)
 
 
 def ev_thread_start(pid, ts, parent=0, tid=200):
-    return ThreadEvent(pid, tid, Provider.THREAD, EventType.START, ts, parent)
+    return ThreadEvent(pid, tid, EventType.START, ts, parent)
 
 
 def ev_thread_end(pid, ts, parent=0, tid=200):
-    return ThreadEvent(pid, tid, Provider.THREAD, EventType.END, ts, parent)
+    return ThreadEvent(pid, tid, EventType.END, ts, parent)
 
 
 def ev_image_load(pid, ts, name="lib.dll", size=65536, tid=100):
-    return ImageEvent(pid, tid, Provider.IMAGE, EventType.LOAD, ts, size, name)
+    return ImageEvent(pid, tid, EventType.LOAD, ts, size, name)
 
 
 def ev_image_unload(pid, ts, name="lib.dll", size=65536, tid=100):
-    return ImageEvent(pid, tid, Provider.IMAGE, EventType.UNLOAD, ts, size, name)
+    return ImageEvent(pid, tid, EventType.UNLOAD, ts, size, name)
 
 
 def random_events(rng: np.random.Generator, n: int) -> List[Event]:

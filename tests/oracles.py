@@ -675,7 +675,7 @@ def _ref_line_to_event(line: str, lineno: int) -> Event:
     for name in ("pid", "tid", "ts"):
         _ref_u64(obj[name], name, lineno)
     cls, payload = _ref_payload(provider, etype, obj, lineno)
-    return cls(pid=pid, tid=tid, provider=provider, etype=etype, timestamp=ts, **payload)
+    return cls(pid=pid, tid=tid, etype=etype, timestamp=ts, **payload)
 
 
 def _ref_manifest(text: str, lineno: int) -> TraceManifest:

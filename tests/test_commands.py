@@ -52,8 +52,8 @@ def test_normalize_keeps_quoted_segments_whole():
 
 
 def test_bundled_rules_load(bundled):
-    assert len(bundled.rules) >= 20
-    assert len({r.id for r in bundled.rules}) == len(bundled.rules)
+    assert len(bundled) >= 20
+    assert len({r.id for r in bundled}) == len(bundled)
 
 
 def test_all_attack_commands_alert(bundled):
@@ -116,7 +116,7 @@ def test_token_mismatch_is_absent(bundled):
 def test_empty_rules_file():
     # a `# version:` line is a comment like any other
     for data in (b"", b"# version: 1\n"):
-        assert load_rules(io.BytesIO(data)).rules == []
+        assert load_rules(io.BytesIO(data)) == []
 
 
 def test_duplicate_rule_id_rejected():
@@ -230,7 +230,7 @@ def _differential(rules, lines):
     for line in lines:
         alert = matcher.match(ev_proc_start(1, 0, cmdline=line))
         got = alert and alert.trigger
-        assert got == ref_command_match(rules.rules, line), repr(line)
+        assert got == ref_command_match(rules, line), repr(line)
         fired[got] += 1
     return fired
 
@@ -238,18 +238,18 @@ def _differential(rules, lines):
 def test_bundled_rules_equal_reference_on_random_lines(bundled):
     rng = random.Random(27)
     tokens_of = {}
-    for rule in bundled.rules:
+    for rule in bundled:
         tokens_of.setdefault(rule.utility, []).extend(rule.required_tokens)
     lines = [_bundled_line(rng, tokens_of) for _ in range(20_000)]
     fired = _differential(bundled, lines)
     # the lines reach every rule, and rules in order: some lines would fire
     # a later rule of the same utility too
-    assert set(fired) == {None} | {rule.id for rule in bundled.rules}
+    assert set(fired) == {None} | {rule.id for rule in bundled}
     assert 0.15 <= fired[None] / len(lines) <= 0.85, fired
     shadowed = sum(
-        ref_command_match([r for r in bundled.rules if r.id != first], line) is not None
+        ref_command_match([r for r in bundled if r.id != first], line) is not None
         for line in lines
-        if (first := ref_command_match(bundled.rules, line)) is not None
+        if (first := ref_command_match(bundled, line)) is not None
     )
     assert shadowed >= 200
 

@@ -11,6 +11,8 @@ import sys
 import timeit
 
 from peeler.commands import CommandMatcher, default_rules_path, load_rules, load_rules_file
+from peeler.events import Detector
+from peeler.features import build_process_tree, extract_mlr_features
 from peeler.fileio import FileIoMatcher, PatternKind
 from peeler.pipeline import Engine, EngineConfig, run_trace
 from peeler.synth import SynthConfig, synth_trace
@@ -160,3 +162,47 @@ def test_flush_window_calls_stay_flat_in_distinct_pids():
         calls[n] = _calls(engine.flush_window, window)[0]
         assert [a.pid for a in engine.alerts] == [100]
     assert calls[16_000] == calls[1_000], calls
+
+
+def _chain_features(events):
+    """The process-tree features of one window of events."""
+    window = Window(0, 0, WINDOW_LEN)
+    for e in events:
+        window.add(e)
+    return extract_mlr_features(build_process_tree(window))
+
+
+def test_process_chain_work_per_pid_stays_flat():
+    # one window of n distinct pids, each started by the pid before it, in
+    # chain order and in reverse: the calls per pid past the first are equal
+    # at 1k and 16k. The union-find walk makes no call, so time per pid is
+    # bounded too, at 2x from 1k to 16k.
+    for order in ("chain", "reverse"):
+        calls, seconds = {}, {}
+        for n in (1, 1_000, 16_000):
+            events = [ev_proc_start(100 + i, i, image=f"p{i}.exe", parent=99 + i if i else 0)
+                      for i in range(n)]
+            if order == "reverse":
+                events.reverse()
+            features = _chain_features(events)
+            assert (features.n_processes, features.max_depth, features.n_leaf_nodes) == (n, n, 1)
+            calls[n] = _calls(_chain_features, events)[0]
+            seconds[n] = min(timeit.repeat(lambda: _chain_features(events), number=1, repeat=5)) / n
+        per_pid = {n: (calls[n] - calls[1]) / (n - 1) for n in (1_000, 16_000)}
+        assert per_pid[16_000] == per_pid[1_000], (order, calls)
+        assert seconds[16_000] <= 2 * seconds[1_000], (order, seconds)
+
+
+def test_engine_calls_per_command_alert_stay_flat():
+    # without quarantine every Process Start of a shadow-copy wipe alerts;
+    # the alerts grow with n by design, the calls per alert do not
+    cmdline = "vssadmin.exe delete shadows /all /quiet"
+    calls = {}
+    for n in (1_000, 16_000):
+        engine = Engine(EngineConfig(quarantine=False))
+        events = [ev_proc_start(100 + i, i, image="vssadmin.exe", cmdline=cmdline) for i in range(n)]
+        calls[n] = _calls(list, map(engine.process_event, events))[0] / n
+        assert len(engine.alerts) == n
+        fired = {(a.detector, a.trigger) for a in engine.alerts}
+        assert fired == {(Detector.COMMAND_RULE, "vssadmin-delete-shadows")}
+    assert abs(calls[16_000] - calls[1_000]) <= 0.1, calls

@@ -1,6 +1,7 @@
 """Data model: pairing rules and pattern letters, checked through the strict
 decoder: an event is valid when its wire line reads back equal to it."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -50,34 +51,44 @@ def test_schema_conforming_process_start_is_valid():
 
 
 def test_forbidden_provider_etype_pairing():
-    e = ImageEvent(1, 1, Provider.IMAGE, EventType.READ, 0, *_SAMPLE_FIELDS[ImageEvent])
+    e = ImageEvent(1, 1, EventType.READ, 0, *_SAMPLE_FIELDS[ImageEvent])
     with pytest.raises(ParseError, match="invalid for provider"):
         _round_trip(e)
 
 
 def test_event_class_mismatch():
-    e = FileNameEvent(1, 1, Provider.FILE, EventType.READ, 0, 0xA, "f")
+    e = FileNameEvent(1, 1, EventType.READ, 0, 0xA, "f")
     with pytest.raises(ParseError, match="missing attribute key 'file_key'"):
         _round_trip(e)
     # a Rename's wire keys are a subset of FileRwEvent's: the extra key is lost
-    e = FileRwEvent(1, 1, Provider.FILE, EventType.RENAME, 0, 0xA, 0xB, 512)
-    assert _round_trip(e) == FileRenDelEvent(1, 1, Provider.FILE, EventType.RENAME, 0, 0xA, 0xB)
+    e = FileRwEvent(1, 1, EventType.RENAME, 0, 0xA, 0xB, 512)
+    assert _round_trip(e) == FileRenDelEvent(1, 1, EventType.RENAME, 0, 0xA, 0xB)
 
 
 def test_exactly_table_schema_triples_validate():
-    # Enumerate every (provider, etype, event class) triple; exactly the
-    # 12 schema rows must round-trip, each with its own class only.
+    # Enumerate every (etype, event class) pair, the class fixing the
+    # provider; exactly the 12 schema rows must round-trip, each with its
+    # own class only.
     ok = set()
-    for prov, et, cls in itertools.product(Provider, EventType, _SAMPLE_FIELDS):
-        if not _rejected(cls(1, 1, prov, et, 0, *_SAMPLE_FIELDS[cls])):
-            ok.add((prov, et, cls))
+    for et, cls in itertools.product(EventType, _SAMPLE_FIELDS):
+        if not _rejected(cls(1, 1, et, 0, *_SAMPLE_FIELDS[cls])):
+            ok.add((cls.provider, et, cls))
     assert ok == {(p, t, cls) for (p, t), cls in EVENT_CLASS.items()}
     assert len(ok) == 12
 
 
+def test_event_class_fixes_provider():
+    for (provider, etype), cls in EVENT_CLASS.items():
+        assert cls.provider is provider
+        assert "provider" not in {f.name for f in dataclasses.fields(cls)}
+        line = event_to_line(cls(1, 1, etype, 0, *_SAMPLE_FIELDS[cls]))
+        assert f'"prov":"{provider.value}"' in line
+        assert line_to_event(line.encode()).provider is provider
+
+
 def test_negative_fields_flagged():
     for pid, tid, ts, field in [(-1, 1, 5, "pid"), (1, -1, 5, "tid"), (1, 1, -5, "ts")]:
-        e = FileRwEvent(pid, tid, Provider.FILE, EventType.READ, ts, 1, 2, 3)
+        e = FileRwEvent(pid, tid, EventType.READ, ts, 1, 2, 3)
         with pytest.raises(ParseError, match=f"{field} must be an integer"):
             _round_trip(e)
 

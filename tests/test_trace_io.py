@@ -24,7 +24,6 @@ from peeler.events import (
     FileRwEvent,
     ImageEvent,
     ProcessEvent,
-    Provider,
     ThreadEvent,
 )
 from peeler.fileio import PatternKind
@@ -710,18 +709,18 @@ def test_streamed_run_holds_no_event_list():
 def _every_field_event(i: int, text: str):
     """One event of each payload shape, every int field i, every string text."""
     return [
-        ProcessEvent(i, i, Provider.PROCESS, EventType.START, i, i, i, text, text),
-        ProcessEvent(i, i, Provider.PROCESS, EventType.END, i, i, i, text, text),
-        FileRwEvent(i, i, Provider.FILE, EventType.READ, i, i, i, i),
-        FileRwEvent(i, i, Provider.FILE, EventType.WRITE, i, i, i, i),
-        FileRenDelEvent(i, i, Provider.FILE, EventType.RENAME, i, i, i),
-        FileRenDelEvent(i, i, Provider.FILE, EventType.DELETE, i, i, i),
-        FileNameEvent(i, i, Provider.FILE, EventType.FILE_CREATE, i, i, text),
-        FileNameEvent(i, i, Provider.FILE, EventType.FILE_DELETE, i, i, text),
-        ThreadEvent(i, i, Provider.THREAD, EventType.START, i, i),
-        ThreadEvent(i, i, Provider.THREAD, EventType.END, i, i),
-        ImageEvent(i, i, Provider.IMAGE, EventType.LOAD, i, i, text),
-        ImageEvent(i, i, Provider.IMAGE, EventType.UNLOAD, i, i, text),
+        ProcessEvent(i, i, EventType.START, i, i, i, text, text),
+        ProcessEvent(i, i, EventType.END, i, i, i, text, text),
+        FileRwEvent(i, i, EventType.READ, i, i, i, i),
+        FileRwEvent(i, i, EventType.WRITE, i, i, i, i),
+        FileRenDelEvent(i, i, EventType.RENAME, i, i, i),
+        FileRenDelEvent(i, i, EventType.DELETE, i, i, i),
+        FileNameEvent(i, i, EventType.FILE_CREATE, i, i, text),
+        FileNameEvent(i, i, EventType.FILE_DELETE, i, i, text),
+        ThreadEvent(i, i, EventType.START, i, i),
+        ThreadEvent(i, i, EventType.END, i, i),
+        ImageEvent(i, i, EventType.LOAD, i, i, text),
+        ImageEvent(i, i, EventType.UNLOAD, i, i, text),
     ]
 
 
