@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fnmatch import translate as _glob_translate
+from functools import lru_cache
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from .errors import ParseError, decode_utf8
@@ -124,14 +125,20 @@ def default_rules_path() -> str:
     return str(files("peeler.data").joinpath("default_rules.txt"))
 
 
+@lru_cache(maxsize=None)
+def _token_check(token: str):
+    return re.compile(_glob_translate(token)).match
+
+
 class CommandMatcher:
     """Immutable matching engine over a list of rules; safe for concurrent use.
-    A Process Start alerts on the first rule in list order that matches it."""
+    A Process Start alerts on the first rule in list order that matches it.
+    Each distinct token is compiled once per process."""
 
     def __init__(self, rules: List[CommandRule]):
         self._by_utility: Dict[str, list] = {}
         for rule in rules:
-            checks = [re.compile(_glob_translate(tok)).match for tok in rule.required_tokens]
+            checks = [_token_check(tok) for tok in rule.required_tokens]
             self._by_utility.setdefault(rule.utility, []).append((rule, checks))
 
     def match(self, e: Event) -> Optional[Alert]:

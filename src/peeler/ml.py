@@ -15,6 +15,7 @@ product, so a row scores the same bits in a batch of any size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import BinaryIO, List, Tuple
 
 import numpy as np
@@ -154,9 +155,8 @@ def mlr_probabilities_batch(m: MlrModel, X) -> np.ndarray:
     Xm = _as_matrix(X)
     Xb = np.hstack([m.scaler.apply(Xm), np.ones((Xm.shape[0], 1))])
     scores = (Xb[:, None, :] * m.weights).sum(-1)
-    scores -= scores.max(axis=1, keepdims=True)
-    e = np.exp(scores)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(scores - reduce(np.maximum, scores.T)[:, None])
+    return e / reduce(np.add, e.T)[:, None]
 
 
 @dataclass

@@ -1,20 +1,21 @@
 """Independent reference implementations used to check the engine.
 
 The pattern-matching oracle re-derives per-file event lists with its own
-bookkeeping and matches letter sequences with re.fullmatch on every prefix;
-it shares no code with the streaming matcher. Numeric references use
+bookkeeping and matches letter sequences with re.fullmatch on every prefix; it
+shares no code with the streaming matcher. Numeric references use
 straightforward two-pass formulas. The softmax loss/gradient and the SVM dual
 solver references are the original per-row and per-element loops that the
-vectorized kernels must reproduce bit for bit. The window reference builds
-every window up to the last event, empty ones included, by direct indexing,
-and keeps each window's events. The feature references are the list-based
-counters that the per-window accumulator (trace_io.Window) replaced: an
-event-pair Counter, and a process tree whose cycle check walks the ancestry
-built so far. The reference file I/O matcher is the one that tombstones
-replaced: every lineage gets an events list with all its identity sets, a
-sweep unregisters an evicted list key by key, and a map of each pid's latest
-image feeds its own false-positive filter and blame, each a walk of its own
-over the contributing pids.
+vectorized kernels must reproduce bit for bit, and so are the RBF Gram element
+loop and the softmax-probability row loop under the scoring. The window
+reference builds every window up to the last event, empty ones included, by
+direct indexing, and keeps each window's events. The feature references are
+the list-based counters that the per-window accumulator (trace_io.Window)
+replaced: an event-pair Counter, and a process tree whose cycle check walks
+the ancestry built so far. The reference file I/O matcher is the one that
+tombstones replaced: every lineage gets an events list with all its identity
+sets, a sweep unregisters an evicted list key by key, and a map of each pid's
+latest image feeds its own false-positive filter and blame, each a walk of its
+own over the contributing pids.
 The trace references are the whole-file decoder that the streaming one
 replaced (decode all bytes, split the lines, json.loads each, and pick the
 payload type by enum pair) and the whole-file writer that the streaming one
@@ -432,6 +433,29 @@ def svm_dual_objective(alphas, y, gram) -> float:
             if alphas[j] != 0.0:
                 quad += alphas[i] * alphas[j] * y[i] * y[j] * gram[i][j]
     return total - 0.5 * quad
+
+
+def ref_rbf_gram(A, B, gamma):
+    """Element-loop reference for kernels.rbf_gram: each entry from the 1-D
+    difference of its two rows."""
+    out = np.empty((A.shape[0], B.shape[0]))
+    for i in range(A.shape[0]):
+        for j in range(B.shape[0]):
+            d = A[i] - B[j]
+            out[i, j] = np.exp(-gamma * np.sum(d * d))
+    return out
+
+
+def ref_mlr_probabilities(W, Xb):
+    """Row-loop reference for ml.mlr_probabilities_batch on scaled,
+    bias-augmented rows Xb: each row's scores, shifted by their max, through
+    exp, over their sum."""
+    P = np.empty((Xb.shape[0], W.shape[0]))
+    for i, xb in enumerate(Xb):
+        z = (xb * W).sum(-1)
+        e = np.exp(z - z.max())
+        P[i] = e / e.sum()
+    return P
 
 
 def ref_mlr_loss_grad(W, Xb, y, l2):

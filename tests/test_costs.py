@@ -6,9 +6,12 @@ Where the work is inside one C call (a long string through a regex), the
 bound is on time per character instead, at n and 16n.
 """
 
+import fnmatch
+import gc
 import io
 import sys
 import timeit
+import tracemalloc
 
 from peeler.commands import CommandMatcher, default_rules_path, load_rules, load_rules_file
 from peeler.events import Detector
@@ -32,13 +35,15 @@ CALLS_PER_EVENT = {
 
 def _calls(fn, *args):
     """(Python calls, C calls) that fn(*args) makes; a Python call is a frame
-    entered or resumed."""
+    entered or resumed. Garbage is collected first, so that no finalizer of
+    earlier garbage (a generator's close) runs, and counts, inside fn."""
     calls = {"call": 0, "c_call": 0}
 
     def count(frame, event, arg):
         if event in calls:
             calls[event] += 1
 
+    gc.collect()
     sys.setprofile(count)
     try:
         fn(*args)
@@ -80,6 +85,39 @@ def test_command_calls_per_token_stay_flat():
         calls[n] = _calls(matcher.match, e)
     (python_n, c_n), (python_16n, c_16n) = calls[1_000], calls[16_000]
     assert python_16n == python_n and abs(c_16n / 16 / c_n - 1) <= 0.01, calls
+
+
+def _translate_calls(fn, *args):
+    """fnmatch.translate calls that fn(*args) makes."""
+    calls = [0]
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is fnmatch.translate.__code__:
+            calls[0] += 1
+
+    sys.setprofile(count)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+def test_rule_tokens_compile_once_per_process():
+    # a corpus eval builds one engine per trace: after the first, an engine
+    # from the same rules translates no glob, and two rules that name one
+    # token share one compiled check
+    rules = load_rules_file(default_rules_path())
+    Engine(EngineConfig(), rules=rules)
+    assert _translate_calls(Engine, EngineConfig(), rules) == 0
+    checks = {}
+    for rule_checks in CommandMatcher(rules)._by_utility.values():
+        for rule, rule_check in rule_checks:
+            for token, check in zip(rule.required_tokens, rule_check):
+                checks.setdefault(token, []).append(check)
+    shared = {token: found for token, found in checks.items() if len(found) > 1}
+    assert "delete" in shared
+    assert all(check is found[0] for found in shared.values() for check in found), shared
 
 
 def _seconds_per_char(matcher, cmdline, chars):
@@ -206,3 +244,49 @@ def test_engine_calls_per_command_alert_stay_flat():
         fired = {(a.detector, a.trigger) for a in engine.alerts}
         assert fired == {(Detector.COMMAND_RULE, "vssadmin-delete-shadows")}
     assert abs(calls[16_000] - calls[1_000]) <= 0.1, calls
+
+
+def _distinct_creates(matcher, n):
+    """n FileCreates of n distinct files in one directory, each event built
+    as it is ingested, so that only what the matcher keeps stays allocated."""
+    for i in range(n):
+        matcher.ingest(ev_create(10, i, 0x10_0000 + i, f"c:/users/u/documents/file{i:06d}.txt"))
+
+
+def test_distinct_create_work_and_memory_per_create_stay_flat():
+    # each distinct create holds a list, its name key and its FileObject key
+    # until a sweep drops it: the calls per create past the first are equal
+    # at 1k and 16k, and the traced bytes per create, name string included,
+    # within 2x
+    calls, held = {}, {}
+    for n in (1, 1_000, 16_000):
+        calls[n] = _calls(_distinct_creates, FileIoMatcher(), n)[0]
+        matcher = FileIoMatcher()
+        tracemalloc.start()
+        try:
+            _distinct_creates(matcher, n)
+            held[n] = tracemalloc.get_traced_memory()[0] / n
+        finally:
+            tracemalloc.stop()
+        assert len(matcher.lists()) == n
+    per_create = {n: (calls[n] - calls[1]) / (n - 1) for n in (1_000, 16_000)}
+    assert per_create[16_000] == per_create[1_000], calls
+    assert max(held[1_000], held[16_000]) <= 2 * min(held[1_000], held[16_000]), held
+
+
+def test_rename_chain_calls_per_rename_stay_flat():
+    # one lineage renamed n times, each rename's FileObject the next one's
+    # file_key: every rename resolves through the FileObject map in one step,
+    # and the calls per rename past the first are equal at 1k and 16k
+    calls = {}
+    for n in (1, 1_000, 16_000):
+        matcher = FileIoMatcher()
+        base = 0x20_0000
+        events = [ev_create(10, 0, base, "c:/users/u/documents/a.txt")]
+        events += [ev_rename(10, 1 + i, base + i, base + i + 1) for i in range(n)]
+        alerts = []
+        calls[n] = _calls(alerts.extend, map(matcher.ingest, events))[0]
+        assert alerts == [None] * len(events)
+        assert len(set(map(id, matcher._by_object.values()))) == 1
+    per_rename = {n: (calls[n] - calls[1]) / (n - 1) for n in (1_000, 16_000)}
+    assert per_rename[16_000] == per_rename[1_000], calls

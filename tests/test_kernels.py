@@ -8,6 +8,7 @@ from peeler import kernels as K
 from oracles import (
     central_difference_gradient,
     ref_mlr_loss_grad,
+    ref_rbf_gram,
     ref_smo_solve,
     svm_dual_objective,
 )
@@ -28,6 +29,17 @@ def test_rbf_gram_matches_direct_formula():
     B = rng.normal(size=(9, 6))
     got = K.rbf_gram(A, B, 0.3)
     assert np.allclose(got, _gram_direct(A, B, 0.3), rtol=1e-12, atol=1e-14)
+
+
+def test_rbf_gram_equals_element_loop_reference():
+    # one scored row and many, at the tree and event-frequency widths
+    rng = np.random.default_rng(12)
+    for width in (5, 8):
+        for rows in (1, 1, 40, 97):
+            A = rng.normal(size=(rows, width)) * rng.uniform(0.1, 5.0)
+            B = rng.normal(size=(int(rng.integers(1, 60)), width)) * rng.uniform(0.1, 5.0)
+            gamma = float(rng.uniform(0.01, 2.0))
+            assert np.array_equal(K.rbf_gram(A, B, gamma), ref_rbf_gram(A, B, gamma))
 
 
 def test_rbf_self_similarity_and_symmetry():

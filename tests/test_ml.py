@@ -23,7 +23,7 @@ from peeler.ml import (
     train_mlr,
     train_svm,
 )
-from oracles import svm_dual_objective
+from oracles import ref_mlr_probabilities, svm_dual_objective
 from peeler import kernels
 
 
@@ -119,6 +119,20 @@ def test_mlr_probability_monotone_in_margin():
     assert probs[0] == 0.5
     assert all(b > a for a, b in zip(probs, probs[1:]))
     assert probs[-1] > 1.0 - 1e-12
+
+
+def test_mlr_probabilities_equal_row_loop_reference():
+    # one row and many, at widths 5 and 8; the larger weights push the
+    # scores far past exp's range, so the shift by the row max matters
+    rng = np.random.default_rng(13)
+    for width in (5, 8):
+        for rows in (1, 1, 40, 97):
+            s = Scaler(rng.normal(size=width), rng.uniform(0.5, 3.0, size=width), np.zeros(width, dtype=bool))
+            w = rng.normal(size=(2, width + 1)) * rng.choice([0.1, 3.0, 200.0])
+            m = MlrModel(weights=w, scaler=s, l2=0.0, converged=True, n_iter=0)
+            X = rng.normal(size=(rows, width)) * 10.0
+            Xb = np.hstack([s.apply(X), np.ones((rows, 1))])
+            assert np.array_equal(mlr_probabilities_batch(m, X), ref_mlr_probabilities(w, Xb))
 
 
 def test_mlr_probabilities_sum_to_one():
