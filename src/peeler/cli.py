@@ -1,13 +1,9 @@
 """Command-line front end: synth, detect, train, eval.
 
-Train and eval decode each corpus trace once, into a TraceProfile: its
-manifest, its split-independent rule and pattern alerts, and one feature row
-per window. Eval judges each test trace of each repeat from the profile
-alone and keeps one TraceRow per judgment; its counts, metrics, latencies and
-latency table are all read off those rows, and the --correlations table off
-the feature rows. Detect, train and eval all cut windows at trace_io.WINDOW_LEN,
-which no option changes: a model is only valid at the window length its
-training rows were taken over.
+Each command is one _cmd_* function over its layer's module; train and eval
+run in peeler.evaluate. Detect, train and eval all cut windows at
+trace_io.WINDOW_LEN, which no option changes: a model is only valid at the
+window length its training rows were taken over.
 
 Exit codes: 0 success, 1 usage error (the parser rejected an argument), 2 data
 error (a PeelerError or OSError), 3 internal error (any other exception).
@@ -18,36 +14,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
-import numpy as np
-
-from .commands import CommandRule, default_rules_path, load_rules_file
-from .errors import CorpusError, PeelerError
-from .events import Detector
-from .features import MLR_WIDTH, SVM_WIDTH, correlations_from_rows, window_features
+from .commands import default_rules_path, load_rules_file
+from .errors import PeelerError
+# profile_trace is not called here: perfbench/tracing.py wraps it as peeler.cli.profile_trace
+from .evaluate import evaluate_profiles, load_corpus_profiles, profile_trace, split_profiles, train_from_profiles
+from .features import correlations_from_rows
 from .fileio import PatternKind
-from .ml import (
-    MIN_TRAIN_SAMPLES,
-    FusedClassifier,
-    fuse_batch,
-    load_model_file,
-    save_model_file,
-    train_mlr,
-    train_svm,
-)
+from .ml import load_model_file, save_model_file
 from .pipeline import Engine, EngineConfig, run_trace
-from .synth import (
-    ARCHETYPES,
-    SynthConfig,
-    default_corpus_spec,
-    read_corpus_index,
-    synth_corpus,
-    synth_trace,
-)
-from .trace_io import WINDOW_LEN, TraceLabel, TraceManifest, iter_trace, save_trace, window_partition
+from .synth import ARCHETYPES, SynthConfig, default_corpus_spec, synth_corpus, synth_trace
+from .trace_io import iter_trace, save_trace
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -63,261 +41,6 @@ ARCHETYPE_NAMES = {
     **{f"crypto:{name}": ("crypto", kind) for name, kind in PATTERN_NAMES.items()},
     **{a.replace("_", "-"): (a, None) for a in ARCHETYPES if a != "crypto"},
 }
-
-# windows from attack traces need this many events to count as attack
-# examples during training; near-empty windows carry no attack signal
-MIN_ATTACK_WINDOW_EVENTS = 10
-
-
-# --- corpus loading and per-trace precomputation -----------------------------
-
-
-@dataclass
-class TraceProfile:
-    """Everything eval needs about one trace, computed once.
-
-    Rule and pattern detections are split-independent, so each trace runs
-    through the engine a single time; only the ML stage depends on the
-    trained model.
-    """
-
-    path: str
-    manifest: TraceManifest
-    rule_alert_ts: Optional[int]
-    pattern_alert_ts: Optional[int]
-    window_ends: np.ndarray
-    window_counts: np.ndarray
-    X_mlr: np.ndarray
-    X_svm: np.ndarray
-
-    @property
-    def is_ransomware(self) -> bool:
-        return self.manifest.label.is_ransomware
-
-
-def profile_trace(path: str, rules: List[CommandRule]) -> TraceProfile:
-    engine = Engine(EngineConfig(quarantine=False), rules=rules)
-    ends, counts, x_mlr, x_svm = [], [], [], []
-    with open(path, "rb") as f:
-        stream = iter_trace(f)
-        manifest = next(stream)
-        for w in window_partition(stream, WINDOW_LEN, engine.process_event):
-            mlr, svm = window_features(w)
-            ends.append(w.end)
-            counts.append(w.count)
-            x_mlr.append(mlr.as_vector())
-            x_svm.append(svm.as_vector())
-    # without quarantine the engine records every alert, in the order it fired
-    first_ts: Dict[Detector, int] = {}
-    for alert in engine.alerts:
-        first_ts.setdefault(alert.detector, alert.event_timestamp)
-    return TraceProfile(
-        path=path,
-        manifest=manifest,
-        rule_alert_ts=first_ts.get(Detector.COMMAND_RULE),
-        pattern_alert_ts=first_ts.get(Detector.FILE_IO_PATTERN),
-        window_ends=np.array(ends, dtype=np.int64),
-        window_counts=np.array(counts, dtype=np.int64),
-        X_mlr=np.vstack(x_mlr) if x_mlr else np.zeros((0, MLR_WIDTH)),
-        X_svm=np.vstack(x_svm) if x_svm else np.zeros((0, SVM_WIDTH)),
-    )
-
-
-def load_corpus_profiles(corpus_dir: str, rules: List[CommandRule]) -> List[TraceProfile]:
-    """Profile each trace of a corpus index, in index order.
-
-    A row whose label, family or seed differs from its trace's manifest is
-    a CorpusError that names the trace file.
-    """
-    profiles = []
-    for path, label, family, seed in read_corpus_index(corpus_dir):
-        p = profile_trace(path, rules)
-        m = p.manifest
-        if (label, family, seed) != (m.label.value, m.family, m.seed):
-            raise CorpusError(
-                f"{path}: index row says {label} | {family} | {seed}, "
-                f"its manifest {m.label.value} | {m.family} | {m.seed}"
-            )
-        profiles.append(p)
-    return profiles
-
-
-# --- training ----------------------------------------------------------------
-
-
-def train_from_profiles(profiles: Sequence[TraceProfile]) -> FusedClassifier:
-    """Fit on every window of a benign trace and on each window of an attack
-    trace that holds at least MIN_ATTACK_WINDOW_EVENTS events."""
-    keep = [p.window_counts >= (MIN_ATTACK_WINDOW_EVENTS if p.is_ransomware else 0) for p in profiles]
-    y = np.repeat([int(p.is_ransomware) for p in profiles], [np.count_nonzero(k) for k in keep])
-    if len(np.unique(y)) < 2:
-        raise CorpusError("training set needs windows from both classes")
-    if len(y) < MIN_TRAIN_SAMPLES:
-        raise CorpusError(f"training set needs at least {MIN_TRAIN_SAMPLES} windows, got {len(y)}")
-    return FusedClassifier(
-        mlr=train_mlr(np.vstack([p.X_mlr[k] for p, k in zip(profiles, keep)]), y),
-        svm=train_svm(np.vstack([p.X_svm[k] for p, k in zip(profiles, keep)]), y),
-    )
-
-
-def split_profiles(
-    profiles: Sequence[TraceProfile], train_frac: float, seed: int, repeat: int
-) -> Tuple[List[TraceProfile], List[TraceProfile]]:
-    """Repeat `repeat` of the stratified train/test split drawn from `seed`.
-
-    Each class gives round(train_frac * n) training traces, at least one,
-    drawn without replacement from SeedSequence([seed, repeat]): ransomware
-    first, then benign. Train comes back in draw order, test in corpus
-    order. `peeler train` is repeat 0, so it trains eval's first model.
-    """
-    classes = (
-        [i for i, p in enumerate(profiles) if p.is_ransomware],
-        [i for i, p in enumerate(profiles) if not p.is_ransomware],
-    )
-    if not all(classes):
-        raise CorpusError("corpus must contain both ransomware and benign traces")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, repeat]))
-    drawn: List[int] = []
-    for members in classes:
-        n_train = max(1, round(train_frac * len(members)))
-        drawn += [members[j] for j in rng.choice(len(members), size=n_train, replace=False)]
-    train = set(drawn)
-    return [profiles[i] for i in drawn], [p for i, p in enumerate(profiles) if i not in train]
-
-
-def ml_first_alert_ts(profile: TraceProfile, model: FusedClassifier) -> Optional[int]:
-    if len(profile.window_ends) == 0:
-        return None
-    scores = fuse_batch(model, profile.X_mlr, profile.X_svm)
-    hits = np.nonzero(scores >= model.threshold)[0]
-    return int(profile.window_ends[hits[0]]) if hits.size else None
-
-
-# --- evaluation --------------------------------------------------------------
-
-
-@dataclass
-class LatencyStats:
-    n: int
-    mean_ms: float
-    p50_ms: float
-    p90_ms: float
-
-    @staticmethod
-    def of(latencies_us: Sequence[int]) -> Optional["LatencyStats"]:
-        if not latencies_us:
-            return None
-        arr = np.array(sorted(latencies_us), dtype=np.float64) / 1000.0
-        return LatencyStats(
-            n=len(arr),
-            mean_ms=float(arr.mean()),
-            p50_ms=float(np.percentile(arr, 50)),
-            p90_ms=float(np.percentile(arr, 90)),
-        )
-
-
-@dataclass
-class TraceRow:
-    """One judgment: a test trace in one repeat, and the first detector to
-    fire on it (None when none fired)."""
-
-    repeat: int
-    path: str
-    label: str
-    family: str
-    first_detector: Optional[str]
-    latency_us: Optional[int]
-
-    @property
-    def verdict(self) -> str:
-        return "benign" if self.first_detector is None else "ransomware"
-
-
-def _ratio(num: float, den: float) -> float:
-    return num / den if den else 0.0
-
-
-@dataclass
-class EvalSummary:
-    """Eval's judgments, one TraceRow each, and what is read off them.
-
-    tp/fp/tn/fn, the crypto and locker LatencyStats and the metrics of
-    metrics_dict (each also an attribute, as in summary.fpr) all derive
-    from rows.
-    """
-
-    repeats: int
-    seed: int
-    rows: List[TraceRow] = field(repr=False)
-
-    def __post_init__(self):
-        n = Counter((TraceLabel(r.label).is_ransomware, r.first_detector is not None) for r in self.rows)
-        self.tp, self.fp, self.tn, self.fn = n[True, True], n[False, True], n[False, False], n[True, False]
-        self.crypto_latency = self._latency(TraceLabel.CRYPTO)
-        self.locker_latency = self._latency(TraceLabel.SCREEN_LOCKER)
-        vars(self).update(self.metrics_dict())
-
-    def _latency(self, label: TraceLabel) -> Optional[LatencyStats]:
-        return LatencyStats.of(
-            [r.latency_us for r in self.rows if r.label == label.value and r.latency_us is not None]
-        )
-
-    def metrics_dict(self) -> Dict[str, float]:
-        tp, fp, tn, fn = self.tp, self.fp, self.tn, self.fn
-        precision, recall = _ratio(tp, tp + fp), _ratio(tp, tp + fn)
-        return {
-            "accuracy": _ratio(tp + tn, tp + fp + tn + fn),
-            "tpr": recall,
-            "fpr": _ratio(fp, fp + tn),
-            "fnr": _ratio(fn, fn + tp),
-            "precision": precision,
-            "recall": recall,
-            "f1": _ratio(2 * precision * recall, precision + recall),
-        }
-
-
-def _judge(profile: TraceProfile, model: FusedClassifier) -> Tuple[Optional[str], Optional[int]]:
-    """The first detector to fire on a trace and its alert timestamp, or
-    (None, None) when none fires."""
-    fired = [
-        (ts, detector.value)
-        for ts, detector in (
-            (profile.rule_alert_ts, Detector.COMMAND_RULE),
-            (profile.pattern_alert_ts, Detector.FILE_IO_PATTERN),
-            (ml_first_alert_ts(profile, model), Detector.ML_CLASSIFIER),
-        )
-        if ts is not None
-    ]
-    ts, detector = min(fired, default=(None, None))
-    return detector, ts
-
-
-def evaluate_profiles(
-    profiles: Sequence[TraceProfile],
-    repeats: int,
-    seed: int,
-    train_frac: float = 0.2,
-    fixed_model: Optional[FusedClassifier] = None,
-) -> EvalSummary:
-    """Repeated stratified train/test splits, one TraceRow per judgment.
-
-    A fixed model is judged on the whole corpus in every repeat. A detected
-    attack trace's latency runs from its attack onset, and is 0 when the
-    first alert comes before it.
-    """
-    rows: List[TraceRow] = []
-    for r in range(repeats):
-        train_set, test_set = split_profiles(profiles, train_frac, seed, r)
-        if fixed_model is None:
-            model = train_from_profiles(train_set)
-        else:
-            model, test_set = fixed_model, profiles
-        for p in test_set:
-            detector, ts = _judge(p, model)
-            m = p.manifest
-            latency = max(0, ts - m.attack_onset) if detector is not None and p.is_ransomware else None
-            rows.append(TraceRow(r, p.path, m.label.value, m.family, detector, latency))
-    return EvalSummary(repeats, seed, rows)
 
 
 # --- argument parsing ---------------------------------------------------------

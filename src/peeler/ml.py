@@ -22,7 +22,8 @@ import numpy as np
 
 from . import kernels
 from .errors import CorpusError, ParseError, decode_utf8
-from .features import MLR_WIDTH, SVM_WIDTH
+from .features import MLR_WIDTH, SVM_WIDTH, window_features
+from .trace_io import Window
 
 MODEL_MAGIC = "PEELER-MODEL"
 MODEL_VERSION = "v1"
@@ -229,6 +230,16 @@ class FusedClassifier:
     svm: SvmModel
     threshold: float = DEFAULT_THRESHOLD
 
+    def flags(self, scores):
+        """The one verdict rule: ransomware at or above the threshold, per score."""
+        return scores >= self.threshold
+
+    def score_window(self, window: Window) -> Tuple[float, bool]:
+        """One closed window's fused score, and whether it flags ransomware."""
+        mlr, svm = window_features(window)
+        score, verdict = fuse(self, mlr.as_vector(), svm.as_vector())
+        return score, verdict == CLASSES[1]
+
 
 def fuse_batch(fc: FusedClassifier, X_mlr, X_svm) -> np.ndarray:
     """Average the two scores, one per window row."""
@@ -236,9 +247,9 @@ def fuse_batch(fc: FusedClassifier, X_mlr, X_svm) -> np.ndarray:
 
 
 def fuse(fc: FusedClassifier, x_mlr, x_svm) -> Tuple[float, str]:
-    """Score one window as a 1-row batch; ransomware at or above the threshold."""
+    """Score one window as a 1-row batch, and give its verdict by fc.flags."""
     score = float(fuse_batch(fc, [x_mlr], [x_svm])[0])
-    return score, CLASSES[1] if score >= fc.threshold else CLASSES[0]
+    return score, CLASSES[1] if fc.flags(score) else CLASSES[0]
 
 
 # --- persistence ------------------------------------------------------------

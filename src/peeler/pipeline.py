@@ -8,26 +8,28 @@ the length it was trained on. The loop folds each event into its window's
 counts and passes it on to process_event, and hands each window to
 flush_window once its last event is in; no event outlives its own step.
 Command rules and the file I/O matcher see every event as it arrives and
-can alert mid-window; the ML stage fires only when a window closes. Each
-call returns its one alert or None, since a File event reaches only the
-matcher, a Process Start only the rules and a window only the classifier.
-A pid that has alerted is quarantined (further alerts suppressed) when
-quarantine is on; the stream itself is never stopped, so one run measures
-every detector.
+can alert mid-window; the ML stage fires only when a window closes. The
+model scores the window itself (ml.FusedClassifier.score_window), so this
+module loads neither features nor ml, nor numpy. Each call returns its one
+alert or None, since a File event reaches only the matcher, a Process Start
+only the rules and a window only the classifier. A pid that has alerted is
+quarantined (further alerts suppressed) when quarantine is on; the stream
+itself is never stopped, so one run measures every detector.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from .commands import CommandMatcher, CommandRule, default_rules_path, load_rules_file
 from .events import Alert, Detector, Event, EventType, Provider
-from .features import window_features
 from .fileio import FileIoMatcher
-from .ml import FusedClassifier, fuse
 from .trace_io import WINDOW_LEN, TraceManifest, Window, window_partition
+
+if TYPE_CHECKING:
+    from .ml import FusedClassifier
 
 # module globals: on CPython 3.11 Provider.FILE goes through EnumType.__getattr__
 _FILE, _PROCESS, _START = Provider.FILE, Provider.PROCESS, EventType.START
@@ -106,9 +108,8 @@ class Engine:
         pid_events = window.pid_events
         if self.model is None or not pid_events:
             return None
-        mlr, svm = window_features(window)
-        score, verdict = fuse(self.model, mlr.as_vector(), svm.as_vector())
-        if verdict != "ransomware":
+        score, flagged = self.model.score_window(window)
+        if not flagged:
             return None
         exempt_pids = self.matcher.exempt_pids
         ranked = [(-n, p) for p, n in pid_events.items() if p not in exempt_pids]

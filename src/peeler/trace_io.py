@@ -42,7 +42,7 @@ window_partition cuts a stream lazily into tumbling windows aligned at t=0
 and yields only the non-empty ones. A Window keeps no events: it folds each
 one into the counts and maps the classifier reads, and passes it on to an
 optional per-event callable. The engine (pipeline.run_trace, which passes
-Engine.process_event) and the eval profiles (cli.profile_trace) both run
+Engine.process_event) and the eval profiles (evaluate.profile_trace) both run
 this one loop, always at WINDOW_LEN.
 """
 

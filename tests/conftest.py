@@ -27,8 +27,8 @@ def default_corpus_dir(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def corpus_profiles(default_corpus_dir):
-    from peeler.cli import load_corpus_profiles
     from peeler.commands import default_rules_path, load_rules_file
+    from peeler.evaluate import load_corpus_profiles
 
     rules = load_rules_file(default_rules_path())
     return load_corpus_profiles(default_corpus_dir, rules)
@@ -37,7 +37,7 @@ def corpus_profiles(default_corpus_dir):
 @pytest.fixture(scope="session")
 def trained_model(corpus_profiles):
     """The model `peeler train --seed 42` writes: eval's repeat-0 model."""
-    from peeler.cli import split_profiles, train_from_profiles
+    from peeler.evaluate import split_profiles, train_from_profiles
 
     train, _ = split_profiles(corpus_profiles, train_frac=0.2, seed=42, repeat=0)
     return train_from_profiles(train)

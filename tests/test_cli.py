@@ -4,6 +4,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -11,16 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from peeler import cli, kernels
-from peeler.cli import (
-    EXIT_DATA,
-    EXIT_INTERNAL,
-    EXIT_OK,
-    EXIT_USAGE,
+from peeler import cli, evaluate, kernels
+from peeler.cli import EXIT_DATA, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from peeler.evaluate import (
     TraceProfile,
     evaluate_profiles,
     load_corpus_profiles,
-    main,
     ml_first_alert_ts,
     train_from_profiles,
 )
@@ -228,7 +226,7 @@ def test_train_writes_evals_repeat_0_model(default_corpus_dir, corpus_profiles, 
         models.append(train_from_profiles(profiles))
         return models[-1]
 
-    monkeypatch.setattr(cli, "train_from_profiles", recording)
+    monkeypatch.setattr(evaluate, "train_from_profiles", recording)
     evaluate_profiles(corpus_profiles, repeats=1, seed=42, train_frac=0.2)
     monkeypatch.undo()
     out = tmp_path / "m.pm"
@@ -274,7 +272,7 @@ def test_eval_correlations_prints_table(small_corpus, capsys, monkeypatch):
         decoded.append(source.name)
         return iter_trace(source)
 
-    monkeypatch.setattr(cli, "iter_trace", counting_iter_trace)
+    monkeypatch.setattr(evaluate, "iter_trace", counting_iter_trace)
     assert main(["eval", "--corpus", small_corpus, "--repeats", "1", "--seed", "3",
                  "--correlations"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -308,8 +306,6 @@ def test_confusion_counts_sum_to_test_set_size(tmp_path):
     ]
     synth_corpus(configs, str(d), master_seed=2)
     rules = load_rules_file(default_rules_path())
-    from peeler.cli import load_corpus_profiles
-
     profiles = load_corpus_profiles(str(d), rules)
     summary = evaluate_profiles(profiles, repeats=1, seed=0)
     assert summary.tp + summary.fp + summary.tn + summary.fn == 2  # 4 traces - 2 train
@@ -387,8 +383,8 @@ def test_eval_latency_rules_and_counts_match_a_hand_tally():
     })
     assert list(summary.metrics_dict()) == ["accuracy", "tpr", "fpr", "fnr", "precision", "recall", "f1"]
     # crypto latencies 0, 2 ms in each repeat; locker 9 ms in each
-    assert summary.crypto_latency == cli.LatencyStats(n=4, mean_ms=1.0, p50_ms=1.0, p90_ms=2.0)
-    assert summary.locker_latency == cli.LatencyStats(n=2, mean_ms=9.0, p50_ms=9.0, p90_ms=9.0)
+    assert summary.crypto_latency == evaluate.LatencyStats(n=4, mean_ms=1.0, p50_ms=1.0, p90_ms=2.0)
+    assert summary.locker_latency == evaluate.LatencyStats(n=2, mean_ms=9.0, p50_ms=9.0, p90_ms=9.0)
 
 
 def test_eval_without_detections_has_no_latency():
@@ -409,7 +405,7 @@ def test_training_rows_match_a_per_window_loop(monkeypatch):
     profiles = []
     for i, label in enumerate(labels):
         # counts straddle MIN_ATTACK_WINDOW_EVENTS; some traces have no windows
-        counts = rng.integers(1, 2 * cli.MIN_ATTACK_WINDOW_EVENTS, size=int(rng.integers(0, 12)))
+        counts = rng.integers(1, 2 * evaluate.MIN_ATTACK_WINDOW_EVENTS, size=int(rng.integers(0, 12)))
         profiles.append(replace(
             _stub_profile(f"t{i}", label), window_ends=np.arange(len(counts)), window_counts=counts,
             X_mlr=rng.normal(size=(len(counts), 5)), X_svm=rng.normal(size=(len(counts), 8)),
@@ -417,14 +413,14 @@ def test_training_rows_match_a_per_window_loop(monkeypatch):
     X_mlr, X_svm, y = [], [], []
     for p in profiles:
         for i, count in enumerate(p.window_counts):
-            if not (p.is_ransomware and count < cli.MIN_ATTACK_WINDOW_EVENTS):
+            if not (p.is_ransomware and count < evaluate.MIN_ATTACK_WINDOW_EVENTS):
                 X_mlr.append(p.X_mlr[i])
                 X_svm.append(p.X_svm[i])
                 y.append(int(p.is_ransomware))
     assert 0 < sum(y) < len(y)
 
-    monkeypatch.setattr(cli, "train_mlr", lambda X, y: (X, y))
-    monkeypatch.setattr(cli, "train_svm", lambda X, y: (X, y))
+    monkeypatch.setattr(evaluate, "train_mlr", lambda X, y: (X, y))
+    monkeypatch.setattr(evaluate, "train_svm", lambda X, y: (X, y))
     fused = train_from_profiles(profiles)
     for (X, labels_seen), X_ref in ((fused.mlr, X_mlr), (fused.svm, X_svm)):
         assert np.array_equal(X, np.vstack(X_ref)) and X.dtype == np.float64
@@ -448,8 +444,6 @@ def test_f1_is_harmonic_mean_of_precision_recall(small_corpus):
 
 def test_fused_at_least_individual_minus_two_points(small_corpus):
     rules = load_rules_file(default_rules_path())
-    from peeler.cli import load_corpus_profiles
-
     profiles = load_corpus_profiles(small_corpus, rules)
     ransomware = [p for p in profiles if p.is_ransomware]
     benign = [p for p in profiles if not p.is_ransomware]
@@ -659,6 +653,25 @@ def test_hostile_corpus_is_data_error(name, command, small_corpus, tmp_path, cap
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("train_frac, untested", [("0.8", "benign"), ("1", "benign or ransomware")])
+def test_eval_split_without_a_test_trace_is_data_error(train_frac, untested, small_corpus, tmp_path, capsys):
+    # all 12 ransomware traces and 2 benign ones: round(0.8 * 2) trains
+    # both benign traces, and --train-frac 1 trains every trace
+    corpus = _corpus_with_index(small_corpus, tmp_path)
+    index = Path(corpus) / "index.txt"
+    rows = [row for row in index.read_text().splitlines() if row]
+    benign = [row for row in rows if row.split(" | ")[1] == "benign"]
+    index.write_text("\n".join([row for row in rows if row not in benign] + benign[:2]) + "\n")
+    out = tmp_path / "out.json"
+    argv = ["eval", "--corpus", corpus, "--repeats", "1", "--train-frac", train_frac,
+            "--json-report", str(out)]
+    assert main(argv) == EXIT_DATA
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: train fraction {float(train_frac)} leaves no {untested} trace to test\n"
+
+
 # (the second index row's fields -> their replacement) -> a data error
 # naming the row's trace file
 MISMATCHED_INDEX_EDITS = {
@@ -804,7 +817,7 @@ def test_profile_trace_matches_first_rule_and_pattern_alerts(small_corpus):
     rules = load_rules_file(default_rules_path())
     seen = set()
     for path, _, _, _ in read_corpus_index(small_corpus):
-        profile = cli.profile_trace(path, rules)
+        profile = evaluate.profile_trace(path, rules)
         manifest, events = load_trace(path)
         report = run_trace(Engine(EngineConfig(quarantine=False), rules=rules), manifest, events)
         first = {}
@@ -829,3 +842,32 @@ def test_detect_and_eval_agree_on_ml_first_alert(small_corpus):
         assert ml_first_alert_ts(p, model) == (ml[0] if ml else None), p.path
         flagged += bool(ml)
     assert 0 < flagged < len(profiles)
+
+
+def _peeler_child(argv, hash_seed):
+    """`python -m peeler.cli argv` in a child process under PYTHONHASHSEED=hash_seed; its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "PYTHONHASHSEED": str(hash_seed)}
+    return subprocess.run([sys.executable, "-m", "peeler.cli", *argv], env=env, capture_output=True,
+                          check=True).stdout
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(small_corpus, tmp_path):
+    # the first corpus trace is a crypto run with injected commands: without
+    # quarantine its detect report holds rule, pattern and ML alerts alike
+    trace = read_corpus_index(small_corpus)[0][0]
+    model, report, eval_report, table = (str(tmp_path / name) for name in ("m.pm", "d.json", "e.json", "l.txt"))
+    runs = []
+    for hash_seed in (0, 12345):
+        out = {"train": _peeler_child(["train", "--corpus", small_corpus, "--out", model], hash_seed),
+               "model": Path(model).read_bytes()}
+        stdout = _peeler_child(["detect", "--trace", trace, "--model", model, "--no-quarantine",
+                                 "--json-report", report], hash_seed)
+        out["detect"] = [line for line in stdout.split(b"\n") if not line.startswith(b"events   :")]
+        out["detect.json"] = [line for line in Path(report).read_bytes().split(b"\n")
+                              if b'"events_per_second": ' not in line]
+        out["eval"] = _peeler_child(["eval", "--corpus", small_corpus, "--repeats", "2",
+                                     "--json-report", eval_report, "--latency-table", table], hash_seed)
+        out["eval.json"], out["table"] = Path(eval_report).read_bytes(), Path(table).read_bytes()
+        runs.append(out)
+    assert {a["detector"] for a in json.loads(Path(report).read_bytes())["alerts"]} == {d.value for d in Detector}
+    assert runs[0] == runs[1]

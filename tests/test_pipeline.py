@@ -1,15 +1,20 @@
 """Engine orchestration: routing, windows, quarantine, reports."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from peeler.cli import profile_trace
+import peeler
 from peeler.commands import CommandMatcher, default_rules_path, load_rules_file
 from peeler.errors import SchemaError
+from peeler.evaluate import profile_trace
 from peeler.events import Detector, EventType, Provider
 from peeler.features import window_features
 from peeler.fileio import FileIoMatcher, PatternKind
@@ -348,3 +353,12 @@ def test_ml_alert_without_eligible_pid_blames_first_event():
     assert alert.detector is Detector.ML_CLASSIFIER
     assert alert.pid == 4
     assert alert.trigger.endswith(" top_pids=[]")
+
+
+def test_detect_layers_load_no_numpy():
+    # the engine, the decoder, the rules and the file matcher need no numpy;
+    # the ML stage brings it in with the model, which scores its own windows
+    code = "import sys, peeler.pipeline; print(sorted({'numpy', 'peeler.features', 'peeler.ml'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(peeler.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

@@ -30,7 +30,7 @@ def _unused_parameters(tree):
 
 
 def test_sources_found():
-    assert {p.name for p in SOURCES} >= {"cli.py", "pipeline.py", "synth.py", "ml.py"}
+    assert {p.name for p in SOURCES} >= {"cli.py", "evaluate.py", "pipeline.py", "synth.py", "ml.py"}
 
 
 def test_every_parameter_is_read():
