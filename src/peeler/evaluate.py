@@ -1,11 +1,12 @@
 """Train and eval over a corpus: profiles, splits, training and judgments.
 
 Train and eval decode each corpus trace once, into a TraceProfile: its
-manifest, its split-independent rule and pattern alerts, and one feature row
-per window. Eval judges each test trace of each repeat from the profile
-alone and keeps one TraceRow per judgment; its counts, metrics, latencies and
-latency table are all read off those rows, and the --correlations table off
-the feature rows.
+manifest, the engine's first alert without a model, and one feature row per
+window. Eval judges each test trace of each repeat from the profile alone,
+by the order in which detect's engine fires, and keeps one TraceRow per
+judgment; its counts, metrics, latencies and latency table are all read off
+those rows, and the --correlations table off the feature rows. A judgment's
+latency is TraceManifest.latency, detect's own rule.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .commands import CommandRule
 from .errors import CorpusError
-from .events import Detector
+from .events import Alert, Detector
 from .features import MLR_WIDTH, SVM_WIDTH, window_features
 from .ml import CLASSES, MIN_TRAIN_SAMPLES, FusedClassifier, fuse_batch, train_mlr, train_svm
 from .pipeline import Engine, EngineConfig
@@ -37,15 +38,15 @@ MIN_ATTACK_WINDOW_EVENTS = 10
 class TraceProfile:
     """Everything eval needs about one trace, computed once.
 
-    Rule and pattern detections are split-independent, so each trace runs
-    through the engine a single time; only the ML stage depends on the
-    trained model.
+    The rules and the file I/O matcher do not depend on the split, so each
+    trace runs through the engine a single time, without a model:
+    first_alert is that run's first alert, None when nothing fired. Only
+    the ML stage depends on the trained model, and it reads the window rows.
     """
 
     path: str
     manifest: TraceManifest
-    rule_alert_ts: Optional[int]
-    pattern_alert_ts: Optional[int]
+    first_alert: Optional[Alert]
     window_ends: np.ndarray
     window_counts: np.ndarray
     X_mlr: np.ndarray
@@ -57,7 +58,7 @@ class TraceProfile:
 
 
 def profile_trace(path: str, rules: List[CommandRule]) -> TraceProfile:
-    engine = Engine(EngineConfig(quarantine=False), rules=rules)
+    engine = Engine(EngineConfig(), rules=rules)
     ends, counts, x_mlr, x_svm = [], [], [], []
     with open(path, "rb") as f:
         stream = iter_trace(f)
@@ -68,15 +69,11 @@ def profile_trace(path: str, rules: List[CommandRule]) -> TraceProfile:
             counts.append(w.count)
             x_mlr.append(mlr.as_vector())
             x_svm.append(svm.as_vector())
-    # without quarantine the engine records every alert, in the order it fired
-    first_ts: Dict[Detector, int] = {}
-    for alert in engine.alerts:
-        first_ts.setdefault(alert.detector, alert.event_timestamp)
+    # quarantine suppresses only alerts after a pid's first, never the first of all
     return TraceProfile(
         path=path,
         manifest=manifest,
-        rule_alert_ts=first_ts.get(Detector.COMMAND_RULE),
-        pattern_alert_ts=first_ts.get(Detector.FILE_IO_PATTERN),
+        first_alert=engine.alerts[0] if engine.alerts else None,
         window_ends=np.array(ends, dtype=np.int64),
         window_counts=np.array(counts, dtype=np.int64),
         X_mlr=np.vstack(x_mlr) if x_mlr else np.zeros((0, MLR_WIDTH)),
@@ -88,7 +85,8 @@ def load_corpus_profiles(corpus_dir: str, rules: List[CommandRule]) -> List[Trac
     """Profile each trace of a corpus index, in index order.
 
     A row whose label, family or seed differs from its trace's manifest is
-    a CorpusError that names the trace file.
+    a CorpusError that names the trace file, and so is a trace labelled
+    unknown, which neither class may take.
     """
     profiles = []
     for path, label, family, seed in read_corpus_index(corpus_dir):
@@ -99,6 +97,8 @@ def load_corpus_profiles(corpus_dir: str, rules: List[CommandRule]) -> List[Trac
                 f"{path}: index row says {label} | {family} | {seed}, "
                 f"its manifest {m.label.value} | {m.family} | {m.seed}"
             )
+        if m.label is TraceLabel.UNKNOWN:
+            raise CorpusError(f"{path}: label unknown, which is neither benign nor ransomware")
         profiles.append(p)
     return profiles
 
@@ -237,19 +237,18 @@ class EvalSummary:
 
 
 def _judge(profile: TraceProfile, model: FusedClassifier) -> Tuple[Optional[str], Optional[int]]:
-    """The first detector to fire on a trace and its alert timestamp, or
-    (None, None) when none fires."""
-    fired = [
-        (ts, detector.value)
-        for ts, detector in (
-            (profile.rule_alert_ts, Detector.COMMAND_RULE),
-            (profile.pattern_alert_ts, Detector.FILE_IO_PATTERN),
-            (ml_first_alert_ts(profile, model), Detector.ML_CLASSIFIER),
-        )
-        if ts is not None
-    ]
-    ts, detector = min(fired, default=(None, None))
-    return detector, ts
+    """The detector and timestamp of detect's first alert on a trace with
+    this model, or (None, None) when none fires.
+
+    That is the earlier of the model-free first alert and the first flagged
+    window's end. The ML alert wins a tie: an event stamped at a window's
+    end belongs to the next window, so the engine sees it after the window
+    has closed and been scored.
+    """
+    first, ml_ts = profile.first_alert, ml_first_alert_ts(profile, model)
+    if ml_ts is not None and (first is None or ml_ts <= first.event_timestamp):
+        return Detector.ML_CLASSIFIER.value, ml_ts
+    return (first.detector.value, first.event_timestamp) if first else (None, None)
 
 
 def evaluate_profiles(
@@ -263,8 +262,8 @@ def evaluate_profiles(
 
     A fixed model is judged on the whole corpus in every repeat; else a
     split that leaves a class untested is a CorpusError, raised after
-    training's own checks. A detected attack trace's latency runs from its
-    attack onset, and is 0 when the first alert comes before it.
+    training's own checks. A detected trace's latency is
+    TraceManifest.latency of its first alert, as in detect.
     """
     rows: List[TraceRow] = []
     for r in range(repeats):
@@ -280,6 +279,6 @@ def evaluate_profiles(
         for p in test_set:
             detector, ts = _judge(p, model)
             m = p.manifest
-            latency = max(0, ts - m.attack_onset) if detector is not None and p.is_ransomware else None
-            rows.append(TraceRow(r, p.path, m.label.value, m.family, detector, latency))
+            rows.append(TraceRow(r, p.path, m.label.value, m.family, detector,
+                                 None if ts is None else m.latency(ts)))
     return EvalSummary(repeats, seed, rows)

@@ -237,8 +237,7 @@ class FusedClassifier:
     def score_window(self, window: Window) -> Tuple[float, bool]:
         """One closed window's fused score, and whether it flags ransomware."""
         mlr, svm = window_features(window)
-        score, verdict = fuse(self, mlr.as_vector(), svm.as_vector())
-        return score, verdict == CLASSES[1]
+        return fuse(self, mlr.as_vector(), svm.as_vector())
 
 
 def fuse_batch(fc: FusedClassifier, X_mlr, X_svm) -> np.ndarray:
@@ -246,10 +245,10 @@ def fuse_batch(fc: FusedClassifier, X_mlr, X_svm) -> np.ndarray:
     return 0.5 * (mlr_probabilities_batch(fc.mlr, X_mlr)[:, 1] + predict_svm_batch(fc.svm, X_svm))
 
 
-def fuse(fc: FusedClassifier, x_mlr, x_svm) -> Tuple[float, str]:
-    """Score one window as a 1-row batch, and give its verdict by fc.flags."""
+def fuse(fc: FusedClassifier, x_mlr, x_svm) -> Tuple[float, bool]:
+    """Score one window as a 1-row batch, and whether fc.flags it."""
     score = float(fuse_batch(fc, [x_mlr], [x_svm])[0])
-    return score, CLASSES[1] if fc.flags(score) else CLASSES[0]
+    return score, fc.flags(score)
 
 
 # --- persistence ------------------------------------------------------------

@@ -138,12 +138,9 @@ def run_trace(engine: Engine, manifest: TraceManifest, events: Iterable[Event]) 
         engine.flush_window(window)
     elapsed = time.perf_counter() - start
     alerts = engine.alerts
-    latency = None
-    if alerts and manifest.label.is_ransomware:
-        latency = alerts[0].event_timestamp - manifest.attack_onset
     return DetectionReport(
         alerts=list(alerts),
-        first_alert_latency=latency,
+        first_alert_latency=manifest.latency(alerts[0].event_timestamp) if alerts else None,
         events_processed=engine.events_processed,
         events_per_second=engine.events_processed / elapsed if elapsed > 0 else 0.0,
         verdict="ransomware" if alerts else "benign",

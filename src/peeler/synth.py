@@ -137,7 +137,6 @@ class GenInfo:
 
     attack_onset: int = 0
     file_completions: List[int] = field(default_factory=list)
-    injected_command_times: List[int] = field(default_factory=list)
 
 
 class _Trace:
@@ -253,14 +252,12 @@ class _Trace:
                 self.thread(pid, t, EventType.END, pid, self.tid())
 
     def inject(self, parent, t, commands):
-        """Start one to three of the command lines as children of parent,
-        after t, and note their start times in the ground truth."""
+        """Start one to three of the command lines as children of parent, after t."""
         n = int(self.rng.integers(1, min(3, len(commands)) + 1))
         for idx in self.rng.choice(len(commands), size=n, replace=False):
             t += int(self.rng.integers(20_000, 400_000))
             cmdline = commands[int(idx)]
             self.start(self.pid(), t, normalize_command(cmdline)[0] + ".exe", cmdline, parent)
-            self.info.injected_command_times.append(t)
 
 
 # --- crypto lineages ---------------------------------------------------------

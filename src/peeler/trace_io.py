@@ -96,8 +96,7 @@ class TraceManifest:
 
     seed is 0 for captured traces and the generator seed for synthesized
     ones. attack_onset is the timestamp of the first malicious event in a
-    synthesized attack trace (0 for benign traces); detection latency is
-    measured against it.
+    synthesized attack trace (0 for benign traces); latency runs from it.
     """
 
     label: TraceLabel
@@ -106,6 +105,12 @@ class TraceManifest:
     event_count: int
     duration: int
     attack_onset: int = 0
+
+    def latency(self, ts: int) -> Optional[int]:
+        """The one latency rule, for detect and eval alike: how long after
+        the attack onset an alert at ts fired, 0 when it fired before the
+        onset, and None on a trace that is not ransomware."""
+        return max(0, ts - self.attack_onset) if self.label.is_ransomware else None
 
 
 _PROCESS, _FILE, _IMAGE, _THREAD = Provider.PROCESS, Provider.FILE, Provider.IMAGE, Provider.THREAD

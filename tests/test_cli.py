@@ -19,11 +19,10 @@ from peeler.evaluate import (
     TraceProfile,
     evaluate_profiles,
     load_corpus_profiles,
-    ml_first_alert_ts,
     train_from_profiles,
 )
 from peeler.commands import default_rules_path, load_rules_file
-from peeler.events import Detector
+from peeler.events import Alert, Detector
 from peeler.features import correlation_report
 from peeler.errors import CorpusError, ParseError
 from peeler.ml import (
@@ -37,8 +36,10 @@ from peeler.ml import (
 )
 from peeler.pipeline import Engine, EngineConfig, run_trace
 from peeler.synth import SynthConfig, default_corpus_spec, read_corpus_index, synth_corpus, synth_trace
-from peeler.trace_io import TraceLabel, TraceManifest, iter_trace, load_trace, save_trace, window_partition
+from peeler.trace_io import WINDOW_LEN, TraceLabel, TraceManifest, iter_trace, load_trace, save_trace, window_partition
 from peeler.fileio import PatternKind
+from figures import cerber_post_overwrite
+from helpers import ev_proc_start, ev_read
 from oracles import ref_mlr_loss_grad, ref_smo_solve
 
 
@@ -322,11 +323,12 @@ def _neutral_svm():
                     gamma=0.125, c=10.0, scaler=s, converged=True, passes=0, dual_objective=0.0)
 
 
-def _stub_profile(path, label, rule_ts=None, pattern_ts=None, onset=0):
+def _stub_profile(path, label, first=None, onset=0):
+    """A windowless profile whose model-free first alert is first, a (detector, timestamp)."""
     manifest = TraceManifest(label=label, family="stub", seed=0, event_count=0, duration=0,
                              attack_onset=onset)
     return TraceProfile(
-        path=path, manifest=manifest, rule_alert_ts=rule_ts, pattern_alert_ts=pattern_ts,
+        path=path, manifest=manifest, first_alert=Alert(first[0], 1, "stub", first[1]) if first else None,
         window_ends=np.zeros(0, dtype=np.int64), window_counts=np.zeros(0, dtype=np.int64),
         X_mlr=np.zeros((0, 5)), X_svm=np.zeros((0, 8)),
     )
@@ -334,8 +336,8 @@ def _stub_profile(path, label, rule_ts=None, pattern_ts=None, onset=0):
 
 def test_perfect_detector_stub_yields_perfect_metrics():
     profiles = [
-        _stub_profile("r1", TraceLabel.CRYPTO, rule_ts=100),
-        _stub_profile("r2", TraceLabel.SCREEN_LOCKER, rule_ts=200),
+        _stub_profile("r1", TraceLabel.CRYPTO, (Detector.COMMAND_RULE, 100)),
+        _stub_profile("r2", TraceLabel.SCREEN_LOCKER, (Detector.COMMAND_RULE, 200)),
         _stub_profile("b1", TraceLabel.BENIGN),
         _stub_profile("b2", TraceLabel.BENIGN),
     ]
@@ -349,16 +351,15 @@ def test_eval_latency_rules_and_counts_match_a_hand_tally():
     rule, pattern = Detector.COMMAND_RULE.value, Detector.FILE_IO_PATTERN.value
     profiles = [
         # alerts before attack onset: latency 0
-        _stub_profile("r1", TraceLabel.CRYPTO, rule_ts=400, onset=1000),
-        # the earlier of two detectors judges it
-        _stub_profile("r2", TraceLabel.CRYPTO, rule_ts=6000, pattern_ts=3000, onset=1000),
-        _stub_profile("r3", TraceLabel.SCREEN_LOCKER, rule_ts=11000, onset=2000),
+        _stub_profile("r1", TraceLabel.CRYPTO, (Detector.COMMAND_RULE, 400), onset=1000),
+        _stub_profile("r2", TraceLabel.CRYPTO, (Detector.FILE_IO_PATTERN, 3000), onset=1000),
+        _stub_profile("r3", TraceLabel.SCREEN_LOCKER, (Detector.COMMAND_RULE, 11000), onset=2000),
         _stub_profile("r4", TraceLabel.SCREEN_LOCKER, onset=2000),
         # a flagged benign trace has no latency
-        _stub_profile("b1", TraceLabel.BENIGN, rule_ts=300),
+        _stub_profile("b1", TraceLabel.BENIGN, (Detector.COMMAND_RULE, 300)),
         _stub_profile("b2", TraceLabel.BENIGN),
         _stub_profile("b3", TraceLabel.BENIGN),
-        _stub_profile("b4", TraceLabel.BENIGN, pattern_ts=700),
+        _stub_profile("b4", TraceLabel.BENIGN, (Detector.FILE_IO_PATTERN, 700)),
     ]
     neutral = FusedClassifier(mlr=_neutral_mlr(), svm=_neutral_svm(), threshold=0.6)
     summary = evaluate_profiles(profiles, repeats=2, seed=1, fixed_model=neutral)
@@ -389,7 +390,7 @@ def test_eval_latency_rules_and_counts_match_a_hand_tally():
 
 def test_eval_without_detections_has_no_latency():
     profiles = [_stub_profile("r1", TraceLabel.CRYPTO, onset=1000),
-                _stub_profile("b1", TraceLabel.BENIGN, rule_ts=300)]
+                _stub_profile("b1", TraceLabel.BENIGN, (Detector.COMMAND_RULE, 300))]
     neutral = FusedClassifier(mlr=_neutral_mlr(), svm=_neutral_svm(), threshold=0.6)
     summary = evaluate_profiles(profiles, repeats=1, seed=1, fixed_model=neutral)
     assert (summary.tp, summary.fp, summary.tn, summary.fn) == (0, 1, 0, 1)
@@ -696,6 +697,23 @@ def test_index_row_differing_from_manifest_is_data_error(field, command, small_c
     assert f"error: {os.path.join(corpus, name)}: index row says " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_trace_labelled_unknown_is_data_error(command, small_corpus, tmp_path, capsys):
+    # the second row's crypto trace, relabelled unknown in its manifest and
+    # its index row alike, would otherwise count as benign
+    corpus = _corpus_with_index(small_corpus, tmp_path, lambda row: row.replace(b"| crypto |", b"| unknown |"))
+    name = (Path(corpus) / "index.txt").read_text().split("\n")[1].split(" |")[0]
+    trace = Path(corpus) / name
+    header, body = trace.read_bytes().split(b"\n", 1)
+    trace.write_bytes(header.replace(b'"label":"crypto"', b'"label":"unknown"') + b"\n" + body)
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--corpus", corpus, "--out", str(out)],
+            "eval": ["eval", "--corpus", corpus, "--repeats", "1", "--json-report", str(out)]}
+    assert main(argv[command]) == EXIT_DATA
+    assert not out.exists()
+    assert f"error: {os.path.join(corpus, name)}: label unknown" in capsys.readouterr().err
+
+
 def test_windowless_corpus_correlations_is_data_error(valid_model_text, tmp_path, capsys):
     corpus, model = tmp_path / "corpus", tmp_path / "m.pm"
     corpus.mkdir()
@@ -813,35 +831,71 @@ def test_non_utf8_rules_is_data_error(valid_model_text, tmp_path, capsys):
     assert "invalid UTF-8" in capsys.readouterr().err
 
 
-def test_profile_trace_matches_first_rule_and_pattern_alerts(small_corpus):
+def test_profile_trace_keeps_the_model_free_first_alert(small_corpus):
+    # quarantine on or off, a trace's first alert is the same
     rules = load_rules_file(default_rules_path())
     seen = set()
     for path, _, _, _ in read_corpus_index(small_corpus):
         profile = evaluate.profile_trace(path, rules)
         manifest, events = load_trace(path)
-        report = run_trace(Engine(EngineConfig(quarantine=False), rules=rules), manifest, events)
-        first = {}
-        for a in report.alerts:
-            first.setdefault(a.detector, a.event_timestamp)
-        assert profile.rule_alert_ts == first.get(Detector.COMMAND_RULE), path
-        assert profile.pattern_alert_ts == first.get(Detector.FILE_IO_PATTERN), path
-        seen.update(first)
+        for quarantine in (True, False):
+            report = run_trace(Engine(EngineConfig(quarantine), rules=rules), manifest, events)
+            assert profile.first_alert == (report.alerts[0] if report.alerts else None), path
+        if profile.first_alert:
+            seen.add(profile.first_alert.detector)
     assert {Detector.COMMAND_RULE, Detector.FILE_IO_PATTERN} <= seen
 
 
-def test_detect_and_eval_agree_on_ml_first_alert(small_corpus):
+def test_detect_and_eval_agree_on_first_alert(small_corpus):
+    # eval's judgment of each trace, by the trained model, is detect's first
+    # alert with that model and quarantine on, as users run detect
     rules = load_rules_file(default_rules_path())
     profiles = load_corpus_profiles(small_corpus, rules)
     model = train_from_profiles(profiles)
-    flagged = 0
-    for p in profiles:
+    rows = evaluate_profiles(profiles, repeats=1, seed=0, fixed_model=model).rows
+    judged = Counter()
+    for p, row in zip(profiles, rows):
         manifest, events = load_trace(p.path)
-        engine = Engine(EngineConfig(quarantine=False), rules=rules, model=model)
-        report = run_trace(engine, manifest, events)
-        ml = [a.event_timestamp for a in report.alerts if a.detector is Detector.ML_CLASSIFIER]
-        assert ml_first_alert_ts(p, model) == (ml[0] if ml else None), p.path
-        flagged += bool(ml)
-    assert 0 < flagged < len(profiles)
+        report = run_trace(Engine(EngineConfig(), rules=rules, model=model), manifest, events)
+        first = report.alerts[0] if report.alerts else None
+        detector, ts = evaluate._judge(p, model)
+        assert (detector, ts) == ((first.detector.value, first.event_timestamp) if first else (None, None)), p.path
+        assert (row.path, row.first_detector, row.latency_us) == (p.path, detector, report.first_alert_latency)
+        judged[detector] += 1
+    assert judged[Detector.ML_CLASSIFIER.value] and judged[None] and len(judged) >= 3
+
+
+_VSSADMIN = "vssadmin.exe delete shadows /all /quiet"
+
+
+def _detect_and_eval_first(tmp_path, events, model):
+    """Detect's first alert on a crypto trace file of events, as (detector,
+    timestamp), and eval's judgment of that file."""
+    path = str(tmp_path / "tie.pt")
+    save_trace(path, TraceManifest(TraceLabel.CRYPTO, "t", 0, len(events), events[-1].timestamp), events)
+    rules = load_rules_file(default_rules_path())
+    first = run_trace(Engine(EngineConfig(), rules=rules, model=model), *load_trace(path)).alerts[0]
+    return (first.detector.value, first.event_timestamp), evaluate._judge(evaluate.profile_trace(path, rules), model)
+
+
+def test_ml_alert_wins_a_tie_with_a_command_alert(tmp_path):
+    # the window [0, WINDOW_LEN) closes, and is scored, before the engine
+    # sees the Process Start stamped at its end
+    events = [ev_read(30, 1000 + i, 0xA, 0xB) for i in range(5)]
+    events.append(ev_proc_start(40, WINDOW_LEN, image="vssadmin.exe", cmdline=_VSSADMIN))
+    always = FusedClassifier(mlr=_neutral_mlr(), svm=_neutral_svm(), threshold=0.5)
+    detect, judged = _detect_and_eval_first(tmp_path, events, always)
+    assert judged == detect == (Detector.ML_CLASSIFIER.value, WINDOW_LEN)
+
+
+def test_file_alert_wins_a_tie_with_a_later_command_alert(tmp_path):
+    # the Cerber transcript alerts on its last event, at 7 ms; a Process
+    # Start at the same time comes after it in the stream
+    events = cerber_post_overwrite()
+    events.append(ev_proc_start(40, events[-1].timestamp, image="vssadmin.exe", cmdline=_VSSADMIN))
+    never = FusedClassifier(mlr=_neutral_mlr(), svm=_neutral_svm(), threshold=0.6)
+    detect, judged = _detect_and_eval_first(tmp_path, events, never)
+    assert judged == detect == (Detector.FILE_IO_PATTERN.value, 7000)
 
 
 def _peeler_child(argv, hash_seed):

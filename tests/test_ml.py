@@ -276,7 +276,7 @@ def test_fuse_zero_scores_is_benign():
     fc = _stub_fused(mlr_logit=-80.0, svm_bias=-80.0)
     score, verdict = fuse(fc, np.zeros(5), np.zeros(8))
     assert score == pytest.approx(0.0, abs=1e-9)
-    assert verdict == "benign"
+    assert verdict is False
 
 
 def test_fuse_boundary_is_closed():
@@ -284,7 +284,7 @@ def test_fuse_boundary_is_closed():
     fc = _stub_fused(mlr_logit=1e4, svm_bias=-1e4)
     score, verdict = fuse(fc, np.zeros(5), np.zeros(8))
     assert score == pytest.approx(0.5, abs=1e-12)
-    assert verdict == "ransomware"
+    assert verdict is True
 
 
 def test_fuse_averages_scores():
@@ -312,9 +312,9 @@ def test_fuse_is_a_one_row_fuse_batch(seed):
     for x5, x8 in zip(X5, X8):
         score, verdict = fuse(fc, x5, x8)
         assert score == fuse_batch(fc, x5[None], x8[None])[0]
-        assert verdict == ("ransomware" if score >= fc.threshold else "benign")
+        assert verdict is (score >= fc.threshold)
         verdicts.add(verdict)
-    assert verdicts == {"ransomware", "benign"}
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("seed,n_train", [(24, 15), (26, 60), (28, 200)])

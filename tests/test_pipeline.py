@@ -91,6 +91,13 @@ def test_crypto_trace_detected_with_latency():
     assert 0 <= report.first_alert_latency <= min(info.file_completions) - info.attack_onset
 
 
+def test_first_alert_before_the_onset_has_latency_0():
+    e = ev_proc_start(50, 1000, image="vssadmin.exe", cmdline="vssadmin.exe delete shadows /all /quiet")
+    report = run_trace(Engine(EngineConfig()), _manifest([e], TraceLabel.CRYPTO, onset=1400), [e])
+    assert report.alerts[0].event_timestamp == 1000
+    assert report.first_alert_latency == 0
+
+
 def test_quarantine_caps_alerts_per_pid():
     cfg = SynthConfig(seed=10, archetype="crypto",
                       pattern=PatternKind.MEM_TO_FILE_POST_OVERWRITE,

@@ -300,3 +300,15 @@ def _unreferenced_private_names(sources):
 
 def test_every_private_definition_is_referenced():
     assert _unreferenced_private_names(SOURCES) == []
+
+
+def test_only_trace_io_and_synth_read_the_attack_onset():
+    # latency has one rule, TraceManifest.latency, which detect and eval
+    # both call; synth reads the onset only to write it into the manifest
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES if path.name not in ("trace_io.py", "synth.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "attack_onset" and isinstance(node.ctx, ast.Load)
+    ]
+    assert found == []
