@@ -3,10 +3,11 @@
 Train and eval decode each corpus trace once, into a TraceProfile: its
 manifest, the engine's first alert without a model, and one feature row per
 window. Eval judges each test trace of each repeat from the profile alone,
-by the order in which detect's engine fires, and keeps one TraceRow per
-judgment; its counts, metrics, latencies and latency table are all read off
-those rows, and the --correlations table off the feature rows. A judgment's
-latency is TraceManifest.latency, detect's own rule.
+by the order in which detect's engine fires, with one batch that scores all
+of the repeat's test windows, and keeps one TraceRow per judgment; its
+counts, metrics, latencies and latency table are all read off those rows,
+and the --correlations table off the feature rows. A judgment's latency is
+TraceManifest.latency, detect's own rule.
 """
 
 from __future__ import annotations
@@ -146,13 +147,6 @@ def split_profiles(
     return [profiles[i] for i in drawn], [p for i, p in enumerate(profiles) if i not in train]
 
 
-def ml_first_alert_ts(profile: TraceProfile, model: FusedClassifier) -> Optional[int]:
-    if len(profile.window_ends) == 0:
-        return None
-    hits = np.nonzero(model.flags(fuse_batch(model, profile.X_mlr, profile.X_svm)))[0]
-    return int(profile.window_ends[hits[0]]) if hits.size else None
-
-
 # --- evaluation --------------------------------------------------------------
 
 
@@ -236,19 +230,28 @@ class EvalSummary:
         }
 
 
-def _judge(profile: TraceProfile, model: FusedClassifier) -> Tuple[Optional[str], Optional[int]]:
-    """The detector and timestamp of detect's first alert on a trace with
+def _judge(profiles: Sequence[TraceProfile],
+           model: FusedClassifier) -> List[Tuple[Optional[str], Optional[int]]]:
+    """The detector and timestamp of detect's first alert on each trace with
     this model, or (None, None) when none fires.
 
     That is the earlier of the model-free first alert and the first flagged
     window's end. The ML alert wins a tie: an event stamped at a window's
     end belongs to the next window, so the engine sees it after the window
-    has closed and been scored.
+    has closed and been scored. One fuse_batch scores every trace's windows.
     """
-    first, ml_ts = profile.first_alert, ml_first_alert_ts(profile, model)
-    if ml_ts is not None and (first is None or ml_ts <= first.event_timestamp):
-        return Detector.ML_CLASSIFIER.value, ml_ts
-    return (first.detector.value, first.event_timestamp) if first else (None, None)
+    flags = model.flags(fuse_batch(model, np.vstack([p.X_mlr for p in profiles]),
+                                   np.vstack([p.X_svm for p in profiles])))
+    starts = np.cumsum([len(p.window_ends) for p in profiles])[:-1]  # of each later profile's rows
+    judged = []
+    for p, hits in zip(profiles, np.split(flags, starts)):
+        first, hit = p.first_alert, np.flatnonzero(hits)
+        ml_ts = int(p.window_ends[hit[0]]) if hit.size else None
+        if ml_ts is not None and (first is None or ml_ts <= first.event_timestamp):
+            judged.append((Detector.ML_CLASSIFIER.value, ml_ts))
+        else:
+            judged.append((first.detector.value, first.event_timestamp) if first else (None, None))
+    return judged
 
 
 def evaluate_profiles(
@@ -276,8 +279,7 @@ def evaluate_profiles(
                                   f"{' or '.join(CLASSES[c] for c in untested)} trace to test")
         else:
             model, test_set = fixed_model, profiles
-        for p in test_set:
-            detector, ts = _judge(p, model)
+        for p, (detector, ts) in zip(test_set, _judge(test_set, model)):
             m = p.manifest
             rows.append(TraceRow(r, p.path, m.label.value, m.family, detector,
                                  None if ts is None else m.latency(ts)))

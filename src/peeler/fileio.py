@@ -349,7 +349,9 @@ class FileIoMatcher:
 
         if obj != lst.file_object:
             lst.multi_file = True
-        if name is not None and lst.directory is not None and _parent_dir(name) != lst.directory:
+        # a list with no pid yet is new: its directory came from this very name
+        if (name is not None and lst.contributing_pids and lst.directory is not None
+                and _parent_dir(name) != lst.directory):
             lst.directory = None
         lst.contributing_pids.add(e.pid)
         lst.state = state = _STEP[state][_LETTERS[et._value_]]

@@ -9,6 +9,14 @@ is taken with argmax/argmin, which return the first index on a tie just as
 the loops' strict comparisons did. The class axis is folded column by column
 (np.maximum, np.add); an axis-1 reduction costs more at 2 classes. Any
 change in the last bit could flip a line-search step and so change a model.
+
+rbf_gram loops over its shorter side, one row against all rows of the
+other, and keeps the element loop's bits, since (a - b)**2 and (b - a)**2
+are the same float; given one array object as both sides, it fills the upper
+triangle and mirrors it. Its result is C-contiguous either way, so a row sum
+over it adds in the same order in a batch of any size. The loss pass
+mlr_loss returns its probability matrix, from which mlr_grad takes the
+gradient: a rejected line-search trial needs only the loss.
 """
 
 from __future__ import annotations
@@ -24,34 +32,54 @@ def _sequential_sum(start, terms: np.ndarray):
 
 
 def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """K[i, j] = exp(-gamma * ||A[i] - B[j]||^2)."""
+    """K[i, j] = exp(-gamma * ||A[i] - B[j]||^2), as a C-contiguous array."""
     # one row at a time: an (n, m, d) broadcast is slower and holds n*m*d floats
     out = np.empty((A.shape[0], B.shape[0]))
-    for i in range(A.shape[0]):
-        d = B - A[i]
-        out[i] = np.exp(-gamma * np.sum(d * d, axis=1))
+    if A is B:
+        for i in range(A.shape[0]):
+            d = A[i:] - A[i]
+            out[i, i:] = out[i:, i] = np.exp(-gamma * np.sum(d * d, axis=1))
+    elif A.shape[0] <= B.shape[0]:
+        for i in range(A.shape[0]):
+            d = B - A[i]
+            out[i] = np.exp(-gamma * np.sum(d * d, axis=1))
+    else:
+        for j in range(B.shape[0]):
+            d = A - B[j]
+            out[:, j] = np.exp(-gamma * np.sum(d * d, axis=1))
     return out
 
 
-def mlr_loss_grad(W, Xb, y, l2):
+def mlr_loss(W, Xb, y, l2):
     """L2-regularized mean cross-entropy of softmax regression.
 
     W: (k, d+1) weights, bias last and not regularized; Xb: (n, d+1) with a
-    bias column; y: (n,) int classes. Returns (loss, gradient). The classes,
-    folded column by column, give each row's own max() and sum() at tested k.
+    bias column; y: (n,) int classes. Returns (loss, P), P the (n, k) class
+    probabilities. The classes, folded column by column, give each row's own
+    max() and sum() at tested k.
     """
     n = Xb.shape[0]
     scores = Xb @ W.T
     e = np.exp(scores - reduce(np.maximum, scores.T)[:, None])
     P = e / reduce(np.add, e.T)[:, None]
-    rows = np.arange(n)
-    loss = _sequential_sum(0.0, -np.log(P[rows, y])) / n
-    P[rows, y] -= 1.0
-    G = (P.T @ Xb) / n
+    loss = _sequential_sum(0.0, -np.log(P[np.arange(n), y])) / n
     Wr = W[:, :-1]
-    loss = _sequential_sum(loss, (0.5 * l2 * Wr * Wr).ravel())
-    G[:, :-1] += l2 * Wr
-    return loss, G
+    return _sequential_sum(loss, (0.5 * l2 * Wr * Wr).ravel()), P
+
+
+def mlr_grad(W, Xb, y, l2, P):
+    """The gradient of mlr_loss at W, from the P it returned; P is overwritten."""
+    n = Xb.shape[0]
+    P[np.arange(n), y] -= 1.0
+    G = (P.T @ Xb) / n
+    G[:, :-1] += l2 * W[:, :-1]
+    return G
+
+
+def mlr_loss_grad(W, Xb, y, l2):
+    """(loss, gradient) of mlr_loss at W."""
+    loss, P = mlr_loss(W, Xb, y, l2)
+    return loss, mlr_grad(W, Xb, y, l2, P)
 
 
 def smo_solve(gram, y, c, tol, max_passes):

@@ -103,7 +103,8 @@ def train_mlr(X, y) -> MlrModel:
 
     The accepted step always decreases the regularized loss, so the loss
     history is non-increasing; converged means the gradient norm fell below
-    MLR_GRAD_TOL within MLR_MAX_ITER iterations.
+    MLR_GRAD_TOL within MLR_MAX_ITER iterations. A rejected trial step
+    computes its loss alone, an accepted one its gradient too.
     """
     Xm = _as_matrix(X)
     n = Xm.shape[0]
@@ -131,9 +132,9 @@ def train_mlr(X, y) -> MlrModel:
         t = step
         while t > 1e-14:
             Wc = W - t * grad
-            closs, cgrad = kernels.mlr_loss_grad(Wc, Xb, ym, MLR_L2)
+            closs, P = kernels.mlr_loss(Wc, Xb, ym, MLR_L2)
             if closs <= loss - 1e-4 * t * gnorm2:
-                W, loss, grad = Wc, closs, cgrad
+                W, loss, grad = Wc, closs, kernels.mlr_grad(Wc, Xb, ym, MLR_L2, P)
                 history.append(float(loss))
                 step = min(t * 2.0, 64.0)
                 accepted = True

@@ -40,7 +40,7 @@ from peeler.trace_io import WINDOW_LEN, TraceLabel, TraceManifest, iter_trace, l
 from peeler.fileio import PatternKind
 from figures import cerber_post_overwrite
 from helpers import ev_proc_start, ev_read
-from oracles import ref_mlr_loss_grad, ref_smo_solve
+from oracles import ref_mlr_loss_grad, ref_rbf_gram, ref_smo_solve
 
 
 @pytest.fixture(scope="module")
@@ -473,8 +473,13 @@ def test_training_and_eval_identical_with_loop_reference_kernels(tmp_path, monke
         return buf.getvalue(), summary.rows
 
     shipped = outputs()
+    # every loss pass runs the whole reference, whose gradient stands in for
+    # the probability matrix that the gradient kernel reads
     monkeypatch.setattr(kernels, "mlr_loss_grad", ref_mlr_loss_grad)
+    monkeypatch.setattr(kernels, "mlr_loss", ref_mlr_loss_grad)
+    monkeypatch.setattr(kernels, "mlr_grad", lambda W, Xb, y, l2, ref_grad: ref_grad)
     monkeypatch.setattr(kernels, "smo_solve", ref_smo_solve)
+    monkeypatch.setattr(kernels, "rbf_gram", ref_rbf_gram)
     reference = outputs()
     assert reference[0] == shipped[0]
     assert reference[1] == shipped[1]
@@ -848,7 +853,8 @@ def test_profile_trace_keeps_the_model_free_first_alert(small_corpus):
 
 def test_detect_and_eval_agree_on_first_alert(small_corpus):
     # eval's judgment of each trace, by the trained model, is detect's first
-    # alert with that model and quarantine on, as users run detect
+    # alert with that model and quarantine on, as users run detect, whether
+    # the trace is judged alone or in one batch with the whole corpus
     rules = load_rules_file(default_rules_path())
     profiles = load_corpus_profiles(small_corpus, rules)
     model = train_from_profiles(profiles)
@@ -858,7 +864,7 @@ def test_detect_and_eval_agree_on_first_alert(small_corpus):
         manifest, events = load_trace(p.path)
         report = run_trace(Engine(EngineConfig(), rules=rules, model=model), manifest, events)
         first = report.alerts[0] if report.alerts else None
-        detector, ts = evaluate._judge(p, model)
+        [(detector, ts)] = evaluate._judge([p], model)
         assert (detector, ts) == ((first.detector.value, first.event_timestamp) if first else (None, None)), p.path
         assert (row.path, row.first_detector, row.latency_us) == (p.path, detector, report.first_alert_latency)
         judged[detector] += 1
@@ -875,7 +881,7 @@ def _detect_and_eval_first(tmp_path, events, model):
     save_trace(path, TraceManifest(TraceLabel.CRYPTO, "t", 0, len(events), events[-1].timestamp), events)
     rules = load_rules_file(default_rules_path())
     first = run_trace(Engine(EngineConfig(), rules=rules, model=model), *load_trace(path)).alerts[0]
-    return (first.detector.value, first.event_timestamp), evaluate._judge(evaluate.profile_trace(path, rules), model)
+    return (first.detector.value, first.event_timestamp), evaluate._judge([evaluate.profile_trace(path, rules)], model)[0]
 
 
 def test_ml_alert_wins_a_tie_with_a_command_alert(tmp_path):

@@ -13,12 +13,17 @@ import sys
 import timeit
 import tracemalloc
 
+import numpy as np
+import pytest
+
+from peeler import fileio, kernels, ml
 from peeler.commands import CommandMatcher, default_rules_path, load_rules, load_rules_file
+from peeler.evaluate import evaluate_profiles, load_corpus_profiles, train_from_profiles
 from peeler.events import Detector
 from peeler.features import build_process_tree, extract_mlr_features
 from peeler.fileio import FileIoMatcher, PatternKind
 from peeler.pipeline import Engine, EngineConfig, run_trace
-from peeler.synth import SynthConfig, synth_trace
+from peeler.synth import SynthConfig, default_corpus_spec, synth_corpus, synth_trace
 from peeler.trace_io import WINDOW_LEN, Window, iter_trace, write_trace
 from helpers import ev_create, ev_fdelete, ev_proc_start, ev_read, ev_rename, ev_write
 from test_ml import _stub_fused
@@ -28,8 +33,8 @@ from test_ml import _stub_fused
 # and each block's share of its own calls); a run may exceed it by 0.1
 CALLS_PER_EVENT = {
     "crypto_file_delete": (SynthConfig(seed=11, archetype="crypto", pattern=PatternKind.FILE_TO_FILE_DELETE,
-                                       n_files=100, duration=15_000_000), 4.37),
-    "desktop": (SynthConfig(seed=3, archetype="benign_desktop", duration=30_000_000, intensity=20.0), 3.80),
+                                       n_files=100, duration=15_000_000), 4.28),
+    "desktop": (SynthConfig(seed=3, archetype="benign_desktop", duration=30_000_000, intensity=20.0), 3.62),
 }
 
 
@@ -87,12 +92,12 @@ def test_command_calls_per_token_stay_flat():
     assert python_16n == python_n and abs(c_16n / 16 / c_n - 1) <= 0.01, calls
 
 
-def _translate_calls(fn, *args):
-    """fnmatch.translate calls that fn(*args) makes."""
+def _calls_of(func, fn, *args):
+    """Calls of the Python function func that fn(*args) makes."""
     calls = [0]
 
     def count(frame, event, arg):
-        if event == "call" and frame.f_code is fnmatch.translate.__code__:
+        if event == "call" and frame.f_code is func.__code__:
             calls[0] += 1
 
     sys.setprofile(count)
@@ -109,7 +114,7 @@ def test_rule_tokens_compile_once_per_process():
     # token share one compiled check
     rules = load_rules_file(default_rules_path())
     Engine(EngineConfig(), rules=rules)
-    assert _translate_calls(Engine, EngineConfig(), rules) == 0
+    assert _calls_of(fnmatch.translate, Engine, EngineConfig(), rules) == 0
     checks = {}
     for rule_checks in CommandMatcher(rules)._by_utility.values():
         for rule, rule_check in rule_checks:
@@ -274,6 +279,16 @@ def test_distinct_create_work_and_memory_per_create_stay_flat():
     assert max(held[1_000], held[16_000]) <= 2 * min(held[1_000], held[16_000]), held
 
 
+def test_a_new_list_takes_its_parent_directory_once():
+    # the FileCreate that starts a list reads its name's directory once; a
+    # later name on the list is checked against it, and a different one
+    # clears it
+    matcher = FileIoMatcher()
+    for i, name in enumerate(("c:/users/u/documents/a.txt", "c:/users/u/b.txt")):
+        assert _calls_of(fileio._parent_dir, matcher.ingest, ev_create(10, i, 0xA, name)) == 1
+    assert [lst.directory for lst in matcher.lists()] == [None]
+
+
 def test_rename_chain_calls_per_rename_stay_flat():
     # one lineage renamed n times, each rename's FileObject the next one's
     # file_key: every rename resolves through the FileObject map in one step,
@@ -290,3 +305,31 @@ def test_rename_chain_calls_per_rename_stay_flat():
         assert len(set(map(id, matcher._by_object.values()))) == 1
     per_rename = {n: (calls[n] - calls[1]) / (n - 1) for n in (1_000, 16_000)}
     assert per_rename[16_000] == per_rename[1_000], calls
+
+
+@pytest.fixture(scope="module")
+def corpus_profiles(tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("corpus"))
+    synth_corpus(default_corpus_spec(4, 4, 12), d, master_seed=5)
+    return load_corpus_profiles(d, load_rules_file(default_rules_path()))
+
+
+def test_eval_scores_each_repeat_in_one_batch(corpus_profiles):
+    # one fuse_batch call per repeat, whatever the size of its test set, with
+    # a model trained per repeat and with a fixed one
+    for frac in (0.2, 0.5):
+        assert _calls_of(ml.fuse_batch, evaluate_profiles, corpus_profiles, 3, 1, frac) == 3
+    model = train_from_profiles(corpus_profiles)
+    assert _calls_of(ml.fuse_batch, evaluate_profiles, corpus_profiles, 2, 1, 0.2, model) == 2
+
+
+def test_train_mlr_takes_the_gradient_of_accepted_steps_only(corpus_profiles):
+    # the start's gradient and one per accepted step, each a loss_history
+    # entry; a rejected line-search trial computes its loss alone
+    X = np.vstack([p.X_mlr for p in corpus_profiles])
+    y = np.repeat([int(p.is_ransomware) for p in corpus_profiles], [len(p.X_mlr) for p in corpus_profiles])
+    models = []
+    grads = _calls_of(kernels.mlr_grad, lambda: models.append(ml.train_mlr(X, y)))
+    losses = _calls_of(kernels.mlr_loss, ml.train_mlr, X, y)
+    assert grads == len(models[0].loss_history)
+    assert losses > grads  # some trials were rejected

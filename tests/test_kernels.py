@@ -32,14 +32,18 @@ def test_rbf_gram_matches_direct_formula():
 
 
 def test_rbf_gram_equals_element_loop_reference():
-    # one scored row and many, at the tree and event-frequency widths
+    # one scored row and many, at the tree and event-frequency widths: A
+    # shorter than B, as tall, taller, and one array given as both sides
     rng = np.random.default_rng(12)
     for width in (5, 8):
-        for rows in (1, 1, 40, 97):
+        for rows, other in ((1, 37), (1, 1), (40, 59), (40, 40), (97, 13), (300, 1), (0, 5), (5, 0)):
             A = rng.normal(size=(rows, width)) * rng.uniform(0.1, 5.0)
-            B = rng.normal(size=(int(rng.integers(1, 60)), width)) * rng.uniform(0.1, 5.0)
+            B = rng.normal(size=(other, width)) * rng.uniform(0.1, 5.0)
             gamma = float(rng.uniform(0.01, 2.0))
-            assert np.array_equal(K.rbf_gram(A, B, gamma), ref_rbf_gram(A, B, gamma))
+            for a, b in ((A, B), (A, A), (B, B)):
+                got = K.rbf_gram(a, b, gamma)
+                assert got.flags.c_contiguous
+                assert np.array_equal(got, ref_rbf_gram(a, b, gamma))
 
 
 def test_rbf_self_similarity_and_symmetry():
@@ -86,6 +90,25 @@ def test_mlr_loss_grad_equals_row_loop_reference():
         Xb = np.hstack([rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0), np.ones((n, 1))])
         y = rng.integers(0, k, size=n)
         _assert_mlr_matches_reference(W, Xb, y, float(rng.choice([0.0, 1e-3, 0.5])))
+
+
+def test_loss_pass_and_its_gradient_equal_mlr_loss_grad():
+    # the line search's loss-only trial, and the gradient of an accepted one
+    rng = np.random.default_rng(13)
+    for trial in range(40):
+        n = int(rng.integers(1, 300))
+        d = int(rng.integers(1, 12))
+        k = 3 if trial % 5 == 0 else 2
+        W = rng.normal(size=(k, d + 1)) * rng.uniform(0.01, 10.0)
+        Xb = np.hstack([rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0), np.ones((n, 1))])
+        y = rng.integers(0, k, size=n)
+        l2 = float(rng.choice([0.0, 1e-3, 0.5]))
+        loss, P = K.mlr_loss(W, Xb, y, l2)
+        assert P.shape == (n, k)
+        grad = K.mlr_grad(W, Xb, y, l2, P)
+        for ref_loss, ref_grad in (K.mlr_loss_grad(W, Xb, y, l2), ref_mlr_loss_grad(W, Xb, y, l2)):
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
 
 
 def test_smo_equals_element_loop_reference():

@@ -326,7 +326,11 @@ def test_row_score_does_not_depend_on_batch(seed, n_train):
     X5 = rng.normal(size=(300, 5)) * 3
     X8 = rng.normal(size=(300, 8)) * 3
     alone = np.array([fuse_batch(fc, X5[i : i + 1], X8[i : i + 1])[0] for i in range(300)])
-    for size in (2, 3, 7, 64, 300):
+    # fewer rows than support vectors, as many, and more
+    n_sv = len(fc.svm.support_vectors)
+    sizes = (2, 3, 7, 64, 300, n_sv - 1, n_sv, n_sv + 1)
+    assert min(sizes) < n_sv < max(sizes)
+    for size in sizes:
         rows = rng.choice(300, size=size, replace=False)
         assert (fuse_batch(fc, X5[rows], X8[rows]) == alone[rows]).all()
 
