@@ -88,20 +88,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-quarantine", action="store_true")
     p.add_argument("--json-report", metavar="PATH")
 
-    p = sub.add_parser("train", help="train the fused classifier on a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=_within(int, 0, 2**64 - 1), default=42)
-    p.add_argument("--train-frac", type=_within(float, 0, 1), default=0.2)
-    p.add_argument("--rules", help="rules file (bundled set when omitted)")
+    # train writes the model that eval trains in repeat 0, so both read one corpus block
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--corpus", required=True)
+    corpus.add_argument("--rules", help="rules file (bundled set when omitted)")
+    corpus.add_argument("--seed", type=_within(int, 0, 2**64 - 1), default=42)
+    corpus.add_argument("--train-frac", type=_within(float, 0, 1), default=0.2)
 
-    p = sub.add_parser("eval", help="repeated train/test evaluation over a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--rules")
+    p = sub.add_parser("train", parents=[corpus], help="train the fused classifier on a corpus")
+    p.add_argument("--out", required=True)
+
+    p = sub.add_parser("eval", parents=[corpus], help="repeated train/test evaluation over a corpus")
     p.add_argument("--model", help="evaluate a fixed model instead of retraining")
     p.add_argument("--repeats", type=_within(int, 1), default=20)
-    p.add_argument("--seed", type=_within(int, 0, 2**64 - 1), default=42)
-    p.add_argument("--train-frac", type=_within(float, 0, 1), default=0.2)
     p.add_argument("--json-report", metavar="PATH")
     p.add_argument("--latency-table", metavar="PATH",
                    help="write per-trace detection latencies as delimited text")
@@ -174,10 +173,13 @@ def _cmd_detect(args) -> int:
     return EXIT_OK
 
 
+def _corpus_profiles(args):
+    """The profiles of every trace in args.corpus, under args.rules."""
+    return load_corpus_profiles(args.corpus, load_rules_file(args.rules or default_rules_path()))
+
+
 def _cmd_train(args) -> int:
-    rules = load_rules_file(args.rules or default_rules_path())
-    profiles = load_corpus_profiles(args.corpus, rules)
-    train, _ = split_profiles(profiles, args.train_frac, args.seed, 0)
+    train, _ = split_profiles(_corpus_profiles(args), args.train_frac, args.seed, 0)
     model = train_from_profiles(train)
     save_model_file(args.out, model)
     n_ransomware = sum(p.is_ransomware for p in train)
@@ -192,8 +194,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    rules = load_rules_file(args.rules or default_rules_path())
-    profiles = load_corpus_profiles(args.corpus, rules)
+    profiles = _corpus_profiles(args)
     fixed = load_model_file(args.model) if args.model else None
     summary = evaluate_profiles(
         profiles, repeats=args.repeats, seed=args.seed, train_frac=args.train_frac,

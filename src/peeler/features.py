@@ -92,7 +92,7 @@ def _window(source: Union[Window, Iterable[Event]]) -> Window:
     """source itself when it is a Window, else its events folded into one."""
     if isinstance(source, Window):
         return source
-    window = Window(0, 0, 0)
+    window = Window(0)
     for e in source:
         window.add(e)
     return window

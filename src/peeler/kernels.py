@@ -6,9 +6,10 @@ vectorized but reproduce the per-row and per-element loops kept as
 references in the tests bit for bit: scalar sums accumulate in the loops'
 sequential order (np.cumsum, not the pairwise np.sum), and the working pair
 is taken with argmax/argmin, which return the first index on a tie just as
-the loops' strict comparisons did. The class axis is folded column by column
-(np.maximum, np.add); an axis-1 reduction costs more at 2 classes. Any
-change in the last bit could flip a line-search step and so change a model.
+the loops' strict comparisons did. softmax folds the class axis column by
+column (np.maximum, np.add), since an axis-1 reduction costs more at 2
+classes; the training loss and ml's scoring both call it. Any change in the
+last bit could flip a line-search step and so change a model.
 
 rbf_gram loops over its shorter side, one row against all rows of the
 other, and keeps the element loop's bits, since (a - b)**2 and (b - a)**2
@@ -50,18 +51,22 @@ def rbf_gram(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of (n, k) class scores. The classes, folded column by
+    column, give each row's own max() and sum() at tested k."""
+    e = np.exp(scores - reduce(np.maximum, scores.T)[:, None])
+    return e / reduce(np.add, e.T)[:, None]
+
+
 def mlr_loss(W, Xb, y, l2):
     """L2-regularized mean cross-entropy of softmax regression.
 
     W: (k, d+1) weights, bias last and not regularized; Xb: (n, d+1) with a
     bias column; y: (n,) int classes. Returns (loss, P), P the (n, k) class
-    probabilities. The classes, folded column by column, give each row's own
-    max() and sum() at tested k.
+    probabilities.
     """
     n = Xb.shape[0]
-    scores = Xb @ W.T
-    e = np.exp(scores - reduce(np.maximum, scores.T)[:, None])
-    P = e / reduce(np.add, e.T)[:, None]
+    P = softmax(Xb @ W.T)
     loss = _sequential_sum(0.0, -np.log(P[np.arange(n), y])) / n
     Wr = W[:, :-1]
     return _sequential_sum(loss, (0.5 * l2 * Wr * Wr).ravel()), P

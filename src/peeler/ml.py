@@ -6,16 +6,19 @@ their [0, 1] scores are averaged and thresholded. The SVM margin is squashed
 through a logistic to make the two scores commensurable.
 
 Feature rows are plain float vectors (features.MlrFeatures/SvmFeatures
-.as_vector()). Every score comes from the batch functions: fuse_batch scores
+.as_vector()); every function takes its rows as whatever np.asarray reads as
+a float matrix. Every score comes from the batch functions: fuse_batch scores
 a matrix of window rows, and fuse scores one window as a 1-row matrix. Each
 row's dot products are summed along the row itself, never through a matrix
-product, so a row scores the same bits in a batch of any size.
+product, so a row scores the same bits in a batch of any size. The class
+probabilities go through kernels.softmax, as the training loss does. A model
+without support vectors needs no case of its own: its Gram matrix has no
+columns, so each margin is the bias.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import BinaryIO, List, Tuple
 
 import numpy as np
@@ -41,13 +44,6 @@ SVM_MAX_PASSES = 400
 DEFAULT_THRESHOLD = 0.5
 # The fewest rows train_mlr fits.
 MIN_TRAIN_SAMPLES = 4
-
-
-def _as_matrix(X) -> np.ndarray:
-    if isinstance(X, np.ndarray):
-        return np.asarray(X, dtype=np.float64)
-    rows = [np.asarray(x, float) for x in X]
-    return np.vstack(rows) if rows else np.zeros((0, 0))
 
 
 def _as_labels(y, n: int) -> np.ndarray:
@@ -76,7 +72,7 @@ class Scaler:
 
 
 def fit_scaler(samples) -> Scaler:
-    X = _as_matrix(samples)
+    X = np.asarray(samples, dtype=np.float64)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 samples to fit a scaler")
     mean = X.mean(axis=0)
@@ -106,7 +102,7 @@ def train_mlr(X, y) -> MlrModel:
     MLR_GRAD_TOL within MLR_MAX_ITER iterations. A rejected trial step
     computes its loss alone, an accepted one its gradient too.
     """
-    Xm = _as_matrix(X)
+    Xm = np.asarray(X, dtype=np.float64)
     n = Xm.shape[0]
     ym = _as_labels(y, n)
     if n < MIN_TRAIN_SAMPLES:
@@ -149,16 +145,14 @@ def train_mlr(X, y) -> MlrModel:
 
 def mlr_class_probabilities(m: MlrModel, x) -> np.ndarray:
     """Softmax probabilities (benign, ransomware) for one feature vector."""
-    return mlr_probabilities_batch(m, _as_matrix([x]))[0]
+    return mlr_probabilities_batch(m, [x])[0]
 
 
 def mlr_probabilities_batch(m: MlrModel, X) -> np.ndarray:
     """Softmax probabilities (benign, ransomware), one row per feature row."""
-    Xm = _as_matrix(X)
-    Xb = np.hstack([m.scaler.apply(Xm), np.ones((Xm.shape[0], 1))])
-    scores = (Xb[:, None, :] * m.weights).sum(-1)
-    e = np.exp(scores - reduce(np.maximum, scores.T)[:, None])
-    return e / reduce(np.add, e.T)[:, None]
+    Xs = m.scaler.apply(X)
+    Xb = np.hstack([Xs, np.ones((Xs.shape[0], 1))])
+    return kernels.softmax((Xb[:, None, :] * m.weights).sum(-1))
 
 
 @dataclass
@@ -183,7 +177,7 @@ def train_svm(X, y) -> SvmModel:
     The RBF gamma is 1/n_features. When the pass budget runs out before the
     KKT gap closes, the best iterate is returned with converged False.
     """
-    Xm = _as_matrix(X)
+    Xm = np.asarray(X, dtype=np.float64)
     n = Xm.shape[0]
     ym = _as_labels(y, n)
     if len(np.unique(ym)) < 2:
@@ -212,10 +206,7 @@ def train_svm(X, y) -> SvmModel:
 
 def svm_decision_batch(m: SvmModel, X) -> np.ndarray:
     """Raw margins f(x) = sum_i coef_i K(sv_i, x) + b, one per row."""
-    Xs = m.scaler.apply(_as_matrix(X))
-    if m.support_vectors.shape[0] == 0:
-        return np.full(Xs.shape[0], m.bias)
-    k = kernels.rbf_gram(Xs, m.support_vectors, m.gamma)
+    k = kernels.rbf_gram(m.scaler.apply(X), m.support_vectors, m.gamma)
     return (k * m.dual_coefs).sum(-1) + m.bias
 
 

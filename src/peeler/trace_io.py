@@ -119,8 +119,9 @@ _LOAD, _UNLOAD = EventType.LOAD, EventType.UNLOAD
 
 
 class Window:
-    """One tumbling window of the event stream, start <= ts < end, and all
-    that the classifier and its alert read of the window's events.
+    """One tumbling window of the event stream, known by its end: the one
+    that window_partition cuts holds the events end - window_len <= ts < end.
+    It keeps all that the classifier and its alert read of those events.
 
     The events are folded in as they arrive (add) and not kept:
     pid_events counts each pid's events, in order of each pid's first event;
@@ -131,14 +132,12 @@ class Window:
     """
 
     __slots__ = (
-        "index", "start", "end", "pid_events", "started", "images", "threads",
+        "end", "pid_events", "started", "images", "threads",
         "n_process_start", "n_process_end", "n_image_load", "n_image_unload",
         "n_file_read", "n_file_write", "n_thread_start", "n_thread_end",
     )
 
-    def __init__(self, index: int, start: int, end: int) -> None:
-        self.index = index
-        self.start = start
+    def __init__(self, end: int) -> None:
         self.end = end
         self.pid_events: Dict[int, int] = {}
         self.started: Dict[int, int] = {}
@@ -575,8 +574,8 @@ def window_partition(
     folded in (Window.add). When process is given, each event is passed to
     it after it is folded in, so a window is yielded after process has seen
     its last event and before it sees the next window's first. Windows are
-    half-open [start, start+window_len) with index start // window_len, so a
-    gap in the timestamps skips indices and costs nothing whatever its
+    half-open [end - window_len, end), with end a multiple of window_len, so
+    a gap in the timestamps skips windows and costs nothing whatever its
     length. Raises ValueError on a non-positive window_len (at the call) and
     SchemaError on a timestamp below its predecessor's or below 0.
     """
@@ -596,9 +595,8 @@ def _windows(events: Iterable[Event], window_len: int, process) -> Iterator[Wind
         if ts >= end:
             if window is not None:
                 yield window
-            index = ts // window_len
-            end = (index + 1) * window_len
-            window = Window(index, end - window_len, end)
+            end = (ts // window_len + 1) * window_len
+            window = Window(end)
             add = window.add
         add(e)
         if process is not None:

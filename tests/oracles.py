@@ -172,8 +172,8 @@ class RefWindow:
     events: List[Event] = field(default_factory=list)
 
     def folded(self) -> Window:
-        """The program's Window of the same bounds with these events folded in."""
-        window = Window(self.index, self.start, self.end)
+        """The program's Window of the same end with these events folded in."""
+        window = Window(self.end)
         for e in self.events:
             window.add(e)
         return window

@@ -428,6 +428,19 @@ def test_training_rows_match_a_per_window_loop(monkeypatch):
         assert np.array_equal(labels_seen, np.array(y)) and labels_seen.dtype == np.array(y).dtype
 
 
+def test_training_needs_an_attack_window_that_counts():
+    # every window of the attack trace holds fewer than MIN_ATTACK_WINDOW_EVENTS
+    # events, so no row of it is kept and only the benign class is left
+    counts = {TraceLabel.CRYPTO: [1, evaluate.MIN_ATTACK_WINDOW_EVENTS - 1], TraceLabel.BENIGN: [1, 2, 3, 4]}
+    profiles = [
+        replace(_stub_profile(label.value, label), window_ends=np.arange(len(c)), window_counts=np.array(c),
+                X_mlr=np.ones((len(c), 5)), X_svm=np.ones((len(c), 8)))
+        for label, c in counts.items()
+    ]
+    with pytest.raises(CorpusError, match="^training set needs windows from both classes$"):
+        train_from_profiles(profiles)
+
+
 def test_fixed_model_single_class_corpus_is_corpus_error():
     profiles = [_stub_profile("b1", TraceLabel.BENIGN), _stub_profile("b2", TraceLabel.BENIGN)]
     neutral = FusedClassifier(mlr=_neutral_mlr(), svm=_neutral_svm())
@@ -537,6 +550,8 @@ HOSTILE_EDITS = {
     "event_count_string": (b'"event_count":3', b'"event_count":"3"'),
     "family_int": (b'"family":"Cerber"', b'"family":3'),
     "seed_bool": (b'"seed":7', b'"seed":false'),
+    "label_unknown_name": (b'"label":"crypto"', b'"label":"worm"'),
+    "event_not_object": (_READ_LINE, b"[1]"),
 }
 
 
@@ -561,6 +576,18 @@ def test_removed_flag_is_usage_error(name, small_corpus, tmp_path, capsys):
     assert main(argv) == EXIT_USAGE
     assert not out.exists()
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [[], ["--rules", "r.txt", "--seed", "7", "--train-frac", "0.5"]],
+                         ids=["defaults", "given"])
+def test_train_and_eval_parse_the_corpus_options_alike(argv):
+    # train writes the model that eval trains in repeat 0, while both read these alike
+    parser = cli._build_parser()
+    train = vars(parser.parse_args(["train", "--corpus", "c", "--out", "m", *argv]))
+    evl = vars(parser.parse_args(["eval", "--corpus", "c", *argv]))
+    keys = ("corpus", "rules", "seed", "train_frac")
+    assert [train[k] for k in keys] == [evl[k] for k in keys]
+    assert train["seed"] == (7 if argv else 42) and train["train_frac"] == (0.5 if argv else 0.2)
 
 
 def test_valid_trace_template_detects(tmp_path, capsys):
@@ -828,6 +855,12 @@ def test_model_error_names_its_line(valid_model_text):
     assert _model_error_line(lines[:l2] + lines[l2 + 1:]) == index("[mlr]") + 1
     no_fusion = [text for text in lines if text != "[fusion]"]
     assert _model_error_line(no_fusion) == len(no_fusion) - 1  # the text ends in "\n"
+    # a key before the first header has no section; a blank line is skipped
+    with pytest.raises(ParseError, match=r"^line 2: key outside any section$"):
+        load_model(io.BytesIO("\n".join(lines[:1] + ["l2 = 0.001"] + lines[1:]).encode("utf-8")))
+    spaced, resaved = "\n".join(lines[:bias] + [""] + lines[bias:]), io.BytesIO()
+    save_model(load_model(io.BytesIO(spaced.encode("utf-8"))), resaved)
+    assert resaved.getvalue() == valid_model_text.encode("utf-8")
 
 
 def test_non_utf8_rules_is_data_error(valid_model_text, tmp_path, capsys):

@@ -141,6 +141,15 @@ def test_unknown_goal_rejected():
         load_rules(io.BytesIO(b"x | world_domination | net | stop | d\n"))
 
 
+@pytest.mark.parametrize("line, message", [
+    (b" | attack | net | stop | d\n", "empty rule id"),
+    (b"x | attack |  | stop | d\n", "empty utility"),
+])
+def test_empty_rule_field_rejected(line, message):
+    with pytest.raises(ParseError, match=rf"^line 1: {message}$"):
+        load_rules(io.BytesIO(line))
+
+
 def test_match_is_pure(bundled):
     e = ev_proc_start(9, 50, cmdline=ATTACK_COMMANDS[0])
     results = {CommandMatcher(bundled).match(e).trigger for _ in range(5)}

@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from peeler import fileio, kernels, ml
+from peeler import fileio, kernels, ml, trace_io
 from peeler.commands import CommandMatcher, default_rules_path, load_rules, load_rules_file
 from peeler.evaluate import evaluate_profiles, load_corpus_profiles, train_from_profiles
 from peeler.events import Detector
@@ -24,7 +24,7 @@ from peeler.features import build_process_tree, extract_mlr_features
 from peeler.fileio import FileIoMatcher, PatternKind
 from peeler.pipeline import Engine, EngineConfig, run_trace
 from peeler.synth import SynthConfig, default_corpus_spec, synth_corpus, synth_trace
-from peeler.trace_io import WINDOW_LEN, Window, iter_trace, write_trace
+from peeler.trace_io import WINDOW_LEN, TraceLabel, TraceManifest, Window, iter_trace, read_trace, write_trace
 from helpers import ev_create, ev_fdelete, ev_proc_start, ev_read, ev_rename, ev_write
 from test_ml import _stub_fused
 
@@ -199,7 +199,7 @@ def test_flush_window_calls_stay_flat_in_distinct_pids():
     calls = {}
     for n in (1_000, 16_000):
         engine = Engine(EngineConfig(), model=_stub_fused(threshold=0.0))
-        window = Window(0, 0, WINDOW_LEN)
+        window = Window(WINDOW_LEN)
         for pid in range(100, 100 + n):
             window.add(ev_read(pid, pid, 0xA, 0xB))
         calls[n] = _calls(engine.flush_window, window)[0]
@@ -209,7 +209,7 @@ def test_flush_window_calls_stay_flat_in_distinct_pids():
 
 def _chain_features(events):
     """The process-tree features of one window of events."""
-    window = Window(0, 0, WINDOW_LEN)
+    window = Window(WINDOW_LEN)
     for e in events:
         window.add(e)
     return extract_mlr_features(build_process_tree(window))
@@ -305,6 +305,62 @@ def test_rename_chain_calls_per_rename_stay_flat():
         assert len(set(map(id, matcher._by_object.values()))) == 1
     per_rename = {n: (calls[n] - calls[1]) / (n - 1) for n in (1_000, 16_000)}
     assert per_rename[16_000] == per_rename[1_000], calls
+
+
+def _trace_bytes(events):
+    buf = io.BytesIO()
+    write_trace(TraceManifest(TraceLabel.BENIGN, "cost", 1, len(events), events[-1].timestamp), events, buf)
+    return buf.getvalue()
+
+
+def _one_line_trace(cmdline):
+    """A trace whose middle line holds cmdline, between two File Reads."""
+    return _trace_bytes([ev_read(1, 0, 0xA, 0xB), ev_proc_start(2, 1, cmdline=cmdline), ev_read(1, 2, 0xA, 0xB)])
+
+
+def _read_seconds(data):
+    return min(timeit.repeat(lambda: read_trace(io.BytesIO(data)), number=20, repeat=5)) / 20
+
+
+@pytest.mark.parametrize("unit, width", [("a", 1), ('\\"\n\x01', 12)], ids=["long_line", "many_escapes"])
+def test_decode_work_per_byte_stays_flat(unit, width):
+    # one line of L bytes, unit repeated (width the bytes a unit is written
+    # as), goes to orjson in one C call on the block path: no Python call
+    # grows with L, and the traced bytes per line byte stay within 2x, and
+    # so does the time per line byte past a trace without the line. The
+    # sizes go by the written line, since the C calls slow per byte once
+    # the line outgrows the CPU's cache, whatever its characters.
+    base = _read_seconds(_one_line_trace(""))
+    calls, held, seconds = {}, {}, {}
+    for length in (20_000, 320_000):
+        data = _one_line_trace(unit * (length // width))
+        assert _calls_of(trace_io.line_to_event, read_trace, io.BytesIO(data)) == 0
+        calls[length] = _calls(read_trace, io.BytesIO(data))[0]
+        tracemalloc.start()
+        try:
+            read_trace(io.BytesIO(data))
+            held[length] = tracemalloc.get_traced_memory()[1] / length
+        finally:
+            tracemalloc.stop()
+        seconds[length] = (_read_seconds(data) - base) / length
+    assert calls[320_000] == calls[20_000], calls
+    assert max(held.values()) <= 2 * min(held.values()), held
+    assert seconds[320_000] <= 2 * seconds[20_000], seconds
+
+
+def test_line_path_calls_per_event_stay_flat():
+    # each line carries more "{" than a block may hold beyond one a line, so
+    # every block falls back to line_to_event, one line at a time; the
+    # calls per event past the first stay flat from 1k to 16k lines
+    cmdline = "bcdedit " + "{default} " * (trace_io._MAX_NESTING + 1)
+    calls = {}
+    for n in (1, 1_000, 16_000):
+        data = _trace_bytes([ev_proc_start(2, i, cmdline=cmdline) for i in range(n)])
+        if n == 1_000:
+            assert _calls_of(trace_io.line_to_event, read_trace, io.BytesIO(data)) == n
+        calls[n] = _calls(read_trace, io.BytesIO(data))[0]
+    per_event = {n: (calls[n] - calls[1]) / (n - 1) for n in (1_000, 16_000)}
+    assert per_event[16_000] <= per_event[1_000] + 0.01, calls
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ from peeler.features import (
     SvmFeatures,
     build_process_tree,
     correlation_report,
+    correlations_from_rows,
     extract_mlr_features,
     extract_svm_features,
     pearson,
@@ -272,6 +273,19 @@ def test_correlation_report_single_window_degenerate():
 def test_correlation_report_empty_corpus_rejected():
     with pytest.raises(CorpusError, match="^corpus is empty$"):
         correlation_report([])
+
+
+def test_correlation_rows_of_an_unknown_trace_are_not_read():
+    def unread():
+        raise AssertionError("the rows of an unknown trace were read")
+        yield
+
+    rows = [np.arange(8.0), np.arange(8.0) ** 2]
+    with_unknown = correlations_from_rows([(TraceLabel.UNKNOWN, unread()), (TraceLabel.BENIGN, rows)])
+    assert with_unknown == correlations_from_rows([(TraceLabel.BENIGN, rows)])
+    assert (with_unknown.n_ransomware_windows, with_unknown.n_benign_windows) == (0, 2)
+    with pytest.raises(CorpusError, match="^corpus is empty$"):
+        correlations_from_rows([(TraceLabel.UNKNOWN, unread())])
 
 
 def test_window_features_combined():

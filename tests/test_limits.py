@@ -1,20 +1,23 @@
 """Pinned limits: event shapes that peeler misses or blames by design.
 
 Each test starts from the Cerber transcript (C R R W W N D C, one alert on
-its final FileCreate, as test_pipeline checks), changes one thing, feeds
-the events through Engine.process_event with the bundled rules, and
-asserts today's outcome exactly. README's "Limits" table has one row per shape and names the code
-that decides it. A change that turns one of these outcomes changes what
-peeler detects, and says so.
+its final FileCreate, as test_pipeline checks) or from a synthesized
+locker, changes one thing, feeds the events through an Engine with the
+bundled rules, and asserts today's outcome exactly. The shapes that the
+ML stage might catch run with the trained_model fixture. README's "Limits"
+table has one row per shape and names the code that decides it. A change
+that turns one of these outcomes changes what peeler detects, and says so.
 """
 
 import itertools
 
 import pytest
 
-from peeler.events import Detector
+from peeler.events import Detector, EventType
 from peeler.fileio import MAX_IDLE_US, SWEEP_INTERVAL
 from peeler.pipeline import Engine, EngineConfig
+from peeler.synth import SynthConfig, synth_trace
+from peeler.trace_io import WINDOW_LEN, window_partition
 from figures import DOCS, cerber_post_overwrite
 from helpers import ev_create, ev_proc_start, ev_read
 
@@ -23,11 +26,12 @@ CERBER_ALERT = (Detector.FILE_IO_PATTERN, CERBER_PID, "MemToFilePostOverwrite", 
 EXPLORER = r"C:\Windows\explorer.exe"
 
 
-def _alerts(events):
+def _alerts(events, model=None):
     """(detector, pid, trigger, timestamp) of each alert, in the order fired."""
-    engine = Engine(EngineConfig())
-    fired = (engine.process_event(e) for e in events)
-    return [(a.detector, a.pid, a.trigger, a.event_timestamp) for a in fired if a is not None]
+    engine = Engine(EngineConfig(), model=model)
+    for window in window_partition(events, WINDOW_LEN, engine.process_event):
+        engine.flush_window(window)
+    return [(a.detector, a.pid, a.trigger, a.event_timestamp) for a in engine.alerts]
 
 
 def test_second_pid_finishing_the_file_is_not_detected():
@@ -84,3 +88,21 @@ def test_encoded_powershell_alerts_only_on_the_listed_spellings(flag, rule):
     # PowerShell takes any unique prefix of -EncodedCommand; the rules list two
     start = ev_proc_start(4100, 1_000, image="powershell.exe", cmdline=f"powershell.exe {flag} SQBFAFgA")
     assert _alerts([start]) == ([] if rule is None else [(Detector.COMMAND_RULE, 4100, rule, 1_000)])
+
+
+def test_crypto_flow_without_writes_is_not_detected(trained_model):
+    # C R R N D C: every pattern needs a File Write after the reads, and
+    # the one window's fused score (0.21) stays below the threshold
+    events = [e for e in cerber_post_overwrite() if e.etype != EventType.WRITE]
+    assert _alerts(events, trained_model) == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_locker_without_children_is_not_detected(seed, trained_model):
+    # the locker's own events alone: its start, ransom notes and image and
+    # thread churn. No window scores above 0.25, while the whole trace,
+    # children included, raises ML alerts
+    _, events = synth_trace(SynthConfig(seed=seed, archetype="locker"))
+    root = events[0].pid
+    assert {a[0] for a in _alerts(events, trained_model)} == {Detector.ML_CLASSIFIER}
+    assert _alerts([e for e in events if e.pid == root], trained_model) == []

@@ -104,6 +104,12 @@ def test_mlr_label_shape_mismatch():
         train_mlr(np.ones((4, 5)), np.array([0, 1]))
 
 
+@pytest.mark.parametrize("labels", [[0, 1, 0.5, 1], [0, 1, 2, 1]], ids=["non_integer", "outside_0_1"])
+def test_mlr_labels_must_be_0_or_1(labels):
+    with pytest.raises(ValueError, match=r"^labels must be 0 \(benign\) or 1 \(ransomware\)$"):
+        train_mlr(np.arange(20.0).reshape(4, 5), np.array(labels))
+
+
 def test_mlr_zero_weights_give_half():
     s = Scaler(np.zeros(5), np.ones(5), np.zeros(5, dtype=bool))
     m = MlrModel(weights=np.zeros((2, 6)), scaler=s, l2=0.0, converged=True, n_iter=0)

@@ -161,12 +161,11 @@ def test_engine_refuses_second_stream():
 def test_window_index_advances_across_gaps():
     events = [ev_read(1, 100, 0xA, 0xB), ev_read(1, 7_500_000, 0xA, 0xB)]
     windows = list(window_partition(events, 1_000_000))
-    assert [(w.index, w.start, w.end) for w in windows] == [
-        (0, 0, 1_000_000), (7, 7_000_000, 8_000_000)]
+    assert [w.end for w in windows] == [1_000_000, 8_000_000]
 
 
 class _RecordingEngine(Engine):
-    """Engine that records the bounds and size of every window it classifies,
+    """Engine that records the end and size of every window it classifies,
     and how many alerts had been emitted when it did."""
 
     def __init__(self, *args, **kwargs):
@@ -174,8 +173,7 @@ class _RecordingEngine(Engine):
         self.windows = []
 
     def flush_window(self, window):
-        self.windows.append((window.index, window.start, window.end, window.count,
-                             len(self.alerts)))
+        self.windows.append((window.end, window.count, len(self.alerts)))
         return super().flush_window(window)
 
 
@@ -183,16 +181,14 @@ def test_huge_timestamp_gap_is_one_jump(tmp_path):
     # a gap of 2^62 us, with the last stamp below the 2^64 a trace file holds
     far = 12_500_000 + 2**62
     events = [ev_read(1, 500, 0xA, 0xB), ev_read(1, 12_500_000, 0xA, 0xB), ev_read(1, far, 0xA, 0xB)]
-    far_index = far // WINDOW_LEN
-    expected = [(0, 0, WINDOW_LEN), (2, 2 * WINDOW_LEN, 3 * WINDOW_LEN),
-                (far_index, far_index * WINDOW_LEN, (far_index + 1) * WINDOW_LEN)]
-    assert expected[2][1] <= far < expected[2][2]
+    expected = [WINDOW_LEN, 3 * WINDOW_LEN, (far // WINDOW_LEN + 1) * WINDOW_LEN]
+    assert expected[2] - WINDOW_LEN <= far < expected[2]
 
     engine = _RecordingEngine(EngineConfig())
     start = time.perf_counter()
     run_trace(engine, _manifest(events), events)
     assert time.perf_counter() - start < 0.5
-    assert engine.windows == [w + (1, 0) for w in expected]
+    assert engine.windows == [(end, 1, 0) for end in expected]
 
     path = str(tmp_path / "gap.pt")
     save_trace(path, _manifest(events), events)
@@ -200,7 +196,7 @@ def test_huge_timestamp_gap_is_one_jump(tmp_path):
     start = time.perf_counter()
     profile = profile_trace(path, rules)
     assert time.perf_counter() - start < 0.5
-    assert profile.window_ends.tolist() == [end for _, _, end in expected]
+    assert profile.window_ends.tolist() == expected
     assert profile.window_counts.tolist() == [1, 1, 1]
 
 
@@ -237,12 +233,12 @@ def test_window_jump_matches_step_loop():
 
 def test_empty_window_skipped_without_model():
     engine = Engine(EngineConfig())
-    window = Window(0, 0, 5_000_000)
+    window = Window(5_000_000)
     window.add(ev_read(1, 10, 0xA, 0xB))
     assert engine.flush_window(window) is None
     events = [ev_read(1, ts, 0xA, 0xB) for ts in (0, 12_000_000, 12_000_001, 40_000_000)]
     windows = list(window_partition(events, 5_000_000))
-    assert [w.index for w in windows] == [0, 2, 8]
+    assert [w.end for w in windows] == [5_000_000, 15_000_000, 45_000_000]
     assert all(w.count for w in windows)
 
 

@@ -251,14 +251,16 @@ def _attributes_read(tree, outside):
             and id(node) not in written}
 
 
-def test_every_file_list_slot_is_read():
-    # a FileEventsList is kept for every created file of a trace; a slot
-    # that no verdict reads, only tests, is memory spent on nothing. The
-    # check goes by attribute name, so a read of a same-named attribute
-    # elsewhere counts too.
-    read = set().union(*(_attributes_read(ast.parse(path.read_text(encoding="utf-8")), "FileEventsList")
+@pytest.mark.parametrize("cls", [fileio.FileEventsList, trace_io.Window], ids=lambda c: c.__name__)
+def test_every_file_list_slot_is_read(cls):
+    # a FileEventsList is kept for every created file of a trace, and a
+    # Window is built for every window of every stream; a slot that no
+    # verdict reads, only tests, is memory spent on nothing. The check goes
+    # by attribute name, so a read of a same-named attribute elsewhere counts
+    # too: synth's tr.start(...) would hide a Window slot named start.
+    read = set().union(*(_attributes_read(ast.parse(path.read_text(encoding="utf-8")), cls.__name__)
                          for path in SOURCES))
-    assert [slot for slot in fileio.FileEventsList.__slots__ if slot not in read] == []
+    assert [slot for slot in cls.__slots__ if slot not in read] == []
 
 
 def _private_definitions(tree):

@@ -149,6 +149,8 @@ def test_invalid_configs_rejected():
         SynthConfig(seed=1, archetype="warp").validate()
     with pytest.raises(ValueError):
         SynthConfig(seed=1, archetype="benign_desktop", duration=0).validate()
+    with pytest.raises(ValueError, match="^crypto archetype requires n_files >= 1$"):
+        SynthConfig(seed=1, archetype="crypto", pattern=PatternKind.FILE_TO_FILE_DELETE, n_files=0).validate()
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
